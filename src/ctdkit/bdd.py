@@ -18,6 +18,7 @@ distinct managers are independent.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from .errors import BddError
@@ -166,20 +167,23 @@ class BDD:
         return Function(self, self._exists(f.root, vs))
 
     def _exists(self, root: int, vs: tuple[int, ...]) -> int:
-        if not vs or self._var_of(root) > vs[-1]:
+        node_var, low, high = self._nodes[root]
+        vs = vs[bisect_left(vs, node_var):]  # variables above the root play no part
+        if not vs:
             return root
+        if len(vs) == self.var_count - node_var:
+            return TRUE  # all variables left are quantified; any node is satisfiable
         key = ("exists", root, vs)
         found = self._cache.get(key)
         if found is not None:
             return found
-        node_var, low, high = self._nodes[root]
-        below = tuple(x for x in vs if x > node_var)
-        if node_var in vs:
+        if vs[0] == node_var:
+            below = vs[1:]
             result = self._or(self._exists(low, below), self._exists(high, below))
         else:
             result = self._node(node_var,
-                                self._exists(low, below),
-                                self._exists(high, below))
+                                self._exists(low, vs),
+                                self._exists(high, vs))
         self._cache[key] = result
         return result
 

@@ -4,12 +4,17 @@ A requirement is one value tuple over a t-subset of attributes; a test
 covers it when it assigns exactly those values.  Requirement order is
 deterministic: attribute subsets in lexicographic declaration order, value
 tuples in value-index order, then any explicit model directives
-(deduplicated).  Feasibility of a requirement against a legal space is
-decided symbolically: its equality conjunction intersected with the space
-must be non-empty.
+(deduplicated).  Feasibility is decided symbolically, once per distinct
+attribute subset rather than once per requirement: the legal space is
+projected onto the subset's variable blocks (every other variable
+existentially quantified), and a requirement is feasible iff its value
+codes satisfy that projection.
 
 Coverage credit is granted only by tests inside the legal space; imported
-tests that violate it are listed in the report and ignored.
+tests that violate it are listed in the report and ignored.  The
+requirements a test covers are found by hashing its sub-tuple on each
+attribute subset the requirements span (`CoverageIndex`), not by scanning
+every requirement.
 """
 
 from __future__ import annotations
@@ -29,9 +34,6 @@ class Requirement:
     @property
     def attrs(self) -> tuple[str, ...]:
         return tuple(a for a, _ in self.bindings)
-
-    def covered_by(self, test: dict[str, str]) -> bool:
-        return all(test.get(a) == v for a, v in self.bindings)
 
     def format(self) -> str:
         return ", ".join(f"{a}={v}" for a, v in self.bindings)
@@ -108,12 +110,40 @@ def generate_requirements(model: Model, t: int,
 
 
 def filter_feasible(reqs: RequirementSet, space: ModelSpace) -> RequirementSet:
-    """Mark each requirement feasible iff its projection of the legal space
-    is non-empty; returns the same set."""
+    """Mark each requirement feasible iff some legal test holds its values;
+    returns the same set.  One projection of the legal space per distinct
+    attribute subset (directives of any width included) decides them all."""
+    marginals = {}
     for r in reqs:
-        fn = space.requirement_fn(r.bindings) & space.legal
-        reqs.mark(r, not fn.is_false)
+        attrs = r.attrs
+        marginal = marginals.get(attrs)
+        if marginal is None:
+            marginal = marginals[attrs] = space.marginal(attrs)
+        reqs.mark(r, marginal.evaluate(space.binding_bits(r.bindings)))
     return reqs
+
+
+class CoverageIndex:
+    """Requirements keyed by their bindings, with the attribute subsets they
+    span, so the ones a test covers are found by hashing the test's
+    sub-tuple on each subset instead of scanning them all."""
+
+    def __init__(self, requirements):
+        self._by_bindings = {r.bindings: r for r in requirements}
+        self._subsets = tuple(dict.fromkeys(
+            r.attrs for r in self._by_bindings.values()))
+
+    def covered(self, tests) -> set[Requirement]:
+        """The indexed requirements that some test in `tests` covers."""
+        found: set[Requirement] = set()
+        lookup = self._by_bindings.get
+        for test in tests:
+            value = test.get
+            for subset in self._subsets:
+                r = lookup(tuple((a, value(a)) for a in subset))
+                if r is not None:
+                    found.add(r)
+        return found
 
 
 def pairs_of_test(model: Model, test: dict[str, str], t: int) -> list[Requirement]:
@@ -180,14 +210,13 @@ def coverage_of(space: ModelSpace, tests, t: int,
     if reqs is None:
         reqs = filter_feasible(generate_requirements(space.model, t), space)
     feasible = reqs.feasible()
-    covered: set[Requirement] = set()
+    legal: list[dict[str, str]] = []
     illegal: list[int] = []
     for i, test in enumerate(tests):
-        if not space.contains(test):
+        if space.contains(test):
+            legal.append(test)
+        else:
             illegal.append(i)
-            continue
-        for r in feasible:
-            if r not in covered and r.covered_by(test):
-                covered.add(r)
+    covered = CoverageIndex(feasible).covered(legal)
     missing = [r for r in feasible if r not in covered]
     return CoverageReport(len(feasible), len(covered), missing, illegal)

@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .coverage import Requirement, filter_feasible, generate_requirements
+from .coverage import (
+    CoverageIndex,
+    Requirement,
+    filter_feasible,
+    generate_requirements,
+)
 from .errors import CtdError
 from .generator import grow_tests
 from .model import ModelSpace
@@ -55,15 +60,6 @@ class CycleState:
         return 100.0 * (self.total_feasible - len(self.residual)) / self.total_feasible
 
 
-def _credited(feasible, tests) -> set[Requirement]:
-    covered: set[Requirement] = set()
-    for test in tests:
-        for r in feasible:
-            if r not in covered and r.covered_by(test):
-                covered.add(r)
-    return covered
-
-
 def augment_plan(space: ModelSpace, t: int, passed, n: int,
                  seed: int = 0, randomize_ties: bool = False) -> AugmentResult:
     """Generate at most n new tests covering requirements the passed tests
@@ -79,10 +75,11 @@ def augment_plan(space: ModelSpace, t: int, passed, n: int,
             legal.append(test)
         else:
             illegal.append(i)
-    covered = _credited(feasible, legal)
+    credit = CoverageIndex(feasible)
+    covered = credit.covered(legal)
     residual_before = len(feasible) - len(covered)
     tests = grow_tests(space, feasible, covered, n, seed, randomize_ties)
-    covered |= _credited(feasible, tests)
+    covered |= credit.covered(tests)
     residual_after = len(feasible) - len(covered)
     plan = TestPlan(tests, len(covered), len(feasible), t,
                     [GENERATED] * len(tests))
@@ -92,24 +89,33 @@ def augment_plan(space: ModelSpace, t: int, passed, n: int,
 def run_cycles(space: ModelSpace, t: int, n: int,
                verdict_source: Callable[[dict[str, str]], bool],
                max_cycles: int, seed: int = 0) -> CycleState:
-    """Iterate augment-and-execute until 100% coverage or max_cycles."""
+    """Iterate augment-and-execute until 100% coverage or max_cycles.
+
+    Every cycle uses the same `seed` and deterministic tie-breaking, so a
+    cycle in which no test passes leaves the residual unchanged and the
+    next cycle regenerates the identical tests.  When the tests that could
+    cover some residual requirement fail every time, the loop therefore
+    runs to `max_cycles` with no further progress; there is no early stop.
+    Callers whose failures are transient rely on those identical retries.
+    """
     if max_cycles < 1:
         raise CtdError(f"max_cycles must be >= 1, got {max_cycles}")
     reqs = filter_feasible(generate_requirements(space.model, t), space)
     feasible = reqs.feasible()
+    credit = CoverageIndex(feasible)
+    credited: set[Requirement] = set()
     passed: list[dict[str, str]] = []
     history: list[CycleRecord] = []
     for _ in range(max_cycles):
         result = augment_plan(space, t, passed, n, seed)
         if not result.plan.tests:
             break  # nothing left to target
-        for test in result.plan.tests:
-            if verdict_source(test):
-                passed.append(test)
-        covered = len(_credited(feasible, passed))
-        history.append(CycleRecord(n, len(result.plan.tests), covered, len(feasible)))
-        if covered == len(feasible):
+        newly_passed = [test for test in result.plan.tests if verdict_source(test)]
+        passed.extend(newly_passed)
+        credited |= credit.covered(newly_passed)
+        history.append(CycleRecord(n, len(result.plan.tests), len(credited),
+                                   len(feasible)))
+        if len(credited) == len(feasible):
             break
-    credited = _credited(feasible, passed)
     residual = [r for r in feasible if r not in credited]
     return CycleState(passed, residual, history, len(feasible))

@@ -1,22 +1,30 @@
 """Greedy construction of near-minimal covering test plans.
 
-One test per iteration: seed with the first uncovered feasible requirement
-(in the deterministic requirement order), intersect it with the legal
-space, then bind the remaining attributes one at a time in declaration
-order.  Each candidate value must keep the symbolic projection non-empty;
-among those, the value completing the most currently-uncovered
-requirements wins, lowest value index on ties (or a seeded random choice
-among the tied best when randomized tie-breaking is enabled).  Every
-emitted test is legal by construction and covers at least one new
-requirement, so the loop terminates at full coverage unless a budget cuts
-it short.
+One test per iteration (AETG-style): seed with the first uncovered
+feasible requirement (in the deterministic requirement order), start from
+the legal space cofactored on its values, then bind the remaining
+attributes one at a time in declaration order.  A candidate value is
+viable iff cofactoring the running function on it leaves it non-false,
+i.e. some legal test extends the partial assignment.  Among viable values,
+the one completing the most currently-uncovered requirements wins, lowest
+value index on ties (or a seeded random choice among the tied best when
+randomized tie-breaking is enabled).  Scores are counted through an
+(attr, value) -> requirements index, so a candidate touches only the
+requirements that mention it.  Every emitted test is legal by construction
+and covers at least one new requirement, so the loop terminates at full
+coverage unless a budget cuts it short.
 """
 
 from __future__ import annotations
 
 import random
 
-from .coverage import RequirementSet, filter_feasible, generate_requirements
+from .coverage import (
+    CoverageIndex,
+    RequirementSet,
+    filter_feasible,
+    generate_requirements,
+)
 from .errors import CtdError
 from .model import ModelSpace
 from .plans import GENERATED, TestPlan
@@ -30,7 +38,7 @@ def generate_plan(space: ModelSpace, t: int, budget: int | None = None,
     reqs = filter_feasible(generate_requirements(space.model, t), space)
     feasible = reqs.feasible()
     tests = grow_tests(space, feasible, set(), budget, seed, randomize_ties)
-    covered = sum(1 for r in feasible if any(r.covered_by(x) for x in tests))
+    covered = len(CoverageIndex(feasible).covered(tests))
     return TestPlan(tests, covered, len(feasible), t, [GENERATED] * len(tests))
 
 
@@ -39,27 +47,43 @@ def grow_tests(space: ModelSpace, feasible, already_covered: set, budget: int | 
     """Greedy core shared with cycle augmentation: cover `feasible` minus
     `already_covered`, emitting at most `budget` tests."""
     rng = random.Random(seed)
-    uncovered = {r: None for r in feasible if r not in already_covered}
+    pending = list(dict.fromkeys(r for r in feasible if r not in already_covered))
+    live = [True] * len(pending)  # not yet covered, by position in `pending`
+    remaining = len(pending)
+    # (attr, label) -> (position, other attrs, their values), for each binding
+    by_binding: dict[tuple[str, str], list] = {}
+    for i, r in enumerate(pending):
+        for j, binding in enumerate(r.bindings):
+            rest = r.bindings[:j] + r.bindings[j + 1:]
+            by_binding.setdefault(binding, []).append(
+                (i, tuple(a for a, _ in rest), tuple(v for _, v in rest)))
+    credit = CoverageIndex(pending)
+    position = {r: i for i, r in enumerate(pending)}
     attributes = space.model.attributes
     tests: list[dict[str, str]] = []
-    while uncovered and (budget is None or len(tests) < budget):
-        seed_req = next(iter(uncovered))
+    first = 0
+    while remaining and (budget is None or len(tests) < budget):
+        while not live[first]:
+            first += 1
+        seed_req = pending[first]
         partial = dict(seed_req.bindings)
-        fn = space.requirement_fn(seed_req.bindings) & space.legal
+        bound = partial.get
+        fn = space.cofactor(space.legal, seed_req.bindings)
         for attr in attributes:
             if attr.name in partial:
                 continue
-            best = []  # tied (label, projection) candidates at best_score
+            best = []  # tied (label, cofactor) candidates at best_score
             best_score = -1
             for label in attr.labels:
-                candidate = fn & space.value_eq(attr.name, label)
+                candidate = space.cofactor(fn, ((attr.name, label),))
                 if candidate.is_false:
                     continue
-                bound = dict(partial)
-                bound[attr.name] = label
-                score = sum(
-                    1 for r in uncovered
-                    if attr.name in r.attrs and _completed_by(r, bound))
+                # uncovered requirements this binding completes: every other
+                # binding is already in the partial assignment
+                score = 0
+                for i, others, values in by_binding.get((attr.name, label), ()):
+                    if live[i] and tuple(map(bound, others)) == values:
+                        score += 1
                 if score > best_score:
                     best, best_score = [(label, candidate)], score
                 elif score == best_score:
@@ -67,14 +91,12 @@ def grow_tests(space: ModelSpace, feasible, already_covered: set, budget: int | 
             label, fn = best[0] if not randomize_ties else rng.choice(best)
             partial[attr.name] = label
         tests.append(partial)
-        for r in [r for r in uncovered if r.covered_by(partial)]:
-            del uncovered[r]
+        for r in credit.covered([partial]):
+            i = position[r]
+            if live[i]:
+                live[i] = False
+                remaining -= 1
     return tests
-
-
-def _completed_by(r, bound: dict[str, str]) -> bool:
-    """Does the extended partial assignment bind and match all of r?"""
-    return all(a in bound and bound[a] == v for a, v in r.bindings)
 
 
 def lower_bound(space: ModelSpace, t: int,

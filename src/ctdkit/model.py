@@ -384,20 +384,59 @@ class ModelSpace:
         if legal.is_false:
             raise InfeasibleModelError("constraints leave no legal test")
         self.legal = legal
+        # (attr, label) -> its block code as ((var, bit), ...), filled on use
+        self._codes: dict[tuple[str, str], tuple[tuple[int, int], ...]] = {}
 
     @property
     def illegal(self) -> Function:
         """Valid-but-excluded combinations."""
         return self.validity & ~self.legal
 
-    def value_eq(self, attr: str, label: str) -> Function:
+    def _indices(self, attr: str, label: str) -> tuple[int, int]:
         ai = self.model.attribute_index(attr)
         if ai is None:
             raise UnknownAttributeError(attr)
         vi = self.model.attributes[ai].index_of(label)
         if vi is None:
             raise UnknownValueError(attr, label)
-        return self.encoding.value_eq(self.manager, ai, vi)
+        return ai, vi
+
+    def value_eq(self, attr: str, label: str) -> Function:
+        return self.encoding.value_eq(self.manager, *self._indices(attr, label))
+
+    def binding_bits(self, bindings) -> dict[int, int]:
+        """Variable -> bit for the block codes of (attr, value) bindings."""
+        bits: dict[int, int] = {}
+        for attr, label in bindings:
+            code = self._codes.get((attr, label))
+            if code is None:
+                ai, vi = self._indices(attr, label)
+                code = self._codes[attr, label] = tuple(zip(
+                    self.encoding.blocks[ai], self.encoding.value_bits(ai, vi)))
+            bits.update(code)
+        return bits
+
+    def cofactor(self, fn: Function, bindings) -> Function:
+        """fn with the bound attributes' blocks fixed to the values' codes.
+
+        False exactly when `fn & requirement_fn(bindings)` is, without
+        building that conjunction.
+        """
+        for var, bit in self.binding_bits(bindings).items():
+            fn = fn.restrict(var, bit)
+        return fn
+
+    def marginal(self, attrs) -> Function:
+        """The legal space projected onto the blocks of `attrs`: every
+        variable outside them is quantified away."""
+        kept = set()
+        for attr in attrs:
+            ai = self.model.attribute_index(attr)
+            if ai is None:
+                raise UnknownAttributeError(attr)
+            kept.update(self.encoding.blocks[ai])
+        return self.legal.exists(
+            v for v in range(self.encoding.var_count) if v not in kept)
 
     def requirement_fn(self, bindings) -> Function:
         """Conjunction of equality conditions for (attr, value) bindings."""

@@ -1,7 +1,7 @@
 """Test plans and their file formats.
 
-Plan CSV: first row is the header (attribute names in declaration order),
-one row per test; the csv module double-quotes values containing commas.
+Plan CSV: first row is the header (attribute names in declaration order,
+none repeated), one row per test; the csv module double-quotes values containing commas.
 Plan JSON carries the same rows plus coverage metrics and a
 schema_version field.
 
@@ -84,6 +84,9 @@ def read_plan_csv(path) -> tuple[list[str], list[dict[str, str]]]:
             columns = next(reader)
         except StopIteration:
             raise PlanFormatError(f"{path}: empty plan file") from None
+        repeated = sorted({c for c in columns if columns.count(c) > 1})
+        if repeated:
+            raise PlanFormatError(f"{path}: header repeats column(s) {repeated}")
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -156,7 +159,8 @@ def read_results_csv(path) -> list[tuple[str, bool]]:
 
 
 def resolve_results(results, tests, columns) -> list[bool | None]:
-    """Per-test verdicts (None = no verdict); refs are 1-based indices or hashes."""
+    """Per-test verdicts (None = no verdict); refs are 1-based indices or
+    hashes.  Two verdicts for one row, by either kind of ref, are rejected."""
     hashes = {row_hash(test, columns): i for i, test in enumerate(tests)}
     verdicts: list[bool | None] = [None] * len(tests)
     for ref, passed in results:
@@ -169,5 +173,8 @@ def resolve_results(results, tests, columns) -> list[bool | None]:
             index = hashes.get(ref)
             if index is None:
                 raise PlanFormatError(f"results reference unknown row hash {ref!r}")
+        if verdicts[index] is not None:
+            raise PlanFormatError(
+                f"results give more than one verdict for row {index + 1}")
         verdicts[index] = passed
     return verdicts

@@ -157,3 +157,84 @@ def eval_expr(expr, assignment):
     if isinstance(expr, c.BoolLit):
         return expr.value
     raise TypeError(expr)
+
+
+def constraint_predicate(model):
+    """Plain-Python legality test for the model's constraint strings."""
+    from ctdkit import constraints as c
+    exprs = [c.typecheck(c.parse(source), model) for source in model.constraints]
+    return lambda test: all(eval_expr(e, test) for e in exprs)
+
+
+# ----------------------------------------------------------------------
+# reference requirements and greedy, over brute-force legal tuples
+
+def requirement_tuples(model, t):
+    """Requirement binding tuples in the library's order: t-subsets
+    lexicographically, value tuples in value-index order, then directives
+    sorted into declaration order, duplicates dropped."""
+    out = []
+    for subset in itertools.combinations(model.attributes, t):
+        for combo in itertools.product(*(a.labels for a in subset)):
+            out.append(tuple((a.name, v) for a, v in zip(subset, combo)))
+    position = {a.name: i for i, a in enumerate(model.attributes)}
+    for directive in model.directives:
+        out.append(tuple(sorted(directive, key=lambda b: position[b[0]])))
+    return list(dict.fromkeys(out))
+
+
+def _matches(test, bindings):
+    return all(test.get(a) == v for a, v in bindings)
+
+
+def feasible_requirement_tuples(model, t, legal):
+    """The requirements (directives included) some legal tuple holds."""
+    return [r for r in requirement_tuples(model, t)
+            if any(_matches(x, r) for x in legal)]
+
+
+def reference_greedy(model, t, legal, budget=None, seed=0, randomize_ties=False):
+    """The greedy plan by definition: seed each test with the first
+    uncovered feasible requirement, bind the other attributes in
+    declaration order, keep a value only if some legal tuple extends the
+    partial test, and score it by scanning every uncovered requirement."""
+    rng = random.Random(seed)
+    uncovered = dict.fromkeys(feasible_requirement_tuples(model, t, legal))
+    tests = []
+    while uncovered and (budget is None or len(tests) < budget):
+        partial = dict(next(iter(uncovered)))
+        consistent = [x for x in legal if _matches(x, partial.items())]
+        for attr in model.attributes:
+            if attr.name in partial:
+                continue
+            best, best_score = [], -1
+            for label in attr.labels:
+                if not any(x[attr.name] == label for x in consistent):
+                    continue
+                bound = {**partial, attr.name: label}
+                score = sum(1 for r in uncovered
+                            if any(a == attr.name for a, _ in r)
+                            and all(a in bound and bound[a] == v for a, v in r))
+                if score > best_score:
+                    best, best_score = [label], score
+                elif score == best_score:
+                    best.append(label)
+            label = best[0] if not randomize_ties else rng.choice(best)
+            partial[attr.name] = label
+            consistent = [x for x in consistent if x[attr.name] == label]
+        tests.append(partial)
+        for r in [r for r in uncovered if _matches(partial, r)]:
+            del uncovered[r]
+    return tests
+
+
+def chain_document(k, v):
+    """Model document of the chain family: k attributes A0.. of v values
+    v0.., and `Ai = v0 -> Ai+1 != v1` for every even i."""
+    names = [f"A{i}" for i in range(k)]
+    return {
+        "attributes": [{"name": n, "values": [f"v{j}" for j in range(v)]}
+                       for n in names],
+        "constraints": [f"{names[i]} = v0 -> {names[i + 1]} != v1"
+                        for i in range(0, k - 1, 2)],
+    }

@@ -251,6 +251,45 @@ def test_augment_rejects_unknown_row_reference(capsys, tmp_path):
     assert "99" in err
 
 
+def test_augment_rejects_two_verdicts_for_one_row(capsys, tmp_path):
+    results = tmp_path / "results.csv"
+    results.write_text("test,verdict\n1,PASS\n2,PASS\n1,FAIL\n")
+    code, out, err = run(capsys, "augment", f"{M}/manual3x3x3.json",
+                         f"{M}/manual3x3x3_plan9.csv", str(results),
+                         "--t", "2", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert "more than one verdict for row 1" in err
+
+
+def _plan_with_repeated_column(tmp_path):
+    # every model column is present, so only the repeat is wrong; the
+    # first copy's values would silently give way to the second's
+    header, *rows = open(f"{M}/manual3x3x3_plan9.csv").read().splitlines()
+    first = header.split(",")[0]
+    plan = tmp_path / "plan.csv"
+    plan.write_text("\n".join([f"{first},{header}"]
+                              + [f"blue,{row}" for row in rows]) + "\n")
+    return plan
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--t", "2"],
+    ["augment", "RESULTS", "--t", "2", "--n", "3"],
+    ["instantiate", "--seed", "1"],
+])
+def test_repeated_plan_column_exits_1(capsys, tmp_path, command):
+    plan = _plan_with_repeated_column(tmp_path)
+    results = tmp_path / "results.csv"
+    results.write_text("test,verdict\n1,PASS\n")
+    name, *rest = command
+    rest = [str(results) if a == "RESULTS" else a for a in rest]
+    code, out, err = run(capsys, name, f"{M}/manual3x3x3.json", str(plan), *rest)
+    assert code == 1
+    assert out == ""
+    assert "repeats column" in err
+
+
 # ----------------------------------------------------------------------
 # project
 

@@ -15,6 +15,7 @@ from ctdkit import (
     filter_feasible,
     generate_requirements,
     pairs_of_test,
+    parse_model,
     read_plan_csv,
 )
 from ctdkit.model import Attribute, Value
@@ -120,6 +121,15 @@ def test_filter_feasible_matches_brute_force_on_code_review(code_review,
     zero_and_interesting = Requirement(
         (("LenCBchain", "0"), ("InterestingCB1", "true")))
     assert reqs.status(zero_and_interesting) is False
+
+
+def test_filter_feasible_leaves_few_bdd_nodes():
+    # one conjunction per requirement would leave ~164k nodes here, one
+    # projection per attribute pair leaves ~2.3k
+    space = ModelSpace(parse_model(oracles.chain_document(20, 5)))
+    reqs = filter_feasible(generate_requirements(space.model, 2), space)
+    assert len(reqs.feasible()) == 4740
+    assert len(space.manager) < 20_000
 
 
 def test_filter_feasible_is_monotone_under_constraints(xyz, xyz_drop_a):
@@ -247,3 +257,21 @@ def test_report_formats(api8x2_space, models_dir):
     assert document["schema_version"] == 1
     assert len(document["missing"]) == 3
     assert document["missing_truncated"] is True
+
+
+QUAD = (("Availability", "Available"), ("Payment", "Credit"),
+        ("Carrier", "Fedex"), ("DeliverySchedule", "One Day"))
+
+
+def test_directive_wider_than_t_is_credited(shopping):
+    space = ModelSpace(Model(shopping.attributes, shopping.constraints, (QUAD,)))
+    holds = dict(QUAD, ExportControl="True")
+    report = coverage_of(space, [holds], 2)
+    assert report.total_feasible == 102
+    assert report.covered == 10 + 1  # C(5, 2) pairs and the directive
+    assert Requirement(QUAD) not in report.missing
+    # three of its four values cover the pairs, not the directive
+    near = dict(holds, Carrier="UPS")
+    report = coverage_of(space, [near], 2)
+    assert report.covered == 10
+    assert Requirement(QUAD) in report.missing

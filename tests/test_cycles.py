@@ -7,6 +7,8 @@ import pytest
 import oracles
 from ctdkit import (
     CtdError,
+    Model,
+    ModelSpace,
     augment_plan,
     coverage_of,
     generate_plan,
@@ -41,6 +43,18 @@ def test_augment_after_three_passed_rows(api8x2, api8x2_space, models_dir):
     assert result.residual_after == 0
     union = passed + result.plan.tests
     assert coverage_of(api8x2_space, union, 2).percent == 100.0
+
+
+def test_augment_credits_directive_wider_than_t(shopping):
+    quad = (("Availability", "Available"), ("Payment", "Credit"),
+            ("Carrier", "Fedex"), ("DeliverySchedule", "One Day"))
+    space = ModelSpace(Model(shopping.attributes, shopping.constraints, (quad,)))
+    holds = dict(quad, ExportControl="True")
+    result = augment_plan(space, 2, [holds], n=100)
+    assert result.residual_before == 102 - 11
+    assert result.residual_after == 0
+    assert all(not all(test[a] == v for a, v in quad)
+               for test in result.plan.tests), "the directive was already credited"
 
 
 def test_augment_ignores_and_reports_illegal_passed(code_review_space):

@@ -38,6 +38,13 @@ def test_read_plan_csv_rejects_empty_file(tmp_path):
         read_plan_csv(path)
 
 
+def test_read_plan_csv_rejects_repeated_column(tmp_path):
+    path = tmp_path / "plan.csv"
+    path.write_text("X,X,Y,Z\na,b,c,d\n")
+    with pytest.raises(PlanFormatError, match="repeats column.*'X'"):
+        read_plan_csv(path)
+
+
 def test_check_plan_columns(shopping):
     check_plan_columns(list(shopping.attribute_names), shopping)
     with pytest.raises(PlanFormatError):
@@ -93,6 +100,17 @@ def test_resolve_results_unknown_references():
         resolve_results([("2", True)], tests, columns)
     with pytest.raises(PlanFormatError, match="unknown row hash"):
         resolve_results([("deadbeef", True)], tests, columns)
+
+
+def test_resolve_results_rejects_two_verdicts_for_one_row():
+    columns = ["A", "B"]
+    tests = [{"A": "x", "B": "y"}, {"A": "z", "B": "w"}]
+    digest = row_hash(tests[0], columns)
+    for results in ([("1", True), ("1", True)],
+                    [("1", True), (digest, False)],
+                    [(digest, False), (digest, False)]):
+        with pytest.raises(PlanFormatError, match="more than one verdict for row 1"):
+            resolve_results(results, tests, columns)
 
 
 def test_row_hash_is_stable_and_order_sensitive():

@@ -1,0 +1,90 @@
+"""Plans and feasibility equal the brute-force reference, row for row.
+
+The reference greedy in `oracles` runs the generator's algorithm by its
+definition, over enumerated legal tuples and full scans, so any shortcut
+the library takes (cofactors, projections, indexes) must reproduce it
+exactly, tie-breaks and seeded random choices included.
+"""
+
+import functools
+import pathlib
+
+import pytest
+
+import oracles
+from ctdkit import (
+    Model,
+    ModelSpace,
+    filter_feasible,
+    generate_plan,
+    generate_requirements,
+    load_model,
+    parse_model,
+)
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+MODEL_NAMES = sorted(p.stem for p in MODELS.glob("*.json"))
+
+# directives wider and narrower than t, one of them infeasible
+CODE_REVIEW_DIRECTIVES = (
+    (("InterestingCB5", "true"), ("LenCBchain", "5"), ("InterestingCB1", "false")),
+    (("InterestingCB5", "true"), ("LenCBchain", "4"), ("InterestingCB2", "true")),
+    (("InterestingCB3", "true"),),
+)
+SHOPPING_DIRECTIVES = (
+    (("Payment", "Credit"), ("DeliverySchedule", "One Day"),
+     ("Carrier", "Fedex"), ("Availability", "Available")),
+)
+
+
+VARIANTS = {
+    "code_review+directives": ("code_review", CODE_REVIEW_DIRECTIVES),
+    "shopping+directives": ("shopping", SHOPPING_DIRECTIVES),
+}
+CASE_NAMES = MODEL_NAMES + ["chain6x3"] + list(VARIANTS)
+
+
+@functools.lru_cache(maxsize=None)
+def _case(name):
+    """(model, legal tuples) for a model file, a directive variant or a chain."""
+    if name == "chain6x3":
+        model = parse_model(oracles.chain_document(6, 3))
+    elif name in VARIANTS:
+        base_name, directives = VARIANTS[name]
+        base = load_model(MODELS / f"{base_name}.json")
+        model = Model(base.attributes, base.constraints, directives)
+    else:
+        model = load_model(MODELS / f"{name}.json")
+    return model, oracles.legal_tuples(model, oracles.constraint_predicate(model))
+
+
+CASES = [(name, t) for name in CASE_NAMES
+         for t in range(1, min(3, len(_case(name)[0].attributes)) + 1)]
+
+
+@pytest.mark.parametrize("name,t", CASES)
+def test_plan_equals_reference_greedy(name, t):
+    model, legal = _case(name)
+    space = ModelSpace(model)
+    assert generate_plan(space, t).tests == oracles.reference_greedy(model, t, legal)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name,t", CASES)
+def test_randomized_plan_equals_reference_greedy(name, t, seed):
+    model, legal = _case(name)
+    space = ModelSpace(model)
+    plan = generate_plan(space, t, seed=seed, randomize_ties=True)
+    assert plan.tests == oracles.reference_greedy(model, t, legal, seed=seed,
+                                                  randomize_ties=True)
+
+
+@pytest.mark.parametrize("name,t", CASES)
+def test_feasibility_equals_brute_force(name, t):
+    model, legal = _case(name)
+    reqs = filter_feasible(generate_requirements(model, t), ModelSpace(model))
+    assert [r.bindings for r in reqs] == oracles.requirement_tuples(model, t)
+    feasible = [r.bindings for r in reqs.feasible()]
+    assert feasible == oracles.feasible_requirement_tuples(model, t, legal)
+    names = [a.name for a in model.attributes]
+    t_wide = {r for r in feasible if len(r) == t}
+    assert t_wide == oracles.covered_t_tuples(legal, names, t)
