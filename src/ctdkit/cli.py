@@ -17,7 +17,7 @@ import sys
 from . import coverage, cycles, generator, plans
 from .errors import CtdError
 from .instantiate import FreeAttribute, instantiate, randomize_free
-from .model import ModelSpace, load_model, validate_model
+from .model import ModelSpace, _checked_space, load_model, validate_model
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -112,11 +112,11 @@ def _chosen_format(args) -> str:
 
 
 def _load_valid(path) -> ModelSpace:
-    model = load_model(path)
-    report = validate_model(model)
-    if not report.ok:
+    """The model's legal space, compiled once; no redundancy warnings."""
+    report, space = _checked_space(load_model(path))
+    if space is None:
         raise CtdError("invalid model:\n" + report.format())
-    return ModelSpace(model)
+    return space
 
 
 def _emit(text: str, output) -> None:
@@ -144,9 +144,8 @@ def cmd_count(args) -> int:
     print(f"legal: {space.tuple_count()}")
     for t in (2, 3):
         if t <= len(model.attributes):
-            reqs = coverage.filter_feasible(
-                coverage.generate_requirements(model, t), space)
-            print(f"feasible t={t} requirements: {len(reqs.feasible())}")
+            print(f"feasible t={t} requirements: "
+                  f"{coverage.feasible_count(space, t)}")
     return EXIT_OK
 
 

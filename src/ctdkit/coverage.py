@@ -123,6 +123,27 @@ def filter_feasible(reqs: RequirementSet, space: ModelSpace) -> RequirementSet:
     return reqs
 
 
+def feasible_count(space: ModelSpace, t: int) -> int:
+    """How many requirements `filter_feasible` would mark feasible, without
+    building the t-way ones: each t-subset contributes the value tuples of
+    its projection of the legal space, counted on the kept variables.
+    Directives that are not t-tuples are checked one by one."""
+    model = space.model
+    k = len(model.attributes)
+    if not 1 <= t <= k:
+        raise CtdError(f"interaction level t={t} out of range 1..{k}")
+    blocks = space.encoding.blocks
+    total = 0
+    for subset in itertools.combinations(range(k), t):
+        kept = sum(len(blocks[i]) for i in subset)
+        marginal = space.marginal(model.attributes[i].name for i in subset)
+        total += marginal.count() >> (space.encoding.var_count - kept)
+    directives = RequirementSet(
+        r for r in (normalize_bindings(model, d) for d in model.directives)
+        if len(r.bindings) != t)
+    return total + len(filter_feasible(directives, space).feasible())
+
+
 class CoverageIndex:
     """Requirements keyed by their bindings, with the attribute subsets they
     span, so the ones a test covers are found by hashing the test's

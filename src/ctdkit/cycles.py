@@ -1,10 +1,11 @@
 """Budget-limited planning across test cycles.
 
-Each cycle credits the tests that passed so far, recomputes the residual
-requirements, and asks the greedy generator for at most n new tests
-covering them.  Iterating until full coverage (or until cycles run out)
-yields a monotonically nondecreasing coverage history.  Failed tests earn
-no credit; they may be regenerated in a later cycle.
+The feasible requirements are found once per loop.  Each cycle credits
+the tests that passed so far and asks the greedy generator for at most n
+new tests covering the residual requirements.  Iterating until full
+coverage (or until cycles run out) yields a monotonically nondecreasing
+coverage history.  Failed tests earn no credit; they may be regenerated
+in a later cycle.
 """
 
 from __future__ import annotations
@@ -64,10 +65,7 @@ def augment_plan(space: ModelSpace, t: int, passed, n: int,
                  seed: int = 0, randomize_ties: bool = False) -> AugmentResult:
     """Generate at most n new tests covering requirements the passed tests
     leave uncovered.  Illegal passed tests are reported and earn no credit."""
-    if n < 1:
-        raise CtdError(f"cycle budget must be >= 1, got {n}")
-    reqs = filter_feasible(generate_requirements(space.model, t), space)
-    feasible = reqs.feasible()
+    feasible, credit = _targets(space, t, n)
     legal, illegal = [], []
     for i, test in enumerate(passed):
         space.model.check_assignment(test, full=True)
@@ -75,7 +73,6 @@ def augment_plan(space: ModelSpace, t: int, passed, n: int,
             legal.append(test)
         else:
             illegal.append(i)
-    credit = CoverageIndex(feasible)
     covered = credit.covered(legal)
     residual_before = len(feasible) - len(covered)
     tests = grow_tests(space, feasible, covered, n, seed, randomize_ties)
@@ -84,6 +81,16 @@ def augment_plan(space: ModelSpace, t: int, passed, n: int,
     plan = TestPlan(tests, len(covered), len(feasible), t,
                     [GENERATED] * len(tests))
     return AugmentResult(plan, residual_before, residual_after, illegal)
+
+
+def _targets(space: ModelSpace, t: int, n: int
+             ) -> tuple[list[Requirement], CoverageIndex]:
+    """The feasible t-way requirements a budget of n tests per cycle aims
+    at, and their coverage index."""
+    if n < 1:
+        raise CtdError(f"cycle budget must be >= 1, got {n}")
+    feasible = filter_feasible(generate_requirements(space.model, t), space).feasible()
+    return feasible, CoverageIndex(feasible)
 
 
 def run_cycles(space: ModelSpace, t: int, n: int,
@@ -100,21 +107,20 @@ def run_cycles(space: ModelSpace, t: int, n: int,
     """
     if max_cycles < 1:
         raise CtdError(f"max_cycles must be >= 1, got {max_cycles}")
-    reqs = filter_feasible(generate_requirements(space.model, t), space)
-    feasible = reqs.feasible()
-    credit = CoverageIndex(feasible)
+    feasible, credit = _targets(space, t, n)
     credited: set[Requirement] = set()
     passed: list[dict[str, str]] = []
     history: list[CycleRecord] = []
     for _ in range(max_cycles):
-        result = augment_plan(space, t, passed, n, seed)
-        if not result.plan.tests:
+        # every passed test is generated, hence legal, so the running
+        # `credited` set is exactly what `augment_plan` would credit them
+        tests = grow_tests(space, feasible, credited, n, seed)
+        if not tests:
             break  # nothing left to target
-        newly_passed = [test for test in result.plan.tests if verdict_source(test)]
+        newly_passed = [test for test in tests if verdict_source(test)]
         passed.extend(newly_passed)
         credited |= credit.covered(newly_passed)
-        history.append(CycleRecord(n, len(result.plan.tests), len(credited),
-                                   len(feasible)))
+        history.append(CycleRecord(n, len(tests), len(credited), len(feasible)))
         if len(credited) == len(feasible):
             break
     residual = [r for r in feasible if r not in credited]

@@ -280,7 +280,33 @@ class ValidationReport:
 
 
 def validate_model(model: Model) -> ValidationReport:
-    """Check structure, constraints, and feasibility; never raises."""
+    """Check structure, constraints, and feasibility; never raises.
+
+    A constraint that removes no legal test draws an "eliminates nothing"
+    warning.  The check runs on the model's one `ModelSpace` and costs a
+    linear number of conjunctions (`ModelSpace.redundant_constraints`).
+    Only this function computes warnings; the command line's other
+    commands build the space once and skip them.
+    """
+    report, space = _checked_space(model)
+    if space is not None:
+        for i in space.redundant_constraints():
+            report.warnings.append(
+                f"constraint {i + 1} eliminates nothing: "
+                f"{model.constraints[i]!r}")
+    return report
+
+
+def _checked_space(model: Model
+                   ) -> tuple[ValidationReport, ModelSpace | None]:
+    """Validation errors of a model, and its legal space when there are none.
+
+    Structure, constraint parse and typecheck, and directive errors are all
+    collected; an empty legal space is reported as an error instead of
+    raised.  The space is built once, and it parses the constraints itself,
+    so they are parsed again only to list the errors of a model it rejects.
+    No warnings are computed.
+    """
     report = ValidationReport()
     seen = set()
     for a in model.attributes:
@@ -298,51 +324,36 @@ def validate_model(model: Model) -> ValidationReport:
     if not model.attributes:
         report.errors.append("model declares no attributes")
 
-    parsed = []
-    for i, source in enumerate(model.constraints):
-        try:
-            parsed.append(constraints.typecheck(constraints.parse(source), model))
-        except ConstraintError as exc:
-            report.errors.append(f"constraint {i + 1}: {exc}")
-            parsed.append(None)
-
+    directive_errors = []
     for j, directive in enumerate(model.directives):
         names = [attr for attr, _ in directive]
         if len(set(names)) != len(names):
-            report.errors.append(f"directive {j + 1}: repeated attribute")
+            directive_errors.append(f"directive {j + 1}: repeated attribute")
         for attr, value in directive:
             ai = model.attribute_index(attr)
             if ai is None:
-                report.errors.append(f"directive {j + 1}: unknown attribute {attr!r}")
+                directive_errors.append(
+                    f"directive {j + 1}: unknown attribute {attr!r}")
             elif model.attributes[ai].index_of(value) is None:
-                report.errors.append(
+                directive_errors.append(
                     f"directive {j + 1}: unknown value {value!r} for {attr!r}")
 
-    if report.errors:
-        return report
-
-    # feasibility and per-constraint effect need the symbolic space
-    encoding = build_encoding(model)
-    manager = BDD(encoding.var_count)
-    validity = _validity_fn(model, encoding, manager)
-    compiled = [constraints.compile_expr(e, model, encoding, manager) for e in parsed]
-    legal = validity
-    for fn in compiled:
-        legal = legal & fn
-    if legal.is_false:
-        report.errors.append(
-            "constraints leave no legal test (the legal space is empty)")
-        return report
-    for i, _ in enumerate(compiled):
-        others = validity
-        for j, fn in enumerate(compiled):
-            if j != i:
-                others = others & fn
-        if others == legal:
-            report.warnings.append(
-                f"constraint {i + 1} eliminates nothing: "
-                f"{model.constraints[i]!r}")
-    return report
+    if not report.errors and not directive_errors:
+        try:
+            return report, ModelSpace(model)
+        except InfeasibleModelError:
+            report.errors.append(
+                "constraints leave no legal test (the legal space is empty)")
+            return report, None
+        except ConstraintError:
+            pass  # listed below, with every other constraint that fails
+    for i, source in enumerate(model.constraints):
+        try:
+            constraints.typecheck(constraints.parse(source), model)
+        except ConstraintError as exc:
+            report.errors.append(f"constraint {i + 1}: {exc}")
+    report.errors += directive_errors
+    return report, None
 
 
 def _validity_fn(model: Model, encoding: Encoding, manager: BDD) -> Function:
@@ -386,6 +397,27 @@ class ModelSpace:
         self.legal = legal
         # (attr, label) -> its block code as ((var, bit), ...), filled on use
         self._codes: dict[tuple[str, str], tuple[tuple[int, int], ...]] = {}
+
+    def redundant_constraints(self) -> list[int]:
+        """Indices of the constraints whose removal leaves `legal` unchanged.
+
+        Constraint i eliminates nothing iff the product of all the others,
+        (validity & f_1 .. f_i-1) & (f_i+1 .. f_c), equals `legal`.  The
+        prefixes are the products `__init__` built, answered again from the
+        manager's computed table; one backward pass builds the suffixes.
+        That is about 3c conjunctions instead of c * (c - 1).
+        """
+        fns = self.constraint_fns
+        suffixes = [self.manager.true] * (len(fns) + 1)
+        for i in reversed(range(len(fns))):
+            suffixes[i] = fns[i] & suffixes[i + 1]
+        redundant = []
+        prefix = self.validity
+        for i, fn in enumerate(fns):
+            if prefix & suffixes[i + 1] == self.legal:
+                redundant.append(i)
+            prefix = prefix & fn
+        return redundant
 
     @property
     def illegal(self) -> Function:

@@ -166,6 +166,21 @@ def constraint_predicate(model):
     return lambda test: all(eval_expr(e, test) for e in exprs)
 
 
+def redundant_constraints(model):
+    """Indices of the constraints that eliminate nothing: the tuples that
+    satisfy every other constraint are exactly the legal ones."""
+    from ctdkit import constraints as c
+    exprs = [c.typecheck(c.parse(source), model) for source in model.constraints]
+    tuples = list(all_tuples(model))
+
+    def legal_without(skip):
+        return [x for x in tuples
+                if all(eval_expr(e, x) for j, e in enumerate(exprs) if j != skip)]
+
+    legal = legal_without(None)
+    return [i for i in range(len(exprs)) if legal_without(i) == legal]
+
+
 # ----------------------------------------------------------------------
 # reference requirements and greedy, over brute-force legal tuples
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ctdkit import constraints, load_model
 from ctdkit.cli import main
 
 M = "models"
@@ -50,6 +51,60 @@ def test_validate_infeasible_model(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", str(bad))
     assert code == 1
     assert "no legal test" in out
+
+
+def _top_level_compiles(monkeypatch):
+    """Source text of every constraint compiled from here on, in order;
+    the calls compile_expr makes on subexpressions are not counted."""
+    real = constraints.compile_expr
+    compiled, depth = [], [0]
+
+    def counting(expr, *args):
+        if depth[0] == 0:
+            compiled.append(constraints.format_expr(expr))
+        depth[0] += 1
+        try:
+            return real(expr, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(constraints, "compile_expr", counting)
+    return compiled
+
+
+@pytest.mark.parametrize("command", ["generate", "project", "instantiate"])
+def test_command_compiles_each_constraint_once(capsys, tmp_path, monkeypatch,
+                                               command):
+    model = f"{M}/code_review_dispatch.json"
+    plan = tmp_path / "plan.csv"
+    run(capsys, "generate", model, "--t", "2", "-o", str(plan))
+    compiled = _top_level_compiles(monkeypatch)
+    argv = {"generate": ["--t", "2"],
+            "project": ["--limit", "5"],
+            "instantiate": [str(plan), "--seed", "1"]}[command]
+    code, _, _ = run(capsys, command, model, *argv)
+    assert code == 0
+    sources = load_model(model).constraints
+    assert len(sources) == 9
+    assert compiled == [constraints.format_expr(constraints.parse(s))
+                        for s in sources]
+
+
+@pytest.mark.parametrize("command", [["generate", "--t", "1"], ["project"]])
+def test_infeasible_model_is_rejected_with_the_validate_error(capsys, tmp_path,
+                                                             command):
+    bad = tmp_path / "infeasible.json"
+    bad.write_text(json.dumps({
+        "attributes": [{"name": "A", "values": ["x", "y"]}],
+        "constraints": ["A = x", "A = y"],
+    }))
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert code == 1
+    assert out == ""
+    assert err == ("error: invalid model:\n"
+                   "error: constraints leave no legal test "
+                   "(the legal space is empty)\n"
+                   "1 error(s)\n")
 
 
 # ----------------------------------------------------------------------

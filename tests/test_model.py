@@ -1,6 +1,7 @@
 """Model loading, validation, encoding, legal space, projection, enumeration."""
 
 import json
+import random
 
 import pytest
 
@@ -145,6 +146,97 @@ def test_unreferenced_attribute_is_not_warned(code_review):
     report = validate_model(m)
     assert report.ok
     assert report.warnings == []
+
+
+@pytest.mark.parametrize("document,errors", [
+    ({"attributes": [{"name": "A", "values": ["x", "x"]},
+                     {"name": "A", "values": ["y"]}],
+      "constraints": ["A = z", "A = x", "B = x"],
+      "directives": [[{"attr": "C", "value": "x"}]]},
+     ["attribute 'A' has duplicate value 'x'",
+      "duplicate attribute name 'A'",
+      "constraint 1: unknown value 'z' for attribute 'A'",
+      "constraint 3: unknown attribute 'B'",
+      "directive 1: unknown attribute 'C'"]),
+    ({"attributes": [{"name": "A", "values": ["x", "y"]}],
+      "constraints": ["A = z", "A = x", "A ="]},
+     ["constraint 1: unknown value 'z' for attribute 'A'",
+      "constraint 3: expected value label, found end of input at position 3"]),
+])
+def test_every_error_is_listed_in_order(document, errors):
+    report = validate_model(parse_model(document))
+    assert report.errors == errors
+    assert report.warnings == []
+
+
+def _warnings_by_brute_force(model):
+    """The warnings validate_model owes a typechecked model, in order."""
+    if not oracles.legal_tuples(model, oracles.constraint_predicate(model)):
+        return []  # infeasible: an error, and no warnings
+    return [f"constraint {i + 1} eliminates nothing: {model.constraints[i]!r}"
+            for i in oracles.redundant_constraints(model)]
+
+
+def _random_constraint(rng, attrs, depth):
+    if depth == 0 or rng.random() < 0.35:
+        attr = rng.choice(attrs)
+        kind = rng.randrange(4)
+        if kind == 0:
+            return f"{attr.name} = {rng.choice(attr.labels)}"
+        if kind == 1:
+            return f"{attr.name} != {rng.choice(attr.labels)}"
+        if kind == 2:
+            chosen = rng.sample(attr.labels, rng.randrange(1, attr.size + 1))
+            return f"{attr.name} IN {{{', '.join(chosen)}}}"
+        return rng.choice(("TRUE", "FALSE"))
+    op = rng.choice(("AND", "OR", "->", "<->"))
+    return (f"({_random_constraint(rng, attrs, depth - 1)}) {op} "
+            f"({_random_constraint(rng, attrs, depth - 1)})")
+
+
+def _random_model(rng):
+    attrs = tuple(Attribute(f"A{i}", tuple(Value(f"v{j}")
+                                           for j in range(rng.randrange(1, 5))))
+                  for i in range(rng.randrange(1, 5)))
+    sources = [_random_constraint(rng, attrs, rng.randrange(3))
+               for _ in range(rng.randrange(5))]
+    if sources and rng.random() < 0.3:
+        sources.append(rng.choice(sources))  # a duplicate: both copies redundant
+    return Model(attrs, tuple(sources))
+
+
+@pytest.mark.parametrize("constraints,warned", [
+    ((), []),
+    (("A = x -> B != y",), []),
+    (("A = x OR A != x",), [1]),
+    (("A IN {x, y, z}",), [1]),                      # true on every valid code
+    (("A = x -> B != y", "A = x -> B != y"), [1, 2]),  # each implies the other
+    (("A != z", "B = y -> A = x", "A IN {x, y}", "A = x OR A != x"), [1, 3, 4]),
+    (("A = x", "A = y"), []),                         # infeasible
+    (("FALSE", "TRUE"), []),
+])
+def test_redundancy_warnings_equal_brute_force(constraints, warned):
+    attrs = (Attribute("A", (Value("x"), Value("y"), Value("z"))),
+             Attribute("B", (Value("x"), Value("y"))))
+    model = Model(attrs, constraints)
+    warnings = validate_model(model).warnings
+    assert warnings == _warnings_by_brute_force(model)
+    assert [int(w.split()[1]) for w in warnings] == warned
+
+
+def test_redundancy_warnings_on_random_models_equal_brute_force():
+    rng = random.Random(53)
+    warned = infeasible = 0
+    for _ in range(200):
+        model = _random_model(rng)
+        report = validate_model(model)
+        expected = _warnings_by_brute_force(model)
+        assert report.warnings == expected, model.constraints
+        legal = oracles.legal_tuples(model, oracles.constraint_predicate(model))
+        assert report.ok == bool(legal), model.constraints
+        warned += len(expected)
+        infeasible += not legal
+    assert warned > 20 and infeasible > 10  # both outcomes are exercised
 
 
 def test_directive_errors_are_reported(shopping):

@@ -21,6 +21,8 @@ from ctdkit import (
     load_model,
     parse_model,
 )
+from ctdkit.coverage import feasible_count
+
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 MODEL_NAMES = sorted(p.stem for p in MODELS.glob("*.json"))
 
@@ -88,3 +90,10 @@ def test_feasibility_equals_brute_force(name, t):
     names = [a.name for a in model.attributes]
     t_wide = {r for r in feasible if len(r) == t}
     assert t_wide == oracles.covered_t_tuples(legal, names, t)
+
+
+@pytest.mark.parametrize("name,t", CASES)
+def test_feasible_count_equals_brute_force(name, t):
+    model, legal = _case(name)
+    expected = len(oracles.feasible_requirement_tuples(model, t, legal))
+    assert feasible_count(ModelSpace(model), t) == expected
