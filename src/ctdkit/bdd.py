@@ -9,8 +9,8 @@ usual operator overloads.
 
 Everything reduces to the ternary `ite` (if-then-else), which recurses on
 the lowest-ordered variable present in its operands and is memoized in an
-unbounded per-manager cache.  Negation is `ite(f, false, true)`; there are
-no complemented edges.
+unbounded per-manager cache; `exists` memoizes within one call only.
+Negation is `ite(f, false, true)`; there are no complemented edges.
 
 A manager and its handles are confined to one thread of control at a time;
 distinct managers are independent.
@@ -164,27 +164,31 @@ class BDD:
             self._check_var(v)
         if not vs:
             return f
-        return Function(self, self._exists(f.root, vs))
+        return Function(self, self._exists(f.root, vs, {}))
 
-    def _exists(self, root: int, vs: tuple[int, ...]) -> int:
+    def _exists(self, root: int, vs: tuple[int, ...], memo: dict[int, int]) -> int:
+        # Within one call the quantified variables left at a node are those
+        # of `vs` at or below its variable, so `memo` is keyed by the node
+        # alone.  It ends with the call: kept in `_cache`, entries for every
+        # quantified set ever asked for would stay for the manager's life.
         node_var, low, high = self._nodes[root]
         vs = vs[bisect_left(vs, node_var):]  # variables above the root play no part
         if not vs:
             return root
         if len(vs) == self.var_count - node_var:
             return TRUE  # all variables left are quantified; any node is satisfiable
-        key = ("exists", root, vs)
-        found = self._cache.get(key)
+        found = memo.get(root)
         if found is not None:
             return found
         if vs[0] == node_var:
             below = vs[1:]
-            result = self._or(self._exists(low, below), self._exists(high, below))
+            result = self._or(self._exists(low, below, memo),
+                              self._exists(high, below, memo))
         else:
             result = self._node(node_var,
-                                self._exists(low, vs),
-                                self._exists(high, vs))
-        self._cache[key] = result
+                                self._exists(low, vs, memo),
+                                self._exists(high, vs, memo))
+        memo[root] = result
         return result
 
     def _or(self, f: int, g: int) -> int:

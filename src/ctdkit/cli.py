@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("plan", help="plan CSV file")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--max-missing", type=int, default=20,
+    p.add_argument("--max-missing", type=_non_negative_int, default=20,
                    help="cap on listed missing requirements")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.set_defaults(handler=cmd_analyze)
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="enumerate legal tuples, optionally fixed")
     p.add_argument("model")
     p.add_argument("--fix", action="append", default=[], metavar="ATTR=VALUE")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_non_negative_int, default=None)
     p.set_defaults(handler=cmd_project)
 
     p = sub.add_parser("instantiate", help="concretize subdomain values")
@@ -98,6 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_instantiate)
 
     return parser
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _format_args(p: argparse.ArgumentParser) -> None:

@@ -10,11 +10,13 @@ projected onto the subset's variable blocks (every other variable
 existentially quantified), and a requirement is feasible iff its value
 codes satisfy that projection.
 
-Coverage credit is granted only by tests inside the legal space; imported
-tests that violate it are listed in the report and ignored.  The
-requirements a test covers are found by hashing its sub-tuple on each
-attribute subset the requirements span (`CoverageIndex`), not by scanning
-every requirement.
+`filter_feasible` returns the one `RequirementSet` of a (space, t): the
+requirements in order, each feasible or not, and the routine that finds
+the feasible ones a list of tests covers by hashing each test's sub-tuple
+on every attribute subset they span.  Plan generation, coverage analysis
+and cycle augmentation each build it once per call and measure against
+it.  Coverage credit is granted only by tests inside the legal space;
+imported tests that violate it are listed in the report and ignored.
 """
 
 from __future__ import annotations
@@ -40,36 +42,36 @@ class Requirement:
 
 
 class RequirementSet:
-    """Ordered requirements with tri-state feasibility (None until filtered)."""
+    """Ordered, deduplicated requirements, each feasible or not, with the
+    covered-set routine over the feasible ones.  Built by `filter_feasible`."""
 
-    def __init__(self, requirements=()):
-        self._status: dict[Requirement, bool | None] = {}
-        for r in requirements:
-            self.add(r)
-
-    def add(self, requirement: Requirement) -> None:
-        self._status.setdefault(requirement, None)
+    def __init__(self, requirements, feasible):
+        self._requirements = tuple(requirements)
+        self._by_bindings = {r.bindings: r for r in feasible}
+        self._subsets = tuple(dict.fromkeys(
+            r.attrs for r in self._by_bindings.values()))
 
     def __len__(self) -> int:
-        return len(self._status)
+        return len(self._requirements)
 
     def __iter__(self):
-        return iter(self._status)
-
-    def __contains__(self, requirement: Requirement) -> bool:
-        return requirement in self._status
-
-    def status(self, requirement: Requirement) -> bool | None:
-        return self._status[requirement]
-
-    def mark(self, requirement: Requirement, feasible: bool) -> None:
-        if requirement not in self._status:
-            raise KeyError(requirement)
-        self._status[requirement] = feasible
+        return iter(self._requirements)
 
     def feasible(self) -> list[Requirement]:
-        """Requirements marked feasible (or not yet filtered)."""
-        return [r for r, s in self._status.items() if s is not False]
+        """The feasible requirements, in requirement order."""
+        return list(self._by_bindings.values())
+
+    def covered(self, tests) -> set[Requirement]:
+        """The feasible requirements that some test in `tests` covers."""
+        found: set[Requirement] = set()
+        lookup = self._by_bindings.get
+        for test in tests:
+            value = test.get
+            for subset in self._subsets:
+                r = lookup(tuple((a, value(a)) for a in subset))
+                if r is not None:
+                    found.add(r)
+        return found
 
 
 def normalize_bindings(model: Model, bindings) -> Requirement:
@@ -93,34 +95,39 @@ def normalize_bindings(model: Model, bindings) -> Requirement:
 
 
 def generate_requirements(model: Model, t: int,
-                          include_directives: bool = True) -> RequirementSet:
-    """All value tuples over every t-subset of attributes, plus directives."""
+                          include_directives: bool = True) -> list[Requirement]:
+    """All value tuples over every t-subset of attributes, plus directives,
+    in order and without repeats."""
     k = len(model.attributes)
     if not 1 <= t <= k:
         raise CtdError(f"interaction level t={t} out of range 1..{k}")
-    reqs = RequirementSet()
+    reqs = {}
     for subset in itertools.combinations(range(k), t):
         attrs = [model.attributes[i] for i in subset]
         for combo in itertools.product(*(a.labels for a in attrs)):
-            reqs.add(Requirement(tuple((a.name, v) for a, v in zip(attrs, combo))))
+            reqs[Requirement(tuple((a.name, v) for a, v in zip(attrs, combo)))] = None
     if include_directives:
         for directive in model.directives:
-            reqs.add(normalize_bindings(model, directive))
-    return reqs
+            reqs[normalize_bindings(model, directive)] = None
+    return list(reqs)
 
 
-def filter_feasible(reqs: RequirementSet, space: ModelSpace) -> RequirementSet:
-    """Mark each requirement feasible iff some legal test holds its values;
-    returns the same set.  One projection of the legal space per distinct
+def filter_feasible(reqs, space: ModelSpace) -> RequirementSet:
+    """The requirements of `reqs` (in order and without repeats, as
+    `generate_requirements` lists them), each feasible iff some legal test
+    holds its values.  One projection of the legal space per distinct
     attribute subset (directives of any width included) decides them all."""
+    reqs = tuple(reqs)
     marginals = {}
+    feasible = []
     for r in reqs:
         attrs = r.attrs
         marginal = marginals.get(attrs)
         if marginal is None:
             marginal = marginals[attrs] = space.marginal(attrs)
-        reqs.mark(r, marginal.evaluate(space.binding_bits(r.bindings)))
-    return reqs
+        if marginal.evaluate(space.binding_bits(r.bindings)):
+            feasible.append(r)
+    return RequirementSet(reqs, feasible)
 
 
 def feasible_count(space: ModelSpace, t: int) -> int:
@@ -138,33 +145,10 @@ def feasible_count(space: ModelSpace, t: int) -> int:
         kept = sum(len(blocks[i]) for i in subset)
         marginal = space.marginal(model.attributes[i].name for i in subset)
         total += marginal.count() >> (space.encoding.var_count - kept)
-    directives = RequirementSet(
+    directives = dict.fromkeys(
         r for r in (normalize_bindings(model, d) for d in model.directives)
         if len(r.bindings) != t)
     return total + len(filter_feasible(directives, space).feasible())
-
-
-class CoverageIndex:
-    """Requirements keyed by their bindings, with the attribute subsets they
-    span, so the ones a test covers are found by hashing the test's
-    sub-tuple on each subset instead of scanning them all."""
-
-    def __init__(self, requirements):
-        self._by_bindings = {r.bindings: r for r in requirements}
-        self._subsets = tuple(dict.fromkeys(
-            r.attrs for r in self._by_bindings.values()))
-
-    def covered(self, tests) -> set[Requirement]:
-        """The indexed requirements that some test in `tests` covers."""
-        found: set[Requirement] = set()
-        lookup = self._by_bindings.get
-        for test in tests:
-            value = test.get
-            for subset in self._subsets:
-                r = lookup(tuple((a, value(a)) for a in subset))
-                if r is not None:
-                    found.add(r)
-        return found
 
 
 def pairs_of_test(model: Model, test: dict[str, str], t: int) -> list[Requirement]:
@@ -179,6 +163,14 @@ def pairs_of_test(model: Model, test: dict[str, str], t: int) -> list[Requiremen
     return out
 
 
+def coverage_percent(covered: int, total: int) -> float:
+    """Share of `total` requirements covered, in percent; 100 when there
+    are none."""
+    if total == 0:
+        return 100.0
+    return 100.0 * covered / total
+
+
 @dataclass
 class CoverageReport:
     total_feasible: int
@@ -188,9 +180,7 @@ class CoverageReport:
 
     @property
     def percent(self) -> float:
-        if self.total_feasible == 0:
-            return 100.0
-        return 100.0 * self.covered / self.total_feasible
+        return coverage_percent(self.covered, self.total_feasible)
 
     @property
     def complete(self) -> bool:
@@ -225,12 +215,8 @@ class CoverageReport:
         return "\n".join(lines)
 
 
-def coverage_of(space: ModelSpace, tests, t: int,
-                reqs: RequirementSet | None = None) -> CoverageReport:
-    """Measure a test list against the feasible requirements of the space."""
-    if reqs is None:
-        reqs = filter_feasible(generate_requirements(space.model, t), space)
-    feasible = reqs.feasible()
+def split_legal(space: ModelSpace, tests) -> tuple[list[dict[str, str]], list[int]]:
+    """The tests inside the legal space, and the 0-based indices of the rest."""
     legal: list[dict[str, str]] = []
     illegal: list[int] = []
     for i, test in enumerate(tests):
@@ -238,6 +224,14 @@ def coverage_of(space: ModelSpace, tests, t: int,
             legal.append(test)
         else:
             illegal.append(i)
-    covered = CoverageIndex(feasible).covered(legal)
+    return legal, illegal
+
+
+def coverage_of(space: ModelSpace, tests, t: int) -> CoverageReport:
+    """Measure a test list against the feasible requirements of the space."""
+    reqs = filter_feasible(generate_requirements(space.model, t), space)
+    legal, illegal = split_legal(space, tests)
+    feasible = reqs.feasible()
+    covered = reqs.covered(legal)
     missing = [r for r in feasible if r not in covered]
     return CoverageReport(len(feasible), len(covered), missing, illegal)

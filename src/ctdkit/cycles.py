@@ -1,6 +1,7 @@
 """Budget-limited planning across test cycles.
 
-The feasible requirements are found once per loop.  Each cycle credits
+`augment_plan` and `run_cycles` each build the requirement set of their
+(space, t) once and credit every test through it.  Each cycle credits
 the tests that passed so far and asks the greedy generator for at most n
 new tests covering the residual requirements.  Iterating until full
 coverage (or until cycles run out) yields a monotonically nondecreasing
@@ -14,10 +15,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .coverage import (
-    CoverageIndex,
     Requirement,
+    coverage_percent,
     filter_feasible,
     generate_requirements,
+    split_legal,
 )
 from .errors import CtdError
 from .generator import grow_tests
@@ -42,9 +44,7 @@ class CycleRecord:
 
     @property
     def percent(self) -> float:
-        if self.total_feasible == 0:
-            return 100.0
-        return 100.0 * self.covered / self.total_feasible
+        return coverage_percent(self.covered, self.total_feasible)
 
 
 @dataclass
@@ -56,41 +56,25 @@ class CycleState:
 
     @property
     def coverage_percent(self) -> float:
-        if self.total_feasible == 0:
-            return 100.0
-        return 100.0 * (self.total_feasible - len(self.residual)) / self.total_feasible
+        return coverage_percent(self.total_feasible - len(self.residual),
+                                self.total_feasible)
 
 
 def augment_plan(space: ModelSpace, t: int, passed, n: int,
                  seed: int = 0, randomize_ties: bool = False) -> AugmentResult:
     """Generate at most n new tests covering requirements the passed tests
     leave uncovered.  Illegal passed tests are reported and earn no credit."""
-    feasible, credit = _targets(space, t, n)
-    legal, illegal = [], []
-    for i, test in enumerate(passed):
-        space.model.check_assignment(test, full=True)
-        if space.contains(test):
-            legal.append(test)
-        else:
-            illegal.append(i)
-    covered = credit.covered(legal)
-    residual_before = len(feasible) - len(covered)
-    tests = grow_tests(space, feasible, covered, n, seed, randomize_ties)
-    covered |= credit.covered(tests)
-    residual_after = len(feasible) - len(covered)
-    plan = TestPlan(tests, len(covered), len(feasible), t,
-                    [GENERATED] * len(tests))
-    return AugmentResult(plan, residual_before, residual_after, illegal)
-
-
-def _targets(space: ModelSpace, t: int, n: int
-             ) -> tuple[list[Requirement], CoverageIndex]:
-    """The feasible t-way requirements a budget of n tests per cycle aims
-    at, and their coverage index."""
     if n < 1:
         raise CtdError(f"cycle budget must be >= 1, got {n}")
-    feasible = filter_feasible(generate_requirements(space.model, t), space).feasible()
-    return feasible, CoverageIndex(feasible)
+    reqs = filter_feasible(generate_requirements(space.model, t), space)
+    total = len(reqs.feasible())
+    legal, illegal = split_legal(space, passed)
+    covered = reqs.covered(legal)
+    residual_before = total - len(covered)
+    tests = grow_tests(space, reqs, covered, n, seed, randomize_ties)
+    covered |= reqs.covered(tests)
+    plan = TestPlan(tests, len(covered), total, t, [GENERATED] * len(tests))
+    return AugmentResult(plan, residual_before, total - len(covered), illegal)
 
 
 def run_cycles(space: ModelSpace, t: int, n: int,
@@ -107,19 +91,22 @@ def run_cycles(space: ModelSpace, t: int, n: int,
     """
     if max_cycles < 1:
         raise CtdError(f"max_cycles must be >= 1, got {max_cycles}")
-    feasible, credit = _targets(space, t, n)
+    if n < 1:
+        raise CtdError(f"cycle budget must be >= 1, got {n}")
+    reqs = filter_feasible(generate_requirements(space.model, t), space)
+    feasible = reqs.feasible()
     credited: set[Requirement] = set()
     passed: list[dict[str, str]] = []
     history: list[CycleRecord] = []
     for _ in range(max_cycles):
         # every passed test is generated, hence legal, so the running
         # `credited` set is exactly what `augment_plan` would credit them
-        tests = grow_tests(space, feasible, credited, n, seed)
+        tests = grow_tests(space, reqs, credited, n, seed)
         if not tests:
             break  # nothing left to target
         newly_passed = [test for test in tests if verdict_source(test)]
         passed.extend(newly_passed)
-        credited |= credit.covered(newly_passed)
+        credited |= reqs.covered(newly_passed)
         history.append(CycleRecord(n, len(tests), len(credited), len(feasible)))
         if len(credited) == len(feasible):
             break

@@ -19,12 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .coverage import (
-    CoverageIndex,
-    RequirementSet,
-    filter_feasible,
-    generate_requirements,
-)
+from .coverage import RequirementSet, filter_feasible, generate_requirements
 from .errors import CtdError
 from .model import ModelSpace
 from .plans import GENERATED, TestPlan
@@ -36,18 +31,19 @@ def generate_plan(space: ModelSpace, t: int, budget: int | None = None,
     if budget is not None and budget < 1:
         raise CtdError(f"budget must be >= 1, got {budget}")
     reqs = filter_feasible(generate_requirements(space.model, t), space)
-    feasible = reqs.feasible()
-    tests = grow_tests(space, feasible, set(), budget, seed, randomize_ties)
-    covered = len(CoverageIndex(feasible).covered(tests))
-    return TestPlan(tests, covered, len(feasible), t, [GENERATED] * len(tests))
+    tests = grow_tests(space, reqs, set(), budget, seed, randomize_ties)
+    return TestPlan(tests, len(reqs.covered(tests)), len(reqs.feasible()), t,
+                    [GENERATED] * len(tests))
 
 
-def grow_tests(space: ModelSpace, feasible, already_covered: set, budget: int | None,
-               seed: int = 0, randomize_ties: bool = False) -> list[dict[str, str]]:
-    """Greedy core shared with cycle augmentation: cover `feasible` minus
-    `already_covered`, emitting at most `budget` tests."""
+def grow_tests(space: ModelSpace, reqs: RequirementSet, already_covered: set,
+               budget: int | None, seed: int = 0,
+               randomize_ties: bool = False) -> list[dict[str, str]]:
+    """Greedy core shared with cycle augmentation: cover the feasible
+    requirements of `reqs` minus `already_covered`, emitting at most
+    `budget` tests."""
     rng = random.Random(seed)
-    pending = list(dict.fromkeys(r for r in feasible if r not in already_covered))
+    pending = [r for r in reqs.feasible() if r not in already_covered]
     live = [True] * len(pending)  # not yet covered, by position in `pending`
     remaining = len(pending)
     # (attr, label) -> (position, other attrs, their values), for each binding
@@ -57,7 +53,6 @@ def grow_tests(space: ModelSpace, feasible, already_covered: set, budget: int | 
             rest = r.bindings[:j] + r.bindings[j + 1:]
             by_binding.setdefault(binding, []).append(
                 (i, tuple(a for a, _ in rest), tuple(v for _, v in rest)))
-    credit = CoverageIndex(pending)
     position = {r: i for i, r in enumerate(pending)}
     attributes = space.model.attributes
     tests: list[dict[str, str]] = []
@@ -91,21 +86,19 @@ def grow_tests(space: ModelSpace, feasible, already_covered: set, budget: int | 
             label, fn = best[0] if not randomize_ties else rng.choice(best)
             partial[attr.name] = label
         tests.append(partial)
-        for r in credit.covered([partial]):
-            i = position[r]
-            if live[i]:
+        for r in reqs.covered([partial]):
+            i = position.get(r)  # None: covered before this call
+            if i is not None and live[i]:
                 live[i] = False
                 remaining -= 1
     return tests
 
 
-def lower_bound(space: ModelSpace, t: int,
-                reqs: RequirementSet | None = None) -> int:
+def lower_bound(space: ModelSpace, t: int) -> int:
     """Plan-size floor: the largest count of feasible value tuples sharing
     one attribute subset (each needs its own test)."""
-    if reqs is None:
-        reqs = filter_feasible(generate_requirements(space.model, t,
-                                                     include_directives=False), space)
+    reqs = filter_feasible(generate_requirements(space.model, t,
+                                                 include_directives=False), space)
     per_subset: dict[tuple[str, ...], int] = {}
     for r in reqs.feasible():
         key = r.attrs

@@ -18,6 +18,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
+from .coverage import coverage_percent
 from .errors import PlanFormatError
 from .model import Model
 
@@ -45,9 +46,7 @@ class TestPlan:
 
     @property
     def percent(self) -> float:
-        if self.total_feasible == 0:
-            return 100.0
-        return 100.0 * self.covered / self.total_feasible
+        return coverage_percent(self.covered, self.total_feasible)
 
     @property
     def partial(self) -> bool:

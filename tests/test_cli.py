@@ -452,3 +452,19 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["generate", f"{M}/api8x2.json"])  # --t is required
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", f"{M}/code_review.json", f"{M}/code_review_plan13.csv",
+     "--t", "3", "--max-missing", "-1"],
+    ["analyze", f"{M}/code_review.json", f"{M}/code_review_plan13.csv",
+     "--t", "3", "--format", "json", "--max-missing", "-1"],
+    ["project", f"{M}/shopping.json", "--limit", "-5"],
+])
+def test_negative_count_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= 0, got -" in captured.err
