@@ -7,10 +7,18 @@ so two semantically equal functions built in the same manager always have
 the same rootid.  `Function` is a thin handle (manager, root) with the
 usual operator overloads.
 
-Everything reduces to the ternary `ite` (if-then-else), which recurses on
-the lowest-ordered variable present in its operands and is memoized in an
-unbounded per-manager cache; `exists` memoizes within one call only.
-Negation is `ite(f, false, true)`; there are no complemented edges.
+The general operation is the ternary `ite` (if-then-else), which recurses
+on the lowest-ordered variable present in its operands and is memoized in
+an unbounded per-manager cache.  Conjunction and disjunction, which every
+product and every `exists` builds, have their own two-operand kernels
+that share that cache under the ite triple they stand for: `(f, g, false)`
+for `f & g` and `(f, true, g)` for `f | g`, with `f < g`.  `exists`
+memoizes within one call only, and `_intersects` decides whether `f & g`
+is satisfiable without building it.  Negation is `ite(f, false, true)`;
+there are no complemented edges.  Counting and enumeration walk an
+explicit stack, so their depth is not bounded by the interpreter's
+recursion limit; `ite`, the kernels, `restrict` and `exists` still
+recurse, one frame per variable level.
 
 A manager and its handles are confined to one thread of control at a time;
 distinct managers are independent.
@@ -44,7 +52,7 @@ class BDD:
         self._unique: dict[tuple[int, int, int], int] = {}
         self._cache: dict[tuple, int] = {}
         # per-node satisfying-assignment weights (append-only store keeps it valid)
-        self._counts: dict[int, int] = {}
+        self._counts: dict[int, int] = {FALSE: 0, TRUE: 1}
 
     # ------------------------------------------------------------------
     # construction
@@ -105,22 +113,99 @@ class BDD:
         found = self._cache.get(key)
         if found is not None:
             return found
-        v = min(self._var_of(f), self._var_of(g), self._var_of(h))
-        result = self._node(
-            v,
-            self._ite(self._low(f, v), self._low(g, v), self._low(h, v)),
-            self._ite(self._high(f, v), self._high(g, v), self._high(h, v)),
-        )
+        # terminals sit at level var_count, below every v, so they cofactor
+        # to themselves
+        fv, f0, f1 = self._nodes[f]
+        gv, g0, g1 = self._nodes[g]
+        hv, h0, h1 = self._nodes[h]
+        v = min(fv, gv, hv)
+        if fv != v:
+            f0 = f1 = f
+        if gv != v:
+            g0 = g1 = g
+        if hv != v:
+            h0 = h1 = h
+        result = self._node(v, self._ite(f0, g0, h0), self._ite(f1, g1, h1))
         self._cache[key] = result
         return result
 
-    def _low(self, root: int, v: int) -> int:
-        var, low, _ = self._nodes[root]
-        return low if var == v else root
+    # AND and OR are the two ite triples every product and every quantifier
+    # builds.  Their kernels order the operands (they commute), skip the
+    # third operand, and share `_cache` under the triple they stand for.
 
-    def _high(self, root: int, v: int) -> int:
-        var, _, high = self._nodes[root]
-        return high if var == v else root
+    def _and(self, f: int, g: int) -> int:
+        if f > g:
+            f, g = g, f
+        if f == FALSE or f == g:
+            return f
+        if f == TRUE:
+            return g
+        key = (f, g, FALSE)
+        found = self._cache.get(key)
+        if found is not None:
+            return found
+        fv, f0, f1 = self._nodes[f]
+        gv, g0, g1 = self._nodes[g]
+        if fv == gv:
+            result = self._node(fv, self._and(f0, g0), self._and(f1, g1))
+        elif fv < gv:
+            result = self._node(fv, self._and(f0, g), self._and(f1, g))
+        else:
+            result = self._node(gv, self._and(f, g0), self._and(f, g1))
+        self._cache[key] = result
+        return result
+
+    def _or(self, f: int, g: int) -> int:
+        if f > g:
+            f, g = g, f
+        if f == FALSE or f == g:
+            return g
+        if f == TRUE:
+            return TRUE
+        key = (f, TRUE, g)
+        found = self._cache.get(key)
+        if found is not None:
+            return found
+        fv, f0, f1 = self._nodes[f]
+        gv, g0, g1 = self._nodes[g]
+        if fv == gv:
+            result = self._node(fv, self._or(f0, g0), self._or(f1, g1))
+        elif fv < gv:
+            result = self._node(fv, self._or(f0, g), self._or(f1, g))
+        else:
+            result = self._node(gv, self._or(f, g0), self._or(f, g1))
+        self._cache[key] = result
+        return result
+
+    def _intersects(self, f: int, g: int) -> bool:
+        """True when f & g is satisfiable, decided without building it.
+
+        A depth-first walk over pairs of nodes that stops at the first
+        satisfying path.  A pair seen before is skipped: it is either still
+        on the stack or was found disjoint.  Creates no nodes.
+        """
+        seen: set[tuple[int, int]] = set()
+        todo = [(f, g)]
+        while todo:
+            f, g = todo.pop()
+            if f == FALSE or g == FALSE:
+                continue
+            if f == TRUE or g == TRUE or f == g:
+                return True  # every node other than FALSE is satisfiable
+            if f > g:
+                f, g = g, f
+            if (f, g) in seen:
+                continue
+            seen.add((f, g))
+            fv, f0, f1 = self._nodes[f]
+            gv, g0, g1 = self._nodes[g]
+            if fv < gv:
+                g0 = g1 = g
+            elif gv < fv:
+                f0 = f1 = f
+            todo.append((f1, g1))
+            todo.append((f0, g0))
+        return False
 
     def _check_same_manager(self, *fns: "Function") -> None:
         for fn in fns:
@@ -191,9 +276,6 @@ class BDD:
         memo[root] = result
         return result
 
-    def _or(self, f: int, g: int) -> int:
-        return self._ite(f, TRUE, g)
-
     # ------------------------------------------------------------------
     # evaluation, counting, enumeration
 
@@ -238,40 +320,51 @@ class BDD:
         return nvars
 
     def _weight(self, root: int) -> int:
-        if root == FALSE:
-            return 0
-        if root == TRUE:
-            return 1
-        found = self._counts.get(root)
-        if found is not None:
-            return found
-        var, low, high = self._nodes[root]
-        w = ((1 << (self._var_of(low) - var - 1)) * self._weight(low)
-             + (1 << (self._var_of(high) - var - 1)) * self._weight(high))
-        self._counts[root] = w
-        return w
+        # post-order over an explicit stack, so depth is not bounded by
+        # Python's recursion limit
+        counts = self._counts
+        todo = [root]
+        while todo:
+            node = todo[-1]
+            if node in counts:
+                todo.pop()
+                continue
+            var, low, high = self._nodes[node]
+            missing = [c for c in (low, high) if c not in counts]
+            if missing:
+                todo += missing
+                continue
+            todo.pop()
+            counts[node] = ((counts[low] << (self._var_of(low) - var - 1))
+                            + (counts[high] << (self._var_of(high) - var - 1)))
+        return counts[root]
 
     def satisfying(self, f: "Function", nvars: int | None = None) -> Iterator[tuple[int, ...]]:
         """Yield satisfying assignments as 0/1 tuples, lexicographically."""
         self._check_same_manager(f)
         n = self._check_nvars(f, nvars)
-        yield from self._enumerate(f.root, 0, n, [])
+        yield from self._enumerate(f.root, n)
 
-    def _enumerate(self, root: int, level: int, n: int, prefix: list[int]):
-        if root == FALSE:
-            return
-        if level == n:
-            yield tuple(prefix)
-            return
-        var, low, high = self._nodes[root]
-        if root == TRUE or var > level:
-            branches = ((0, root), (1, root))
-        else:
-            branches = ((0, low), (1, high))
-        for bit, child in branches:
-            prefix.append(bit)
-            yield from self._enumerate(child, level + 1, n, prefix)
-            prefix.pop()
+    def _enumerate(self, root: int, n: int) -> Iterator[tuple[int, ...]]:
+        # depth-first over an explicit stack, 0-branch first; an entry
+        # (level, bit, node) sets variable level - 1 to bit and continues
+        # from node, so `bits` holds the path to the entry being expanded
+        bits = [0] * n
+        todo = [(0, 0, root)] if root != FALSE else []
+        while todo:
+            level, bit, node = todo.pop()
+            if level:
+                bits[level - 1] = bit
+            if level == n:
+                yield tuple(bits)
+                continue
+            var, low, high = self._nodes[node]
+            if var > level:
+                low = high = node  # variable `level` is skipped: both bits
+            if high != FALSE:
+                todo.append((level + 1, 1, high))
+            if low != FALSE:
+                todo.append((level + 1, 0, low))
 
     def pick(self, f: "Function", nvars: int | None = None) -> tuple[int, ...] | None:
         """First satisfying assignment in enumeration order, or None."""
@@ -343,6 +436,11 @@ class Function:
         return f"Function(root={self.root})"
 
     @property
+    def root_var(self) -> int:
+        """Variable tested at the root; the manager's var_count for a constant."""
+        return self.manager._var_of(self.root)
+
+    @property
     def is_false(self) -> bool:
         return self.root == FALSE
 
@@ -354,16 +452,23 @@ class Function:
         return self.manager.ite(self, self.manager.false, self.manager.true)
 
     def __and__(self, other: "Function") -> "Function":
-        return self.manager.ite(self, other, self.manager.false)
+        self.manager._check_same_manager(other)
+        return Function(self.manager, self.manager._and(self.root, other.root))
 
     def __or__(self, other: "Function") -> "Function":
-        return self.manager.ite(self, self.manager.true, other)
+        self.manager._check_same_manager(other)
+        return Function(self.manager, self.manager._or(self.root, other.root))
 
     def implies(self, other: "Function") -> "Function":
         return self.manager.ite(self, other, self.manager.true)
 
     def iff(self, other: "Function") -> "Function":
         return self.manager.ite(self, other, ~other)
+
+    def intersects(self, other: "Function") -> bool:
+        """True when `self & other` is satisfiable; builds no nodes."""
+        self.manager._check_same_manager(other)
+        return self.manager._intersects(self.root, other.root)
 
     def restrict(self, var: int, value: bool) -> "Function":
         return self.manager.restrict(self, var, value)

@@ -10,7 +10,10 @@ and `ModelSpace` binds a model to a BDD manager holding its legal space:
     legal = validity AND constraint_1 AND ... AND constraint_k
 
 where validity excludes the bit patterns that decode to no value.  Tuple
-counts over the legal space therefore equal counts of legal tests.
+counts over the legal space therefore equal counts of legal tests.  The
+product is built bottom-up: validity is split into one condition per
+attribute block, and of these and the constraints, the function whose
+root variable is deepest is conjoined first.
 
 Model document (JSON):
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from . import constraints
@@ -62,10 +66,15 @@ class Attribute:
         return tuple(v.label for v in self.values)
 
     def index_of(self, label: str) -> int | None:
+        return self._label_index.get(label)
+
+    @cached_property
+    def _label_index(self) -> dict[str, int]:
+        # the first of duplicated labels wins; validation reports the rest
+        index: dict[str, int] = {}
         for i, v in enumerate(self.values):
-            if v.label == label:
-                return i
-        return None
+            index.setdefault(v.label, i)
+        return index
 
     @property
     def size(self) -> int:
@@ -83,10 +92,15 @@ class Model:
         return tuple(a.name for a in self.attributes)
 
     def attribute_index(self, name: str) -> int | None:
+        return self._name_index.get(name)
+
+    @cached_property
+    def _name_index(self) -> dict[str, int]:
+        # the first of duplicated names wins; validation reports the rest
+        index: dict[str, int] = {}
         for i, a in enumerate(self.attributes):
-            if a.name == name:
-                return i
-        return None
+            index.setdefault(a.name, i)
+        return index
 
     def attribute(self, name: str) -> Attribute:
         i = self.attribute_index(name)
@@ -222,12 +236,13 @@ class Encoding:
 
     def value_eq(self, manager: BDD, attr_index: int, value_index: int) -> Function:
         """Function true exactly when the block holds this value's code."""
+        # last bit first, so each step adds one node above the last
         fn = manager.true
         block = self.blocks[attr_index]
         bits = self.value_bits(attr_index, value_index)
-        for var, bit in zip(block, bits):
+        for var, bit in zip(reversed(block), reversed(bits)):
             v = manager.var(var)
-            fn = fn & (v if bit else ~v)
+            fn = (v if bit else ~v) & fn
         return fn
 
     def encode(self, value_indices) -> tuple[int, ...]:
@@ -284,7 +299,8 @@ def validate_model(model: Model) -> ValidationReport:
 
     A constraint that removes no legal test draws an "eliminates nothing"
     warning.  The check runs on the model's one `ModelSpace` and costs a
-    linear number of conjunctions (`ModelSpace.redundant_constraints`).
+    linear number of conjunctions and intersection tests
+    (`ModelSpace.redundant_constraints`).
     Only this function computes warnings; the command line's other
     commands build the space once and skip them.
     """
@@ -356,17 +372,19 @@ def _checked_space(model: Model
     return report, None
 
 
-def _validity_fn(model: Model, encoding: Encoding, manager: BDD) -> Function:
-    fn = manager.true
+def _validity_blocks(model: Model, encoding: Encoding, manager: BDD
+                     ) -> list[Function]:
+    """One condition per attribute whose block has codes that decode to no
+    value, in declaration order: the block holds one of its values' codes."""
+    blocks = []
     for ai, attr in enumerate(model.attributes):
-        width = len(encoding.blocks[ai])
-        if attr.size == (1 << width):
+        if attr.size == (1 << len(encoding.blocks[ai])):
             continue  # every code decodes to a value
         any_value = manager.false
         for vi in range(attr.size):
             any_value = any_value | encoding.value_eq(manager, ai, vi)
-        fn = fn & any_value
-    return fn
+        blocks.append(any_value)
+    return blocks
 
 
 # ----------------------------------------------------------------------
@@ -383,15 +401,29 @@ class ModelSpace:
         self.model = model
         self.encoding = build_encoding(model)
         self.manager = BDD(self.encoding.var_count)
-        self.validity = _validity_fn(model, self.encoding, self.manager)
+        true = self.manager.true
+        blocks = _validity_blocks(model, self.encoding, self.manager)
+        validity = true
+        for block in reversed(blocks):
+            validity = block & validity
+        self.validity = validity
         self.constraint_fns = []
         for source in model.constraints:
             ast = constraints.typecheck(constraints.parse(source), model)
             self.constraint_fns.append(
                 constraints.compile_expr(ast, model, self.encoding, self.manager))
-        legal = self.validity
-        for fn in self.constraint_fns:
-            legal = legal & fn
+        # Conjoin validity's blocks and the constraints bottom-up: the one
+        # whose root variable is deepest goes first, ties in list order
+        # (blocks first).  Each step's root is then at or above the running
+        # product's, so the step rebuilds only the band of variables above
+        # it.  _below[k] is the product of the first k scheduled conjuncts.
+        conjuncts = self._conjuncts = blocks + self.constraint_fns
+        self._schedule = sorted(range(len(conjuncts)),
+                                key=lambda i: -conjuncts[i].root_var)
+        below = self._below = [true]
+        for i in self._schedule:
+            below.append(conjuncts[i] & below[-1])
+        legal = below[-1]
         if legal.is_false:
             raise InfeasibleModelError("constraints leave no legal test")
         self.legal = legal
@@ -399,25 +431,33 @@ class ModelSpace:
         self._codes: dict[tuple[str, str], tuple[tuple[int, int], ...]] = {}
 
     def redundant_constraints(self) -> list[int]:
-        """Indices of the constraints whose removal leaves `legal` unchanged.
+        """Indices of the constraints whose removal leaves `legal` unchanged,
+        in declaration order.
 
-        Constraint i eliminates nothing iff the product of all the others,
-        (validity & f_1 .. f_i-1) & (f_i+1 .. f_c), equals `legal`.  The
-        prefixes are the products `__init__` built, answered again from the
-        manager's computed table; one backward pass builds the suffixes.
-        That is about 3c conjunctions instead of c * (c - 1).
+        Take the conjuncts (validity's blocks and the constraints) in the
+        order `__init__` conjoined them.  For constraint f with root
+        variable r, let below be the product of those scheduled before it
+        (kept from `__init__`) and above that of those scheduled after it.
+        f eliminates nothing iff no test legal without it breaks it: iff
+        `above` does not intersect `~f & below`.  Neither f nor below
+        mentions a variable before r, so `above` may be replaced by its
+        projection onto r and later variables.  One pass from the last
+        scheduled conjunct builds these projections, quantifying each
+        variable away as the pass moves past it, so none spans the whole
+        order; each test walks the two diagrams together and stops at the
+        first common satisfying path, without building their conjunction.
         """
-        fns = self.constraint_fns
-        suffixes = [self.manager.true] * (len(fns) + 1)
-        for i in reversed(range(len(fns))):
-            suffixes[i] = fns[i] & suffixes[i + 1]
+        offset = len(self._conjuncts) - len(self.constraint_fns)
         redundant = []
-        prefix = self.validity
-        for i, fn in enumerate(fns):
-            if prefix & suffixes[i + 1] == self.legal:
-                redundant.append(i)
-            prefix = prefix & fn
-        return redundant
+        above = self.manager.true
+        for k in reversed(range(len(self._schedule))):
+            i = self._schedule[k]
+            fn = self._conjuncts[i]
+            above = above.exists(range(fn.root_var))
+            if i >= offset and not above.intersects(~fn & self._below[k]):
+                redundant.append(i - offset)
+            above = fn & above
+        return sorted(redundant)
 
     @property
     def illegal(self) -> Function:

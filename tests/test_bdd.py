@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from ctdkit import BDD, BddError
@@ -274,6 +275,36 @@ def test_canonicity_random_pairs():
         f2 = oracles.tree_fn(t2, m)
         same_semantics = oracles.tree_table(t1, n) == oracles.tree_table(t2, n)
         assert same_semantics == (f1.root == f2.root)
+
+
+_N = 6
+_trees = st.recursive(
+    st.one_of(st.tuples(st.just("var"), st.integers(0, _N - 1)),
+              st.tuples(st.just("const"), st.booleans())),
+    lambda sub: st.one_of(
+        st.tuples(st.just("not"), sub),
+        st.tuples(st.sampled_from(("and", "or", "implies", "iff")), sub, sub),
+        st.tuples(st.just("ite"), sub, sub, sub)),
+    max_leaves=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_trees, min_size=2, max_size=5))
+def test_and_or_kernels_agree_with_ite(trees):
+    # all functions share one manager, so the kernels and ite also meet
+    # each other's entries in the computed table
+    m = BDD(_N)
+    fns = [oracles.tree_fn(t, m) for t in trees]
+    for tf, f in zip(trees, fns):
+        for tg, g in zip(trees, fns):
+            conj = f & g
+            assert conj.root == (g & f).root == m.ite(f, g, m.false).root
+            assert (f | g).root == m.ite(f, m.true, g).root
+            table = oracles.tree_table(("and", tf, tg), _N)
+            assert conj.count() == oracles.table_count(table)
+            nodes = len(m)
+            assert f.intersects(g) == (not conj.is_false)
+            assert len(m) == nodes  # the test builds nothing
 
 
 def test_store_invariants_after_random_operations():

@@ -1,6 +1,7 @@
 """Model loading, validation, encoding, legal space, projection, enumeration."""
 
 import json
+import pathlib
 import random
 
 import pytest
@@ -17,8 +18,7 @@ from ctdkit import (
     parse_model,
     validate_model,
 )
-from ctdkit.model import Attribute, Value, _validity_fn
-from ctdkit.bdd import BDD
+from ctdkit.model import Attribute, Value
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +239,45 @@ def test_redundancy_warnings_on_random_models_equal_brute_force():
     assert warned > 20 and infeasible > 10  # both outcomes are exercised
 
 
+def _abcd(constraints):
+    return Model(tuple(Attribute(name, (Value("x"), Value("y"), Value("z")))
+                       for name in "ABCD"), constraints)
+
+
+# The legal space is built from the deepest-rooted constraint up, while
+# warnings are listed in declaration order.
+@pytest.mark.parametrize("constraints,warned", [
+    # redundant, on the last attributes and declared first: it is conjoined
+    # first, and the constraint that implies it comes after it
+    (("C = x -> D != y", "C = x -> D = x", "A = x -> B = y"), [1]),
+    # implied only by the two others together: "B = x -> C = x" is
+    # conjoined before it and "A = x -> B = x" after it
+    (("A = x -> C = x", "A = x -> B = x", "B = x -> C = x"), [1]),
+    # duplicates with another constraint between them: both are warned
+    (("C = x -> D != y", "A = x -> B = y", "C = x -> D != y"), [1, 3]),
+    (("B != z", "A = y -> B = y", "B != z", "A = y -> B != z"), [1, 3, 4]),
+])
+def test_redundancy_warnings_in_declaration_order(constraints, warned):
+    model = _abcd(constraints)
+    warnings = validate_model(model).warnings
+    assert warnings == _warnings_by_brute_force(model)
+    assert [int(w.split()[1]) for w in warnings] == warned
+
+
+def test_duplicated_names_and_labels_resolve_to_the_first():
+    model = Model((Attribute("A", (Value("x"), Value("y"), Value("x"))),
+                   Attribute("B", (Value("x"),)),
+                   Attribute("A", (Value("y"),))))
+    assert model.attribute_index("A") == 0
+    assert model.attribute_index("B") == 1
+    assert model.attribute_index("C") is None
+    assert model.attributes[0].index_of("x") == 0
+    assert model.attributes[0].index_of("y") == 1
+    assert model.attributes[0].index_of("z") is None
+    assert validate_model(model).errors == [
+        "attribute 'A' has duplicate value 'x'", "duplicate attribute name 'A'"]
+
+
 def test_directive_errors_are_reported(shopping):
     m = Model(shopping.attributes, (), ((("Payment", "Bitcoin"),),))
     report = validate_model(m)
@@ -306,16 +345,12 @@ def test_encoding_big_endian_value_codes():
 
 
 def test_validity_power_of_two_is_true(api8x2):
-    enc = build_encoding(api8x2)
-    manager = BDD(enc.var_count)
-    assert _validity_fn(api8x2, enc, manager).is_true
+    assert ModelSpace(api8x2).validity.is_true
 
 
 def test_validity_three_of_four_codes():
     m = Model((Attribute("tri", tuple(Value(f"v{i}") for i in range(3))),))
-    enc = build_encoding(m)
-    manager = BDD(enc.var_count)
-    assert _validity_fn(m, enc, manager).count() == 3
+    assert ModelSpace(m).validity.count() == 3
 
 
 def test_validity_count_equals_cartesian(shopping):
@@ -349,6 +384,75 @@ def test_legal_count_matches_brute_force(code_review):
     assert space.tuple_count() == len(expected)
     got = list(space.assignments())
     assert sorted(map(sorted, got)) == sorted(map(sorted, (dict(t) for t in expected)))
+
+
+def _declaration_order_product(space):
+    legal = space.validity
+    for fn in space.constraint_fns:
+        legal = legal & fn
+    return legal
+
+
+@pytest.mark.parametrize("path", sorted(
+    (pathlib.Path(__file__).resolve().parent.parent / "models").glob("*.json")),
+    ids=lambda p: p.stem)
+def test_legal_equals_declaration_order_product_on_model_files(path):
+    space = ModelSpace(load_model(path))
+    assert _declaration_order_product(space).root == space.legal.root
+
+
+def test_legal_equals_declaration_order_product_on_random_models():
+    rng = random.Random(59)
+    built = 0
+    for _ in range(200):
+        model = _random_model(rng)
+        try:
+            space = ModelSpace(model)
+        except InfeasibleModelError:
+            continue
+        assert _declaration_order_product(space).root == space.legal.root, \
+            model.constraints
+        built += 1
+    assert built > 100
+
+
+def _linked_document(k, v, distance):
+    """k attributes of v values, and `Pi IN {S} -> Pi+d IN {T}` with S the
+    values i and i+1 and T the v // 2 values from i+2 on (mod v)."""
+    def members(values):
+        return ", ".join(f"r{x}" for x in sorted(values))
+    return {
+        "attributes": [{"name": f"P{i}", "values": [f"r{x}" for x in range(v)]}
+                       for i in range(k)],
+        "constraints": [
+            f"P{i} IN {{{members({i % v, (i + 1) % v})}}} -> "
+            f"P{i + distance} IN {{{members({(i + 2 + x) % v for x in range(v // 2)})}}}"
+            for i in range(k - distance)],
+    }
+
+
+def test_linked_space_leaves_few_bdd_nodes():
+    # conjoined in declaration order, the intermediate products leave
+    # 37,986 nodes in the manager; bottom-up, about 5,600
+    space = ModelSpace(parse_model(_linked_document(30, 6, 6)))
+    assert len(space.manager) < 15_000
+    assert _declaration_order_product(space).root == space.legal.root
+
+
+def test_long_chain_counts_and_enumerates():
+    # 1,200 binary attributes with Ai = a -> Ai+1 = a: the legal rows are
+    # b^j a^(1200-j), deeper than the interpreter's recursion limit
+    k = 1200
+    space = ModelSpace(parse_model({
+        "attributes": [{"name": f"A{i}", "values": ["a", "b"]} for i in range(k)],
+        "constraints": [f"A{i} = a -> A{i + 1} = a" for i in range(k - 1)],
+    }))
+    assert space.tuple_count() == k + 1
+    rows = ["".join(row[f"A{i}"] for i in range(k))
+            for row in space.assignments(limit=3)]
+    assert rows == ["b" * j + "a" * (k - j) for j in range(3)]
+    report = validate_model(space.model)
+    assert report.ok and report.warnings == []
 
 
 def test_legal_implies_validity(code_review_space):
