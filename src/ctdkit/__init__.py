@@ -16,7 +16,6 @@ from .coverage import (
     coverage_of,
     filter_feasible,
     generate_requirements,
-    pairs_of_test,
 )
 from .cycles import AugmentResult, CycleRecord, CycleState, augment_plan, run_cycles
 from .errors import (
@@ -62,7 +61,7 @@ __all__ = [
     "ValidationReport", "build_encoding", "load_model", "parse_model",
     "validate_model",
     "Requirement", "RequirementSet", "CoverageReport",
-    "generate_requirements", "filter_feasible", "coverage_of", "pairs_of_test",
+    "generate_requirements", "filter_feasible", "coverage_of",
     "TestPlan", "read_plan_csv", "read_results_csv", "row_hash",
     "generate_plan", "lower_bound",
     "AugmentResult", "CycleRecord", "CycleState", "augment_plan", "run_cycles",

@@ -13,7 +13,8 @@ an unbounded per-manager cache.  Conjunction and disjunction, which every
 product and every `exists` builds, have their own two-operand kernels
 that share that cache under the ite triple they stand for: `(f, g, false)`
 for `f & g` and `(f, true, g)` for `f | g`, with `f < g`.  `exists`
-memoizes within one call only, and `_intersects` decides whether `f & g`
+memoizes outside that cache, by node and kept-variable mask, within one
+call or one group of `projections`; `_intersects` decides whether `f & g`
 is satisfiable without building it.  Negation is `ite(f, false, true)`;
 there are no complemented edges.  Counting and enumeration walk an
 explicit stack, so their depth is not bounded by the interpreter's
@@ -26,7 +27,6 @@ distinct managers are independent.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from .errors import BddError
@@ -43,6 +43,7 @@ class BDD:
         if var_count < 0:
             raise BddError(f"variable count must be >= 0, got {var_count}")
         self.var_count = var_count
+        self._all_vars = (1 << var_count) - 1  # bit mask of every variable
         # node store: root id -> (var, low, high); ids 0/1 are the terminals,
         # kept at pseudo-level `var_count` so every edge goes strictly down
         self._nodes: list[tuple[int, int, int]] = [
@@ -244,36 +245,52 @@ class BDD:
     def exists(self, f: "Function", variables: Iterable[int]) -> "Function":
         """Existential quantification over `variables`."""
         self._check_same_manager(f)
-        vs = tuple(sorted(set(variables)))
-        for v in vs:
-            self._check_var(v)
-        if not vs:
-            return f
-        return Function(self, self._exists(f.root, vs, {}))
+        kept = self._all_vars & ~self._mask(variables)
+        return Function(self, self._exists(f.root, kept, {}))
 
-    def _exists(self, root: int, vs: tuple[int, ...], memo: dict[int, int]) -> int:
-        # Within one call the quantified variables left at a node are those
-        # of `vs` at or below its variable, so `memo` is keyed by the node
-        # alone.  It ends with the call: kept in `_cache`, entries for every
-        # quantified set ever asked for would stay for the manager's life.
+    def projections(self, f: "Function", kept_sets) -> list["Function"]:
+        """f with every variable outside each set quantified away, one
+        result per set, in order.  Sets with the same deepest variable share
+        one memo, dropped when that variable changes (no later set can hit
+        it), so each reuses what the others quantified below it."""
+        self._check_same_manager(f)
+        masks = [self._mask(kept) for kept in kept_sets]
+        out = [f] * len(masks)
+        deepest = -1
+        for i in sorted(range(len(masks)), key=lambda i: masks[i].bit_length()):
+            if masks[i].bit_length() != deepest:
+                deepest, memo = masks[i].bit_length(), {}
+            out[i] = Function(self, self._exists(f.root, masks[i], memo))
+        return out
+
+    def _mask(self, variables: Iterable[int]) -> int:
+        mask = 0
+        for v in variables:
+            self._check_var(v)
+            mask |= 1 << v
+        return mask
+
+    def _exists(self, root: int, kept: int, memo: dict) -> int:
+        # `kept` has bit v set for each kept variable.  A node's result
+        # depends only on the kept variables at or below it, the memo key;
+        # in `_cache` every mask's entries would stay for good.
         node_var, low, high = self._nodes[root]
-        vs = vs[bisect_left(vs, node_var):]  # variables above the root play no part
-        if not vs:
-            return root
-        if len(vs) == self.var_count - node_var:
+        below = kept >> node_var
+        if below == self._all_vars >> node_var:
+            return root  # nothing left to quantify (terminals included)
+        if not below:
             return TRUE  # all variables left are quantified; any node is satisfiable
-        found = memo.get(root)
+        key = (root, below)
+        found = memo.get(key)
         if found is not None:
             return found
-        if vs[0] == node_var:
-            below = vs[1:]
-            result = self._or(self._exists(low, below, memo),
-                              self._exists(high, below, memo))
+        if below & 1:
+            result = self._node(node_var, self._exists(low, kept, memo),
+                                self._exists(high, kept, memo))
         else:
-            result = self._node(node_var,
-                                self._exists(low, vs, memo),
-                                self._exists(high, vs, memo))
-        memo[root] = result
+            result = self._or(self._exists(low, kept, memo),
+                              self._exists(high, kept, memo))
+        memo[key] = result
         return result
 
     # ------------------------------------------------------------------
@@ -308,10 +325,9 @@ class BDD:
         return total >> (self.var_count - n)
 
     def _check_nvars(self, f: "Function", nvars: int | None) -> int:
-        top = self.support(f)
-        needed = max(top) + 1 if top else 0
         if nvars is None:
             return self.var_count
+        needed = max(self.support(f), default=-1) + 1
         if nvars < needed:
             raise BddError(
                 f"function mentions variable {needed - 1}, nvars={nvars} is too small")

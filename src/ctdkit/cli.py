@@ -178,8 +178,6 @@ def cmd_generate(args) -> int:
 def _read_plan_for(space: ModelSpace, path):
     columns, rows = plans.read_plan_csv(path)
     plans.check_plan_columns(columns, space.model)
-    for row in rows:
-        space.model.check_assignment(row, full=True)
     return rows
 
 
@@ -197,6 +195,9 @@ def cmd_analyze(args) -> int:
 def cmd_augment(args) -> int:
     space = _load_valid(args.model)
     rows = _read_plan_for(space, args.plan)
+    # unlike coverage_of and instantiate, augment_plan sees only passed rows
+    for row in rows:
+        space.model.check_assignment(row, full=True)
     results = plans.read_results_csv(args.results)
     verdicts = plans.resolve_results(results, rows, space.model.attribute_names)
     passed = [row for row, v in zip(rows, verdicts) if v]

@@ -8,7 +8,9 @@ tuples in value-index order, then any explicit model directives
 attribute subset rather than once per requirement: the legal space is
 projected onto the subset's variable blocks (every other variable
 existentially quantified), and a requirement is feasible iff its value
-codes satisfy that projection.
+codes satisfy that projection.  `ModelSpace.marginals` builds every
+projection; `_subset_counts` counts their value tuples for `feasible_count`
+(the sum) and `generator.lower_bound` (the max).
 
 `filter_feasible` returns the one `RequirementSet` of a (space, t): the
 requirements in order, each feasible or not, and the routine that finds
@@ -98,11 +100,8 @@ def generate_requirements(model: Model, t: int,
                           include_directives: bool = True) -> list[Requirement]:
     """All value tuples over every t-subset of attributes, plus directives,
     in order and without repeats."""
-    k = len(model.attributes)
-    if not 1 <= t <= k:
-        raise CtdError(f"interaction level t={t} out of range 1..{k}")
     reqs = {}
-    for subset in itertools.combinations(range(k), t):
+    for subset in _t_subsets(model, t):
         attrs = [model.attributes[i] for i in subset]
         for combo in itertools.product(*(a.labels for a in attrs)):
             reqs[Requirement(tuple((a.name, v) for a, v in zip(attrs, combo)))] = None
@@ -112,55 +111,48 @@ def generate_requirements(model: Model, t: int,
     return list(reqs)
 
 
+def _t_subsets(model: Model, t: int):
+    """Every t-subset of attribute indices, in lexicographic order."""
+    k = len(model.attributes)
+    if not 1 <= t <= k:
+        raise CtdError(f"interaction level t={t} out of range 1..{k}")
+    return itertools.combinations(range(k), t)
+
+
 def filter_feasible(reqs, space: ModelSpace) -> RequirementSet:
     """The requirements of `reqs` (in order and without repeats, as
     `generate_requirements` lists them), each feasible iff some legal test
     holds its values.  One projection of the legal space per distinct
     attribute subset (directives of any width included) decides them all."""
     reqs = tuple(reqs)
-    marginals = {}
-    feasible = []
-    for r in reqs:
-        attrs = r.attrs
-        marginal = marginals.get(attrs)
-        if marginal is None:
-            marginal = marginals[attrs] = space.marginal(attrs)
-        if marginal.evaluate(space.binding_bits(r.bindings)):
-            feasible.append(r)
+    subsets = list(dict.fromkeys(r.attrs for r in reqs))
+    marginals = dict(zip(subsets, space.marginals(subsets)))
+    feasible = [r for r in reqs
+                if marginals[r.attrs].evaluate(space.binding_bits(r.bindings))]
     return RequirementSet(reqs, feasible)
+
+
+def _subset_counts(space: ModelSpace, t: int) -> list[int]:
+    """The feasible value tuples of each t-subset of attributes, in subset
+    order: its projection of the legal space, counted on the kept
+    variables."""
+    names = space.model.attribute_names
+    blocks, var_count = space.encoding.blocks, space.encoding.var_count
+    subsets = list(_t_subsets(space.model, t))
+    marginals = space.marginals([names[i] for i in subset] for subset in subsets)
+    return [fn.count() >> (var_count - sum(len(blocks[i]) for i in subset))
+            for subset, fn in zip(subsets, marginals)]
 
 
 def feasible_count(space: ModelSpace, t: int) -> int:
     """How many requirements `filter_feasible` would mark feasible, without
-    building the t-way ones: each t-subset contributes the value tuples of
-    its projection of the legal space, counted on the kept variables.
-    Directives that are not t-tuples are checked one by one."""
-    model = space.model
-    k = len(model.attributes)
-    if not 1 <= t <= k:
-        raise CtdError(f"interaction level t={t} out of range 1..{k}")
-    blocks = space.encoding.blocks
-    total = 0
-    for subset in itertools.combinations(range(k), t):
-        kept = sum(len(blocks[i]) for i in subset)
-        marginal = space.marginal(model.attributes[i].name for i in subset)
-        total += marginal.count() >> (space.encoding.var_count - kept)
+    building the t-way ones: the sum of `_subset_counts`.  Directives that
+    are not t-tuples are checked one by one."""
+    total = sum(_subset_counts(space, t))
     directives = dict.fromkeys(
-        r for r in (normalize_bindings(model, d) for d in model.directives)
+        r for r in (normalize_bindings(space.model, d) for d in space.model.directives)
         if len(r.bindings) != t)
     return total + len(filter_feasible(directives, space).feasible())
-
-
-def pairs_of_test(model: Model, test: dict[str, str], t: int) -> list[Requirement]:
-    """The C(k, t) requirements one full assignment covers."""
-    model.check_assignment(test, full=True)
-    k = len(model.attributes)
-    if not 1 <= t <= k:
-        raise CtdError(f"interaction level t={t} out of range 1..{k}")
-    out = []
-    for subset in itertools.combinations(model.attributes, t):
-        out.append(Requirement(tuple((a.name, test[a.name]) for a in subset)))
-    return out
 
 
 def coverage_percent(covered: int, total: int) -> float:
@@ -229,8 +221,9 @@ def split_legal(space: ModelSpace, tests) -> tuple[list[dict[str, str]], list[in
 
 def coverage_of(space: ModelSpace, tests, t: int) -> CoverageReport:
     """Measure a test list against the feasible requirements of the space."""
-    reqs = filter_feasible(generate_requirements(space.model, t), space)
+    # split first: a bad row is reported before a bad t
     legal, illegal = split_legal(space, tests)
+    reqs = filter_feasible(generate_requirements(space.model, t), space)
     feasible = reqs.feasible()
     covered = reqs.covered(legal)
     missing = [r for r in feasible if r not in covered]

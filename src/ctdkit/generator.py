@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import random
 
-from .coverage import RequirementSet, filter_feasible, generate_requirements
+from .coverage import (RequirementSet, _subset_counts, filter_feasible,
+                       generate_requirements)
 from .errors import CtdError
 from .model import ModelSpace
 from .plans import GENERATED, TestPlan
@@ -97,10 +98,4 @@ def grow_tests(space: ModelSpace, reqs: RequirementSet, already_covered: set,
 def lower_bound(space: ModelSpace, t: int) -> int:
     """Plan-size floor: the largest count of feasible value tuples sharing
     one attribute subset (each needs its own test)."""
-    reqs = filter_feasible(generate_requirements(space.model, t,
-                                                 include_directives=False), space)
-    per_subset: dict[tuple[str, ...], int] = {}
-    for r in reqs.feasible():
-        key = r.attrs
-        per_subset[key] = per_subset.get(key, 0) + 1
-    return max(per_subset.values(), default=0)
+    return max(_subset_counts(space, t))

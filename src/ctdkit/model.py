@@ -464,17 +464,18 @@ class ModelSpace:
         """Valid-but-excluded combinations."""
         return self.validity & ~self.legal
 
-    def _indices(self, attr: str, label: str) -> tuple[int, int]:
+    def _attr_index(self, attr: str) -> int:
         ai = self.model.attribute_index(attr)
         if ai is None:
             raise UnknownAttributeError(attr)
+        return ai
+
+    def _indices(self, attr: str, label: str) -> tuple[int, int]:
+        ai = self._attr_index(attr)
         vi = self.model.attributes[ai].index_of(label)
         if vi is None:
             raise UnknownValueError(attr, label)
         return ai, vi
-
-    def value_eq(self, attr: str, label: str) -> Function:
-        return self.encoding.value_eq(self.manager, *self._indices(attr, label))
 
     def binding_bits(self, bindings) -> dict[int, int]:
         """Variable -> bit for the block codes of (attr, value) bindings."""
@@ -491,36 +492,31 @@ class ModelSpace:
     def cofactor(self, fn: Function, bindings) -> Function:
         """fn with the bound attributes' blocks fixed to the values' codes.
 
-        False exactly when `fn & requirement_fn(bindings)` is, without
-        building that conjunction.
+        False exactly when fn has no test holding those values, without
+        building the conjunction.
         """
         for var, bit in self.binding_bits(bindings).items():
             fn = fn.restrict(var, bit)
         return fn
 
-    def marginal(self, attrs) -> Function:
-        """The legal space projected onto the blocks of `attrs`: every
-        variable outside them is quantified away."""
-        kept = set()
-        for attr in attrs:
-            ai = self.model.attribute_index(attr)
-            if ai is None:
-                raise UnknownAttributeError(attr)
-            kept.update(self.encoding.blocks[ai])
-        return self.legal.exists(
-            v for v in range(self.encoding.var_count) if v not in kept)
-
-    def requirement_fn(self, bindings) -> Function:
-        """Conjunction of equality conditions for (attr, value) bindings."""
-        fn = self.manager.true
-        for attr, label in bindings:
-            fn = fn & self.value_eq(attr, label)
-        return fn
+    def marginals(self, subsets) -> list[Function]:
+        """The legal space projected onto the blocks of each attribute
+        subset (every other variable quantified away), in order.  One
+        engine call serves them all, so they share what they quantify
+        alike."""
+        blocks = self.encoding.blocks
+        kept = [[v for attr in attrs for v in blocks[self._attr_index(attr)]]
+                for attrs in subsets]
+        return self.manager.projections(self.legal, kept)
 
     def project(self, partial: dict[str, str]) -> Function:
         """Legal combinations consistent with the fixed attribute values."""
         self.model.check_assignment(partial)
-        return self.legal & self.requirement_fn(partial.items())
+        fixed = self.manager.true
+        for attr, label in partial.items():
+            ai, vi = self._indices(attr, label)
+            fixed = fixed & self.encoding.value_eq(self.manager, ai, vi)
+        return self.legal & fixed
 
     def tuple_count(self, fn: Function | None = None) -> int:
         """Number of value tuples a function admits (legal space by default)."""

@@ -14,9 +14,10 @@ from ctdkit import (
     ModelSpace,
     augment_plan,
     coverage_of,
+    filter_feasible,
     generate_plan,
+    generate_requirements,
     instantiate,
-    pairs_of_test,
     read_plan_csv,
     run_cycles,
 )
@@ -104,7 +105,8 @@ def test_criterion_3_analyzer_fixtures(api8x2, api8x2_space, manual3x3x3,
         (("Carrier", "Fedex"), ("ExportControl", "True")),
         (("DeliverySchedule", "2-5 working days"), ("ExportControl", "True")),
     }
-    got = {p.bindings for p in pairs_of_test(shopping, test, 2)}
+    pairs = filter_feasible(generate_requirements(shopping, 2), shopping_space)
+    got = {p.bindings for p in pairs.covered([test])}
     _check(failures, got == expected, "pairs of the single shopping test differ")
     single = coverage_of(shopping_space, [test], 2)
     _check(failures, single.covered == 10,

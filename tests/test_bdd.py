@@ -1,5 +1,6 @@
 """Engine-level tests: canonicity, reduction, ordering, counting, enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -224,6 +225,29 @@ def test_count_rejects_small_nvars():
     assert f.count(4) == 8
 
 
+def test_support_is_walked_only_to_check_nvars(monkeypatch):
+    m = BDD(4)
+    f = m.var(1) & m.var(3)
+    walks = []
+    real = BDD.support
+
+    def counting(self, g):
+        walks.append(g)
+        return real(self, g)
+
+    monkeypatch.setattr(BDD, "support", counting)
+    assert f.count() == 4
+    assert f.pick() == (0, 1, 0, 1)
+    assert len(list(f.satisfying())) == 4
+    assert walks == []
+    assert f.count(4) == 4
+    assert walks == [f]
+    with pytest.raises(BddError, match="too small"):
+        f.count(3)
+    with pytest.raises(BddError, match="exceeds"):
+        f.count(5)
+
+
 def test_count_random_suite_vs_exhaustive():
     rng = random.Random(23)
     for n in (2, 5, 8, 12):
@@ -305,6 +329,33 @@ def test_and_or_kernels_agree_with_ite(trees):
             nodes = len(m)
             assert f.intersects(g) == (not conj.is_false)
             assert len(m) == nodes  # the test builds nothing
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees, st.lists(st.sets(st.integers(0, _N - 1)), min_size=1, max_size=8))
+def test_projections_agree_with_exists_and_truth_table(tree, kept_sets):
+    # sets with the same deepest variable share one memo inside `projections`
+    m = BDD(_N)
+    f = oracles.tree_fn(tree, m)
+    rows = oracles.table_sat_rows(oracles.tree_table(tree, _N), _N)
+    projected = m.projections(f, kept_sets)
+    assert len(projected) == len(kept_sets)
+    for kept, p in zip(kept_sets, projected):
+        kept = sorted(kept)
+        assert p.root == f.exists(v for v in range(_N) if v not in kept).root
+        # a row satisfies the projection iff some row of f agrees on `kept`
+        seen = {tuple(row[v] for v in kept) for row in rows}
+        for bits in itertools.product((0, 1), repeat=_N):
+            assert p.evaluate(bits) == (tuple(bits[v] for v in kept) in seen)
+
+
+def test_projections_check_their_variables():
+    m = BDD(3)
+    with pytest.raises(BddError):
+        m.projections(m.var(0), [[0], [3]])
+    assert m.projections(m.var(0), []) == []
+    assert [p.root for p in m.projections(m.var(0), [[], [1]])] == [1, 1]
+    assert m.projections(m.false, [[], [0, 1, 2]])[1].is_false
 
 
 def test_store_invariants_after_random_operations():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ctdkit import constraints, load_model
+from ctdkit import Model, constraints, load_model
 from ctdkit.cli import main
 
 M = "models"
@@ -234,6 +234,31 @@ def test_analyze_rejects_unknown_label(capsys):
     assert "'0'" in err
 
 
+@pytest.mark.parametrize("t", ["2", "0", "99"])
+def test_analyze_bad_row_wins_over_bad_t(capsys, t):
+    code, out, err = run(capsys, "analyze", f"{M}/code_review_dispatch.json",
+                         f"{M}/code_review_dispatch_plan19.csv", "--t", t)
+    assert (code, out) == (1, "")
+    assert err == "error: unknown value '0' for attribute 'DA'\n"
+
+
+@pytest.mark.parametrize("command", [["analyze", "--t", "2"],
+                                     ["instantiate", "--seed", "1"]])
+def test_plan_rows_are_typechecked_once(capsys, monkeypatch, command):
+    checked = []
+    real = Model.check_assignment
+
+    def counting(self, assignment, full=False):
+        checked.append(full)
+        return real(self, assignment, full)
+
+    monkeypatch.setattr(Model, "check_assignment", counting)
+    code, _, _ = run(capsys, command[0], f"{M}/code_review.json",
+                     f"{M}/code_review_plan13.csv", *command[1:])
+    assert code == 0
+    assert checked == [True] * 13
+
+
 def test_analyze_thirteen_row_table(capsys):
     code, out, _ = run(capsys, "analyze", f"{M}/code_review.json",
                        f"{M}/code_review_plan13.csv", "--t", "2")
@@ -293,6 +318,17 @@ def test_augment_partial_pass_shrinks_residual(capsys, tmp_path):
     assert int(summary["residual_before"]) < 112
     assert int(summary["residual_after"]) < int(summary["residual_before"])
     assert summary["residual_after"] == "0"
+
+
+def test_augment_rejects_a_bad_row_that_failed(capsys, tmp_path):
+    # augment_plan sees only passed rows, so the command checks the others
+    results = tmp_path / "results.csv"
+    _write_results(results, [False] * 19)
+    code, out, err = run(capsys, "augment", f"{M}/code_review_dispatch.json",
+                         f"{M}/code_review_dispatch_plan19.csv", str(results),
+                         "--t", "2", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: unknown value '0' for attribute 'DA'\n"
 
 
 def test_augment_rejects_unknown_row_reference(capsys, tmp_path):

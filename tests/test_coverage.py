@@ -14,10 +14,11 @@ from ctdkit import (
     coverage_of,
     filter_feasible,
     generate_requirements,
-    pairs_of_test,
+    lower_bound,
     parse_model,
     read_plan_csv,
 )
+from ctdkit.coverage import feasible_count
 from ctdkit.model import Attribute, Value
 
 
@@ -133,6 +134,11 @@ def test_filter_feasible_leaves_few_bdd_nodes():
     assert len(reqs.feasible()) == 4740
     assert len(space.manager) < 20_000
     assert len(space.manager._cache) < 2 * len(space.manager)
+    # the per-subset counts read the same projections: nothing is added
+    sizes = len(space.manager), len(space.manager._cache)
+    assert feasible_count(space, 2) == 4740
+    assert lower_bound(space, 2) == 25
+    assert (len(space.manager), len(space.manager._cache)) == sizes
 
 
 def test_filter_feasible_is_monotone_under_constraints(xyz, xyz_drop_a):
@@ -149,7 +155,8 @@ def test_pairs_of_single_shopping_test(shopping):
         "Availability": "Available", "Payment": "Paypal", "Carrier": "Fedex",
         "DeliverySchedule": "2-5 working days", "ExportControl": "True",
     }
-    pairs = {p.bindings for p in pairs_of_test(shopping, test, 2)}
+    reqs = filter_feasible(generate_requirements(shopping, 2), ModelSpace(shopping))
+    pairs = {p.bindings for p in reqs.covered([test])}
     assert pairs == {
         (("Availability", "Available"), ("Payment", "Paypal")),
         (("Availability", "Available"), ("Carrier", "Fedex")),
@@ -167,13 +174,14 @@ def test_pairs_of_single_shopping_test(shopping):
 
 def test_pairs_of_test_at_full_width_is_the_test(xyz):
     test = {"X": "a", "Y": "d", "Z": "e"}
-    [req] = pairs_of_test(xyz, test, 3)
+    reqs = filter_feasible(generate_requirements(xyz, 3), ModelSpace(xyz))
+    [req] = reqs.covered([test])
     assert req.bindings == (("X", "a"), ("Y", "d"), ("Z", "e"))
 
 
-def test_pairs_of_test_rejects_partial_assignment(xyz):
+def test_coverage_of_rejects_partial_assignment(xyz):
     with pytest.raises(CtdError):
-        pairs_of_test(xyz, {"X": "a"}, 2)
+        coverage_of(ModelSpace(xyz), [{"X": "a"}], 2)
 
 
 def test_seven_row_plan_covers_all_112_pairs(api8x2, api8x2_space, models_dir):
@@ -243,7 +251,8 @@ def test_coverage_is_monotone_in_the_test_list(api8x2_space, models_dir):
 def test_pairs_of_test_are_reported_covered(xyz):
     space = ModelSpace(xyz)
     test = {"X": "b", "Y": "c", "Z": "f"}
-    reqs = pairs_of_test(xyz, test, 2)
+    reqs = [r for r in generate_requirements(xyz, 2)
+            if all(test[a] == v for a, v in r.bindings)]
     report = coverage_of(space, [test], 2)
     missing = set(report.missing)
     assert all(r not in missing for r in reqs)

@@ -6,6 +6,7 @@ the library takes (cofactors, projections, indexes) must reproduce it
 exactly, tie-breaks and seeded random choices included.
 """
 
+import collections
 import functools
 import pathlib
 
@@ -19,6 +20,7 @@ from ctdkit import (
     generate_plan,
     generate_requirements,
     load_model,
+    lower_bound,
     parse_model,
 )
 from ctdkit.coverage import feasible_count
@@ -97,3 +99,13 @@ def test_feasible_count_equals_brute_force(name, t):
     model, legal = _case(name)
     expected = len(oracles.feasible_requirement_tuples(model, t, legal))
     assert feasible_count(ModelSpace(model), t) == expected
+
+
+@pytest.mark.parametrize("name,t", CASES)
+def test_lower_bound_equals_brute_force(name, t):
+    model, legal = _case(name)
+    per_subset = collections.Counter(
+        tuple(a for a, _ in r)
+        for r in oracles.feasible_requirement_tuples(model, t, legal)
+        if len(r) == t)
+    assert lower_bound(ModelSpace(model), t) == max(per_subset.values())
