@@ -13,18 +13,24 @@ projection; `_subset_counts` counts their value tuples for `feasible_count`
 (the sum) and `generator.lower_bound` (the max).
 
 `filter_feasible` returns the one `RequirementSet` of a (space, t): the
-requirements in order, each feasible or not, and the routine that finds
-the feasible ones a list of tests covers by hashing each test's sub-tuple
-on every attribute subset they span.  Plan generation, coverage analysis
-and cycle augmentation each build it once per call and measure against
-it.  Coverage credit is granted only by tests inside the legal space;
-imported tests that violate it are listed in the report and ignored.
+requirements in order, each feasible or not, and `candidate_keys`, which
+lists what a test may cover.  At a width where every attribute subset has
+a feasible requirement (t always does), that is the combinations of the
+test's bindings in declaration order, hashed in C against a set of
+binding tuples; at any other width (directives), one lookup per subset.
+Plan generation, coverage analysis and cycle augmentation each build the
+set once per call and measure against it.  Coverage credit is granted
+only by tests inside the legal space; imported tests that violate it are
+listed in the report and ignored.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import add, attrgetter
 
 from .errors import CtdError, UnknownAttributeError, UnknownValueError
 from .model import Model, ModelSpace
@@ -45,13 +51,18 @@ class Requirement:
 
 class RequirementSet:
     """Ordered, deduplicated requirements, each feasible or not, with the
-    covered-set routine over the feasible ones.  Built by `filter_feasible`."""
+    routine that finds the feasible ones a test covers.  Built by
+    `filter_feasible`."""
 
-    def __init__(self, requirements, feasible):
+    def __init__(self, requirements, feasible, attributes):
         self._requirements = tuple(requirements)
         self._by_bindings = {r.bindings: r for r in feasible}
-        self._subsets = tuple(dict.fromkeys(
-            r.attrs for r in self._by_bindings.values()))
+        self._attributes = tuple(attributes)
+        subsets = dict.fromkeys(r.attrs for r in self._by_bindings.values())
+        widths = Counter(map(len, subsets))
+        self._dense = [w for w in widths
+                       if widths[w] == math.comb(len(self._attributes), w)]
+        self._sparse = [s for s in subsets if len(s) not in self._dense]
 
     def __len__(self) -> int:
         return len(self._requirements)
@@ -63,17 +74,42 @@ class RequirementSet:
         """The feasible requirements, in requirement order."""
         return list(self._by_bindings.values())
 
+    def candidate_keys(self, before, binding=None, after=()):
+        """The bindings of the requirements that a test holding `before`
+        (bindings in declaration order) may cover, feasible or not.  Given
+        a `binding` that goes between `before` and `after`, only those that
+        hold it, their other bindings drawn from both sides."""
+        if binding is None:
+            keys = [itertools.combinations(before, w) for w in self._dense]
+            sparse = self._sparse
+        else:
+            keys = [map(add, itertools.combinations(before, w - 1 - j),
+                        itertools.repeat((binding,) + tail))
+                    for w in self._dense for j in range(min(w, len(after) + 1))
+                    for tail in itertools.combinations(after, j)]
+            sparse = [s for s in self._sparse if binding[0] in s]
+        if sparse:
+            value = dict([*before, binding, *after] if binding else before).get
+            keys.append(tuple((a, value(a)) for a in s) for s in sparse)
+        return itertools.chain.from_iterable(keys)
+
+    def covered_bindings(self, tests) -> set:
+        """The bindings of the feasible requirements that some test in
+        `tests` covers.  A test may bind its attributes in any key order,
+        and earns nothing for the ones it leaves out."""
+        found: set = set()
+        lookup, bindings = self._by_bindings.get, attrgetter("bindings")
+        for test in tests:
+            keys = self.candidate_keys(
+                [(a, test[a]) for a in self._attributes if a in test])
+            # the requirements' own tuples, so `found` keeps no new ones alive
+            found.update(map(bindings, filter(None, map(lookup, keys))))
+        return found
+
     def covered(self, tests) -> set[Requirement]:
         """The feasible requirements that some test in `tests` covers."""
-        found: set[Requirement] = set()
-        lookup = self._by_bindings.get
-        for test in tests:
-            value = test.get
-            for subset in self._subsets:
-                r = lookup(tuple((a, value(a)) for a in subset))
-                if r is not None:
-                    found.add(r)
-        return found
+        return set(map(self._by_bindings.__getitem__,
+                       self.covered_bindings(tests)))
 
 
 def normalize_bindings(model: Model, bindings) -> Requirement:
@@ -129,7 +165,7 @@ def filter_feasible(reqs, space: ModelSpace) -> RequirementSet:
     marginals = dict(zip(subsets, space.marginals(subsets)))
     feasible = [r for r in reqs
                 if marginals[r.attrs].evaluate(space.binding_bits(r.bindings))]
-    return RequirementSet(reqs, feasible)
+    return RequirementSet(reqs, feasible, space.model.attribute_names)
 
 
 def _subset_counts(space: ModelSpace, t: int) -> list[int]:
@@ -225,6 +261,6 @@ def coverage_of(space: ModelSpace, tests, t: int) -> CoverageReport:
     legal, illegal = split_legal(space, tests)
     reqs = filter_feasible(generate_requirements(space.model, t), space)
     feasible = reqs.feasible()
-    covered = reqs.covered(legal)
-    missing = [r for r in feasible if r not in covered]
+    covered = reqs.covered_bindings(legal)
+    missing = [r for r in feasible if r.bindings not in covered]
     return CoverageReport(len(feasible), len(covered), missing, illegal)

@@ -245,14 +245,6 @@ class Encoding:
             fn = (v if bit else ~v) & fn
         return fn
 
-    def encode(self, value_indices) -> tuple[int, ...]:
-        """Bit vector for one full assignment given as value indices."""
-        bits = [0] * self.var_count
-        for ai, vi in enumerate(value_indices):
-            for var, bit in zip(self.blocks[ai], self.value_bits(ai, vi)):
-                bits[var] = bit
-        return tuple(bits)
-
     def decode(self, bits) -> tuple[int, ...]:
         """Value indices for one bit vector (codes assumed valid)."""
         out = []
@@ -522,10 +514,10 @@ class ModelSpace:
         """Number of value tuples a function admits (legal space by default)."""
         return (fn if fn is not None else self.legal).count()
 
-    def assignment_bits(self, test: dict[str, str]) -> tuple[int, ...]:
+    def assignment_bits(self, test: dict[str, str]) -> dict[int, int]:
+        """Variable -> bit for a full assignment, typechecked first."""
         self.model.check_assignment(test, full=True)
-        indices = [a.index_of(test[a.name]) for a in self.model.attributes]
-        return self.encoding.encode(indices)
+        return self.binding_bits(test.items())
 
     def contains(self, test: dict[str, str]) -> bool:
         """True when a full assignment satisfies the legal space."""

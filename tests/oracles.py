@@ -208,13 +208,16 @@ def feasible_requirement_tuples(model, t, legal):
             if any(_matches(x, r) for x in legal)]
 
 
-def reference_greedy(model, t, legal, budget=None, seed=0, randomize_ties=False):
+def reference_greedy(model, t, legal, budget=None, seed=0, randomize_ties=False,
+                     already_covered=()):
     """The greedy plan by definition: seed each test with the first
     uncovered feasible requirement, bind the other attributes in
     declaration order, keep a value only if some legal tuple extends the
-    partial test, and score it by scanning every uncovered requirement."""
+    partial test, and score it by scanning every uncovered requirement.
+    The requirement tuples in `already_covered` start covered."""
     rng = random.Random(seed)
-    uncovered = dict.fromkeys(feasible_requirement_tuples(model, t, legal))
+    uncovered = dict.fromkeys(r for r in feasible_requirement_tuples(model, t, legal)
+                              if r not in already_covered)
     tests = []
     while uncovered and (budget is None or len(tests) < budget):
         partial = dict(next(iter(uncovered)))

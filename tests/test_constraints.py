@@ -202,8 +202,10 @@ def test_compile_agrees_with_direct_evaluation():
         expr = _valid_expr(rng, 3)
         fn = compile_expr(expr, _SMALL, encoding, manager)
         for test in tuples:
-            indices = [a.index_of(test[a.name]) for a in _SMALL.attributes]
-            bits = encoding.encode(indices)
+            bits = {}
+            for ai, a in enumerate(_SMALL.attributes):
+                bits.update(zip(encoding.blocks[ai],
+                                encoding.value_bits(ai, a.index_of(test[a.name]))))
             assert fn.evaluate(bits) == oracles.eval_expr(expr, test), \
                 (format_expr(expr), test)
 

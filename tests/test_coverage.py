@@ -1,8 +1,10 @@
 """Requirement generation, feasibility filtering, and coverage measurement."""
 
 import itertools
+import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from ctdkit import (
@@ -13,6 +15,7 @@ from ctdkit import (
     Requirement,
     coverage_of,
     filter_feasible,
+    generate_plan,
     generate_requirements,
     lower_bound,
     parse_model,
@@ -287,3 +290,76 @@ def test_directive_wider_than_t_is_credited(shopping):
     report = coverage_of(space, [near], 2)
     assert report.covered == 10
     assert Requirement(QUAD) in report.missing
+
+
+@st.composite
+def _credit_cases(draw):
+    """A small constrained model with directives, t, and tests that may be
+    illegal, list their attributes in any order, or leave one out."""
+    k = draw(st.integers(2, 5))
+    names = [f"A{i}" for i in range(k)]
+    labels = [[f"v{j}" for j in range(draw(st.integers(1, 3)))] for _ in names]
+    attributes = tuple(Attribute(n, tuple(Value(v) for v in ls))
+                       for n, ls in zip(names, labels))
+    attr = st.integers(0, k - 1)
+    constraints = tuple(
+        f"{names[i]} = {draw(st.sampled_from(labels[i]))} -> "
+        f"{names[j]} != {draw(st.sampled_from(labels[j]))}"
+        for i, j in draw(st.lists(st.tuples(attr, attr).filter(lambda p: p[0] != p[1]),
+                                  max_size=3)))
+    directives = tuple(
+        tuple((names[i], draw(st.sampled_from(labels[i]))) for i in subset)
+        for subset in draw(st.lists(st.sets(attr, min_size=1), max_size=4)))
+    model = Model(attributes, constraints, directives)
+    t = draw(st.integers(1, k))
+    tests = []
+    for _ in range(draw(st.integers(0, 4))):
+        test = {n: draw(st.sampled_from(ls)) for n, ls in zip(names, labels)}
+        order = draw(st.permutations(names))
+        if draw(st.booleans()):
+            order = order[1:]
+        tests.append({n: test[n] for n in order})
+    return model, t, tests
+
+
+@settings(max_examples=200, deadline=None)
+@given(_credit_cases())
+def test_covered_equals_brute_force(case):
+    model, t, tests = case
+    legal = oracles.legal_tuples(model, oracles.constraint_predicate(model))
+    assume(legal)
+    names = [a.name for a in model.attributes]
+    directives = [tuple(sorted(d, key=lambda b: names.index(b[0])))
+                  for d in model.directives]
+    feasible = set(oracles.feasible_requirement_tuples(model, t, legal))
+    expected = set()
+    for test in tests:
+        expected |= oracles.covered_t_tuples([test], [n for n in names if n in test], t)
+        expected |= {d for d in directives if all(test.get(a) == v for a, v in d)}
+    reqs = filter_feasible(generate_requirements(model, t), ModelSpace(model))
+    assert {r.bindings for r in reqs.covered(tests)} == expected & feasible
+    assert reqs.covered_bindings(tests) == expected & feasible
+
+
+def test_wide_directive_is_looked_up_once():
+    """A 12-wide directive over 24 attributes is one lookup per test, not
+    one per 12-combination of its bindings (2.7 million)."""
+    names = [f"A{i}" for i in range(24)]
+    wide = tuple((n, ("v1", "v2")[i % 2] if i < 6 else "v0")
+                 for i, n in enumerate(names[:12]))
+    model = parse_model({
+        "attributes": [{"name": n, "values": ["v0", "v1", "v2"]} for n in names],
+        "constraints": [f"{n} = v0" for n in names[6:]],
+        "directives": [[{"attr": a, "value": v} for a, v in wide]],
+    })
+    space = ModelSpace(model)
+    start = time.perf_counter()
+    plan = generate_plan(space, 2)
+    report = coverage_of(space, plan.tests, 2)
+    assert time.perf_counter() - start < 1.0
+    assert report.complete and report.total_feasible == plan.total_feasible
+    free = itertools.product(*(["v0", "v1", "v2"] if i < 6 else ["v0"]
+                               for i in range(24)))
+    legal = [x for x in (dict(zip(names, combo)) for combo in free)
+             if oracles.constraint_predicate(model)(x)]
+    assert plan.tests == oracles.reference_greedy(model, 2, legal)

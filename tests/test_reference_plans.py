@@ -16,12 +16,14 @@ import oracles
 from ctdkit import (
     Model,
     ModelSpace,
+    augment_plan,
     filter_feasible,
     generate_plan,
     generate_requirements,
     load_model,
     lower_bound,
     parse_model,
+    run_cycles,
 )
 from ctdkit.coverage import feasible_count
 
@@ -109,3 +111,47 @@ def test_lower_bound_equals_brute_force(name, t):
         for r in oracles.feasible_requirement_tuples(model, t, legal)
         if len(r) == t)
     assert lower_bound(ModelSpace(model), t) == max(per_subset.values())
+
+
+def _held_by(feasible, tests):
+    """The requirement tuples of `feasible` that some test in `tests` holds."""
+    return {r for r in feasible
+            if any(all(test[a] == v for a, v in r) for test in tests)}
+
+
+@pytest.mark.parametrize("name,t", CASES)
+def test_augmented_plan_equals_reference_greedy(name, t):
+    model, legal = _case(name)
+    space = ModelSpace(model)
+    passed = generate_plan(space, t).tests[:2]
+    feasible = oracles.feasible_requirement_tuples(model, t, legal)
+    result = augment_plan(space, t, passed, 3)
+    assert result.plan.tests == oracles.reference_greedy(
+        model, t, legal, budget=3, already_covered=_held_by(feasible, passed))
+
+
+@pytest.mark.parametrize("verdicts", ["all-pass", "alternating"])
+@pytest.mark.parametrize("name,t", CASES)
+def test_every_cycle_equals_reference_greedy(name, t, verdicts):
+    """The first cycles of `run_cycles`, each against the reference greedy
+    given what passed before it (more cycles would only repeat the check
+    at a cost that grows with the plan)."""
+    model, legal = _case(name)
+    feasible = oracles.feasible_requirement_tuples(model, t, legal)
+    executed = []  # (test, passed) in execution order
+
+    def verdict(test):
+        passed = verdicts == "all-pass" or len(executed) % 2 == 0
+        executed.append((test, passed))
+        return passed
+
+    state = run_cycles(ModelSpace(model), t, 3, verdict, max_cycles=4)
+    done, passed = 0, []
+    for record in state.history:
+        cycle = executed[done:done + record.emitted]
+        assert [test for test, _ in cycle] == oracles.reference_greedy(
+            model, t, legal, budget=3, already_covered=_held_by(feasible, passed))
+        passed += [test for test, ok in cycle if ok]
+        done += record.emitted
+    assert done == len(executed)
+    assert [test for test, ok in executed if ok] == state.passed
