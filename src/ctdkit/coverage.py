@@ -4,13 +4,13 @@ A requirement is one value tuple over a t-subset of attributes; a test
 covers it when it assigns exactly those values.  Requirement order is
 deterministic: attribute subsets in lexicographic declaration order, value
 tuples in value-index order, then any explicit model directives
-(deduplicated).  Feasibility is decided symbolically, once per distinct
-attribute subset rather than once per requirement: the legal space is
-projected onto the subset's variable blocks (every other variable
-existentially quantified), and a requirement is feasible iff its value
-codes satisfy that projection.  `ModelSpace.marginals` builds every
-projection; `_subset_counts` counts their value tuples for `feasible_count`
-(the sum) and `generator.lower_bound` (the max).
+(deduplicated).  Feasibility is decided once per distinct attribute subset,
+on the legal space projected onto the subset's blocks: the AND of the
+projections of its pieces, its attributes in each component that the
+constraints link (`ModelSpace.marginals`).  `_projections` counts them.
+When a count is the product of the subset's domain sizes, its requirements
+are all feasible unevaluated; otherwise each is evaluated on the projection.
+The counts also give `feasible_count` (sum) and `generator.lower_bound` (max).
 
 `filter_feasible` returns the one `RequirementSet` of a (space, t): the
 requirements in order, each feasible or not, and `candidate_keys`, which
@@ -30,7 +30,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add, attrgetter
+from operator import add, attrgetter, itemgetter
 
 from .errors import CtdError, UnknownAttributeError, UnknownValueError
 from .model import Model, ModelSpace
@@ -43,7 +43,7 @@ class Requirement:
 
     @property
     def attrs(self) -> tuple[str, ...]:
-        return tuple(a for a, _ in self.bindings)
+        return _attrs(self.bindings)
 
     def format(self) -> str:
         return ", ".join(f"{a}={v}" for a, v in self.bindings)
@@ -58,7 +58,7 @@ class RequirementSet:
         self._requirements = tuple(requirements)
         self._by_bindings = {r.bindings: r for r in feasible}
         self._attributes = tuple(attributes)
-        subsets = dict.fromkeys(r.attrs for r in self._by_bindings.values())
+        subsets = dict.fromkeys(map(_attrs, self._by_bindings))
         widths = Counter(map(len, subsets))
         self._dense = [w for w in widths
                        if widths[w] == math.comb(len(self._attributes), w)]
@@ -112,6 +112,11 @@ class RequirementSet:
                        self.covered_bindings(tests)))
 
 
+def _attrs(bindings) -> tuple[str, ...]:
+    """The attributes of (attr, value) bindings, in their order."""
+    return tuple(map(itemgetter(0), bindings))
+
+
 def normalize_bindings(model: Model, bindings) -> Requirement:
     """Typecheck bindings and order them by attribute declaration."""
     resolved = []
@@ -136,15 +141,14 @@ def generate_requirements(model: Model, t: int,
                           include_directives: bool = True) -> list[Requirement]:
     """All value tuples over every t-subset of attributes, plus directives,
     in order and without repeats."""
-    reqs = {}
-    for subset in _t_subsets(model, t):
-        attrs = [model.attributes[i] for i in subset]
-        for combo in itertools.product(*(a.labels for a in attrs)):
-            reqs[Requirement(tuple((a.name, v) for a, v in zip(attrs, combo)))] = None
-    if include_directives:
-        for directive in model.directives:
-            reqs[normalize_bindings(model, directive)] = None
-    return list(reqs)
+    keys = list(itertools.chain.from_iterable(
+        map(tuple, map(zip, itertools.repeat([model.attributes[i].name for i in subset]),
+                       itertools.product(*(model.attributes[i].labels for i in subset))))
+        for subset in _t_subsets(model, t)))
+    directives = (normalize_bindings(model, d).bindings for d in model.directives)
+    if include_directives:  # one that is t wide is one of the tuples above
+        keys += dict.fromkeys(b for b in directives if len(b) != t)
+    return list(map(Requirement, keys))
 
 
 def _t_subsets(model: Model, t: int):
@@ -158,26 +162,38 @@ def _t_subsets(model: Model, t: int):
 def filter_feasible(reqs, space: ModelSpace) -> RequirementSet:
     """The requirements of `reqs` (in order and without repeats, as
     `generate_requirements` lists them), each feasible iff some legal test
-    holds its values.  One projection of the legal space per distinct
-    attribute subset (directives of any width included) decides them all."""
+    holds its values: decided per attribute subset, on its projection of
+    the legal space, and one by one only where that excludes a value tuple."""
     reqs = tuple(reqs)
-    subsets = list(dict.fromkeys(r.attrs for r in reqs))
-    marginals = dict(zip(subsets, space.marginals(subsets)))
-    feasible = [r for r in reqs
-                if marginals[r.attrs].evaluate(space.binding_bits(r.bindings))]
+    known = {(a.name, v) for a in space.model.attributes for v in a.labels}
+    unknown = itertools.filterfalse(known.__contains__, itertools.chain.from_iterable(
+        map(attrgetter("bindings"), reqs)))
+    space.binding_bits(unknown)  # raises UnknownAttributeError or UnknownValueError
+    groups: dict[tuple[str, ...], list] = {}  # subset -> its requirements' bindings
+    for attrs, run in itertools.groupby(map(attrgetter("bindings"), reqs), _attrs):
+        groups.setdefault(attrs, []).extend(run)
+    infeasible = set()
+    for (attrs, group), (fn, count) in zip(groups.items(), _projections(space, groups)):
+        if count < math.prod(space.model.attribute(a).size for a in attrs):
+            infeasible.update(b for b in group if not fn.evaluate(space.binding_bits(b)))
+    feasible = [r for r in reqs if r.bindings not in infeasible]
     return RequirementSet(reqs, feasible, space.model.attribute_names)
 
 
-def _subset_counts(space: ModelSpace, t: int) -> list[int]:
-    """The feasible value tuples of each t-subset of attributes, in subset
-    order: its projection of the legal space, counted on the kept
-    variables."""
-    names = space.model.attribute_names
+def _projections(space: ModelSpace, subsets):
+    """Each attribute subset's projection of the legal space and the value
+    tuples it holds, counted on its blocks; `subsets` is read twice."""
     blocks, var_count = space.encoding.blocks, space.encoding.var_count
-    subsets = list(_t_subsets(space.model, t))
-    marginals = space.marginals([names[i] for i in subset] for subset in subsets)
-    return [fn.count() >> (var_count - sum(len(blocks[i]) for i in subset))
-            for subset, fn in zip(subsets, marginals)]
+    index = space.model.attribute_index
+    for attrs, fn in zip(subsets, space.marginals(subsets)):
+        yield fn, fn.count() >> (var_count - sum(len(blocks[index(a)]) for a in attrs))
+
+
+def _subset_counts(space: ModelSpace, t: int) -> list[int]:
+    """The feasible value tuples of each t-subset of attributes, in order."""
+    names = space.model.attribute_names
+    subsets = [[names[i] for i in subset] for subset in _t_subsets(space.model, t)]
+    return [count for _, count in _projections(space, subsets)]
 
 
 def feasible_count(space: ModelSpace, t: int) -> int:

@@ -32,9 +32,10 @@ Unknown fields anywhere are rejected.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterator
 
 from . import constraints
@@ -491,15 +492,38 @@ class ModelSpace:
             fn = fn.restrict(var, bit)
         return fn
 
+    @cached_property
+    def _components(self) -> list[int]:
+        """Per attribute index, the least index of its component: attributes
+        are linked when one constraint's BDD depends on both.  Not syntax:
+        `(A = a AND B = b) OR (A = a AND B != b)` is `A = a`; B stays apart."""
+        owner = [ai for ai, block in enumerate(self.encoding.blocks) for _ in block]
+        component = list(range(len(self.model.attributes)))
+        for fn in self.constraint_fns:
+            merged = {component[owner[v]] for v in fn.support()}
+            component = [min(merged) if c in merged else c for c in component]
+        return component
+
     def marginals(self, subsets) -> list[Function]:
         """The legal space projected onto the blocks of each attribute
-        subset (every other variable quantified away), in order.  One
-        engine call serves them all, so they share what they quantify
-        alike."""
-        blocks = self.encoding.blocks
-        kept = [[v for attr in attrs for v in blocks[self._attr_index(attr)]]
-                for attrs in subsets]
-        return self.manager.projections(self.legal, kept)
+        subset (every other variable quantified away), in order.
+
+        `legal` is the product of one factor per component (see
+        `_components`; support, not syntax, keeps pieces small), so a
+        subset's projection is the AND of those of its pieces, its
+        attributes in each component.  One engine call projects every
+        distinct piece, so they share what they quantify alike.  `coverage`
+        counts each projection: one that excludes no value tuple makes every
+        requirement of its subset feasible."""
+        key, blocks = self._components.__getitem__, self.encoding.blocks
+        split = [[tuple(p) for _, p in itertools.groupby(
+                      sorted(map(self._attr_index, attrs), key=key), key)]
+                 for attrs in subsets]
+        distinct = list(dict.fromkeys(itertools.chain.from_iterable(split)))
+        projected = dict(zip(distinct, self.manager.projections(
+            self.legal, [[v for ai in p for v in blocks[ai]] for p in distinct])))
+        return [reduce(Function.__and__, map(projected.__getitem__, pieces),
+                       self.manager.true) for pieces in split]
 
     def project(self, partial: dict[str, str]) -> Function:
         """Legal combinations consistent with the fixed attribute values."""

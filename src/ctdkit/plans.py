@@ -163,7 +163,7 @@ def resolve_results(results, tests, columns) -> list[bool | None]:
     hashes = {row_hash(test, columns): i for i, test in enumerate(tests)}
     verdicts: list[bool | None] = [None] * len(tests)
     for ref, passed in results:
-        if ref.isdigit():
+        if ref.isascii() and ref.isdigit():  # '²' is a digit that int() rejects
             index = int(ref) - 1
             if not 0 <= index < len(tests):
                 raise PlanFormatError(

@@ -159,6 +159,21 @@ def eval_expr(expr, assignment):
     raise TypeError(expr)
 
 
+def named_attributes(expr):
+    """The attributes a constraint AST names, whether or not it depends on
+    them."""
+    from ctdkit import constraints as c
+    if isinstance(expr, (c.Equals, c.NotEquals, c.In)):
+        return {expr.attr}
+    if isinstance(expr, c.Not):
+        return named_attributes(expr.child)
+    if isinstance(expr, (c.And, c.Or)):
+        return set().union(*map(named_attributes, expr.children))
+    if isinstance(expr, (c.Implies, c.Iff)):
+        return named_attributes(expr.lhs) | named_attributes(expr.rhs)
+    return set()
+
+
 def constraint_predicate(model):
     """Plain-Python legality test for the model's constraint strings."""
     from ctdkit import constraints as c
@@ -206,6 +221,43 @@ def feasible_requirement_tuples(model, t, legal):
     """The requirements (directives included) some legal tuple holds."""
     return [r for r in requirement_tuples(model, t)
             if any(_matches(x, r) for x in legal)]
+
+
+def feasible_requirements_by_search(model, t):
+    """`feasible_requirement_tuples` for models too large to list their
+    legal tuples.  Each requirement is extended by a depth-first search
+    that binds the requirement's attributes first and then the others in
+    declaration order, and checks each constraint as soon as every
+    attribute it names is bound."""
+    from ctdkit import constraints as c
+    exprs = [c.typecheck(c.parse(source), model) for source in model.constraints]
+    named = [named_attributes(e) for e in exprs]
+    labels = {a.name: a.labels for a in model.attributes}
+
+    def extends(requirement):
+        test = dict(requirement)
+        order = list(test) + [a for a in labels if a not in test]
+        rank = {a: i for i, a in enumerate(order)}
+        checks = [[] for _ in range(len(order) + 1)]  # by rank + 1
+        for e, names in zip(exprs, named):
+            checks[max(map(rank.get, names), default=-1) + 1].append(e)
+
+        def search(i):
+            if not all(eval_expr(e, test) for e in checks[i]):
+                return False
+            if i == len(order):
+                return True
+            if i < len(requirement):  # bound by the requirement
+                return search(i + 1)
+            for label in labels[order[i]]:
+                test[order[i]] = label
+                if search(i + 1):
+                    return True
+            del test[order[i]]
+            return False
+        return search(0)
+
+    return [r for r in requirement_tuples(model, t) if extends(r)]
 
 
 def reference_greedy(model, t, legal, budget=None, seed=0, randomize_ties=False,

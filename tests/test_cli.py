@@ -342,6 +342,16 @@ def test_augment_rejects_unknown_row_reference(capsys, tmp_path):
     assert "99" in err
 
 
+def test_augment_rejects_non_ascii_digit_reference(capsys, tmp_path):
+    results = tmp_path / "results.csv"
+    results.write_text("test,verdict\n\u00b2,PASS\n", encoding="utf-8")
+    code, out, err = run(capsys, "augment", f"{M}/manual3x3x3.json",
+                         f"{M}/manual3x3x3_plan9.csv", str(results),
+                         "--t", "2", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: results reference unknown row hash '\u00b2'\n"
+
+
 def test_augment_rejects_two_verdicts_for_one_row(capsys, tmp_path):
     results = tmp_path / "results.csv"
     results.write_text("test,verdict\n1,PASS\n2,PASS\n1,FAIL\n")

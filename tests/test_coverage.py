@@ -13,14 +13,18 @@ from ctdkit import (
     Model,
     ModelSpace,
     Requirement,
+    UnknownAttributeError,
+    UnknownValueError,
     coverage_of,
     filter_feasible,
     generate_plan,
     generate_requirements,
+    load_model,
     lower_bound,
     parse_model,
     read_plan_csv,
 )
+from ctdkit.bdd import BDD
 from ctdkit.coverage import feasible_count
 from ctdkit.model import Attribute, Value
 
@@ -142,6 +146,60 @@ def test_filter_feasible_leaves_few_bdd_nodes():
     assert feasible_count(space, 2) == 4740
     assert lower_bound(space, 2) == 25
     assert (len(space.manager), len(space.manager._cache)) == sizes
+
+
+@pytest.mark.parametrize("k,v,t,kept_sets,evaluations", [
+    (30, 5, 2, 15 + 30, 15 * 5 ** 2),
+    # each of the 6 linked pairs with each of the 10 other attributes
+    (12, 4, 3, 6 + 12, 6 * 10 * 4 ** 3),
+])
+def test_filter_feasible_projects_linked_pieces_only(monkeypatch, k, v, t,
+                                                      kept_sets, evaluations):
+    """The chain links only the pairs its constraints name: the subsets
+    need one projection per linked pair and per attribute, and only the
+    requirements of subsets that hold a linked pair are evaluated."""
+    model = parse_model(oracles.chain_document(k, v))
+    space = ModelSpace(model)
+    reqs = generate_requirements(model, t)
+    kept, evaluated = [], []
+    projections, evaluate = BDD.projections, BDD.evaluate
+
+    def counted_projections(manager, fn, sets):
+        kept.extend(sets)
+        return projections(manager, fn, sets)
+
+    def counted_evaluate(manager, fn, assignment):
+        evaluated.append(fn)
+        return evaluate(manager, fn, assignment)
+
+    monkeypatch.setattr(BDD, "projections", counted_projections)
+    monkeypatch.setattr(BDD, "evaluate", counted_evaluate)
+    result = filter_feasible(reqs, space)
+    monkeypatch.undo()
+    assert len(kept) <= kept_sets
+    assert len(evaluated) <= evaluations
+    assert ([r.bindings for r in result.feasible()]
+            == oracles.feasible_requirements_by_search(model, t))
+    assert list(result) == reqs
+
+
+@pytest.mark.parametrize("name", ["code_review", "shopping", "at_least_one",
+                                  "xyz_drop_a", "staircase"])
+def test_search_oracle_equals_brute_force(models_dir, name):
+    model = load_model(models_dir / f"{name}.json")
+    legal = oracles.legal_tuples(model, oracles.constraint_predicate(model))
+    for t in range(1, min(3, len(model.attributes)) + 1):
+        assert (oracles.feasible_requirements_by_search(model, t)
+                == oracles.feasible_requirement_tuples(model, t, legal))
+
+
+def test_filter_feasible_rejects_unknown_bindings(shopping, shopping_space):
+    # the subsets' projections exclude nothing, so no requirement is evaluated
+    reqs = generate_requirements(shopping, 2)
+    for bad, error in (((("Payment", "Bitcoin"),), UnknownValueError),
+                       ((("Currency", "EUR"),), UnknownAttributeError)):
+        with pytest.raises(error):
+            filter_feasible(reqs + [Requirement(bad)], shopping_space)
 
 
 def test_filter_feasible_is_monotone_under_constraints(xyz, xyz_drop_a):

@@ -5,6 +5,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from ctdkit import (
@@ -507,6 +508,70 @@ def test_projection_counts_on_shopping(shopping_space):
 def test_projection_rejects_unknown_value(shopping_space):
     with pytest.raises(UnknownValueError):
         shopping_space.project({"Payment": "Bitcoin"})
+
+
+@st.composite
+def _marginal_cases(draw):
+    """A model of 2-6 attributes with unary exclusions, pair links, a
+    3-attribute constraint, one that names an attribute its BDD does not
+    depend on, and unconstrained attributes; then subsets of 1-4 of its
+    attributes, in any order."""
+    k = draw(st.integers(2, 6))
+    names = [f"A{i}" for i in range(k)]
+    labels = [[f"v{j}" for j in range(draw(st.integers(1, 4)))] for _ in names]
+
+    def bound(i, op="="):
+        return f"{names[i]} {op} {draw(st.sampled_from(labels[i]))}"
+
+    def distinct(n):
+        return draw(st.permutations(range(k)))[:n]
+
+    constraints = [bound(i, "!=") for i in draw(st.lists(st.integers(0, k - 1),
+                                                         max_size=2))]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = distinct(2)
+        constraints.append(f"{bound(i)} -> {bound(j, '!=')}")
+    if k >= 3 and draw(st.booleans()):
+        i, j, m = distinct(3)
+        constraints.append(f"{bound(i)} AND {bound(j)} -> {bound(m, '!=')}")
+    if draw(st.booleans()):
+        i, j = distinct(2)  # equals `a` alone: names[j] is named, not linked
+        a, b = bound(i), draw(st.sampled_from(labels[j]))
+        constraints.append(f"({a} AND {names[j]} = {b}) OR ({a} AND {names[j]} != {b})")
+    attributes = tuple(Attribute(n, tuple(map(Value, ls)))
+                       for n, ls in zip(names, labels))
+    subsets = draw(st.lists(st.lists(st.sampled_from(names), min_size=1,
+                                     max_size=min(4, k), unique=True),
+                            min_size=1, max_size=8))
+    return Model(attributes, tuple(constraints)), subsets
+
+
+@settings(max_examples=200, deadline=None)
+@given(_marginal_cases())
+def test_marginals_equal_full_projections(case):
+    model, subsets = case
+    try:
+        space = ModelSpace(model)
+    except InfeasibleModelError:
+        assume(False)
+    blocks, index = space.encoding.blocks, model.attribute_index
+    kept = [[v for n in subset for v in blocks[index(n)]] for subset in subsets]
+    expected = space.manager.projections(space.legal, kept)
+    assert space.marginals(subsets) == expected
+
+
+def test_components_come_from_bdd_support():
+    # the first constraint is `A = a`: it names B, but does not link it
+    attrs = tuple(Attribute(n, (Value("a"), Value("b"), Value("c")))
+                  for n in ("A", "B", "C", "D"))
+    space = ModelSpace(Model(attrs, (
+        "(A = a AND B = b) OR (A = a AND B != b)", "B = a -> C != b")))
+    assert space._components == [0, 1, 1, 3]
+    blocks = space.encoding.blocks
+    for subset in (["A", "B"], ["B", "C"], ["A", "B", "C", "D"]):
+        kept = [v for n in subset for v in blocks[space.model.attribute_index(n)]]
+        assert space.marginals([subset]) == space.manager.projections(
+            space.legal, [kept])
 
 
 # ----------------------------------------------------------------------

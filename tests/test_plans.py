@@ -102,6 +102,15 @@ def test_resolve_results_unknown_references():
         resolve_results([("deadbeef", True)], tests, columns)
 
 
+def test_resolve_results_non_ascii_digits_are_hashes():
+    # str.isdigit holds for each, but only ASCII digits index rows
+    columns = ["A"]
+    tests = [{"A": "x"}]
+    for ref in ("\u00b2", "\u0663", "1\u00b2"):
+        with pytest.raises(PlanFormatError, match="unknown row hash"):
+            resolve_results([(ref, True)], tests, columns)
+
+
 def test_resolve_results_rejects_two_verdicts_for_one_row():
     columns = ["A", "B"]
     tests = [{"A": "x", "B": "y"}, {"A": "z", "B": "w"}]

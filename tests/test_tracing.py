@@ -5,6 +5,9 @@ returns something it can measure."""
 import importlib.util
 import pathlib
 
+import pytest
+
+import oracles
 import ctdkit
 import ctdkit.cli  # noqa: F401  (the tracer wraps `cli.main` too)
 
@@ -18,7 +21,7 @@ def _tracing_module():
     return module
 
 
-def test_tracer_sees_every_layer_of_the_library(code_review_space):
+def test_tracer_sees_every_layer_of_the_library(code_review, code_review_space):
     originals = (ctdkit.generate_plan, ctdkit.filter_feasible)
     tracer = _tracing_module().Tracer()
     tracer.install()
@@ -35,5 +38,10 @@ def test_tracer_sees_every_layer_of_the_library(code_review_space):
     # one requirement set per call of each of the four functions
     assert metrics["coverage.filter_calls"][0] == 4
     assert metrics["generator.grow_calls"][0] >= 3
-    assert metrics["coverage.requirements"][0] > 0
-    assert 0 < metrics["coverage.feasible_ratio"][0] <= 1
+    # each of the four built the t=2 requirements once
+    assert metrics["coverage.requirements"][0] == 4 * len(
+        ctdkit.generate_requirements(code_review, 2))
+    legal = oracles.legal_tuples(code_review, oracles.constraint_predicate(code_review))
+    feasible = oracles.feasible_requirement_tuples(code_review, 2, legal)
+    assert metrics["coverage.feasible_ratio"][0] == pytest.approx(
+        len(feasible) / len(oracles.requirement_tuples(code_review, 2)))
