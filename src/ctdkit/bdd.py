@@ -15,11 +15,16 @@ that share that cache under the ite triple they stand for: `(f, g, false)`
 for `f & g` and `(f, true, g)` for `f | g`, with `f < g`.  `exists`
 memoizes outside that cache, by node and kept-variable mask, within one
 call or one group of `projections`; `_intersects` decides whether `f & g`
-is satisfiable without building it.  Negation is `ite(f, false, true)`;
-there are no complemented edges.  Counting and enumeration walk an
-explicit stack, so their depth is not bounded by the interpreter's
-recursion limit; `ite`, the kernels, `restrict` and `exists` still
-recurse, one frame per variable level.
+is satisfiable without building it.  `cofactor` fixes the variables of a
+cube (a `{var: bit}` dict) in one pass, walking straight down while the
+root tests a bound variable, and memoizes within the call, so `_cache`
+holds only ite, AND and OR entries; `restrict` is a one-variable cube.
+`cofactors` splits f over a block of variables into one cofactor per bit
+pattern, following edges where the block is at the top of f.  Negation is
+`ite(f, false, true)`; there are no complemented edges.  Counting and
+enumeration walk an explicit stack, so their depth is not bounded by the
+interpreter's recursion limit; `ite`, the AND/OR kernels, `cofactor` and
+`exists` still recurse, one frame per variable level.
 
 A manager and its handles are confined to one thread of control at a time;
 distinct managers are independent.
@@ -218,29 +223,61 @@ class BDD:
 
     def restrict(self, f: "Function", var: int, value: bool) -> "Function":
         """Cofactor of f with `var` fixed to `value`."""
-        self._check_same_manager(f)
-        self._check_var(var)
-        return Function(self, self._restrict(f.root, var, bool(value)))
+        return self.cofactor(f, {var: value})
 
-    def _restrict(self, root: int, var: int, value: bool) -> int:
-        v = self._var_of(root)
-        if v > var:
-            return root
-        key = ("restrict", root, var, value)
-        found = self._cache.get(key)
-        if found is not None:
-            return found
-        node_var, low, high = self._nodes[root]
-        if node_var == var:
-            result = high if value else low
-        else:
-            result = self._node(
-                node_var,
-                self._restrict(low, var, value),
-                self._restrict(high, var, value),
-            )
-        self._cache[key] = result
-        return result
+    def cofactor(self, f: "Function", cube: dict[int, int]) -> "Function":
+        """Cofactor of f with each variable of `cube` fixed to its bit."""
+        self._check_same_manager(f)
+        for var in cube:
+            self._check_var(var)
+        if not cube:
+            return f
+        return Function(self, self._cofactor(f.root, cube, max(cube), {}))
+
+    def cofactors(self, f: "Function", variables) -> list["Function"]:
+        """The 2**w cofactors of f over w variables, one per bit pattern,
+        big-endian in the order given (the first variable is the most
+        significant bit).
+
+        The roots are split one variable at a time.  A root that tests the
+        variable splits into its children and one below it stays whole, so
+        a block at the top of f is split by following edges, creating no
+        nodes; only a root above the variable is cofactored.
+        """
+        self._check_same_manager(f)
+        nodes, roots = self._nodes, [f.root]
+        for var in variables:
+            self._check_var(var)
+            cubes, memos = ({var: 0}, {var: 1}), ({}, {})
+            split = []
+            for root in roots:
+                v, low, high = nodes[root]
+                if v < var:
+                    low = self._cofactor(root, cubes[0], var, memos[0])
+                    high = self._cofactor(root, cubes[1], var, memos[1])
+                elif v > var:
+                    low = high = root
+                split += (low, high)
+            roots = split
+        return [Function(self, root) for root in roots]
+
+    def _cofactor(self, root: int, cube: dict, last: int, memo: dict) -> int:
+        # `last` is the deepest variable of `cube`; `memo` maps a node to
+        # its cofactor by this cube, for one call.  While the root tests a
+        # bound variable, take the edge its bit selects.
+        nodes = self._nodes
+        var, low, high = nodes[root]
+        while var in cube:
+            root = high if cube[var] else low
+            var, low, high = nodes[root]
+        if var > last:
+            return root  # nothing left to fix (terminals included)
+        found = memo.get(root)
+        if found is None:
+            found = memo[root] = self._node(
+                var, self._cofactor(low, cube, last, memo),
+                self._cofactor(high, cube, last, memo))
+        return found
 
     def exists(self, f: "Function", variables: Iterable[int]) -> "Function":
         """Existential quantification over `variables`."""

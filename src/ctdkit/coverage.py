@@ -52,13 +52,13 @@ class Requirement:
 class RequirementSet:
     """Ordered, deduplicated requirements, each feasible or not, with the
     routine that finds the feasible ones a test covers.  Built by
-    `filter_feasible`."""
+    `filter_feasible`, which passes the attribute subsets that hold a
+    feasible requirement."""
 
-    def __init__(self, requirements, feasible, attributes):
+    def __init__(self, requirements, feasible, attributes, subsets):
         self._requirements = tuple(requirements)
         self._by_bindings = {r.bindings: r for r in feasible}
         self._attributes = tuple(attributes)
-        subsets = dict.fromkeys(map(_attrs, self._by_bindings))
         widths = Counter(map(len, subsets))
         self._dense = [w for w in widths
                        if widths[w] == math.comb(len(self._attributes), w)]
@@ -173,11 +173,16 @@ def filter_feasible(reqs, space: ModelSpace) -> RequirementSet:
     for attrs, run in itertools.groupby(map(attrgetter("bindings"), reqs), _attrs):
         groups.setdefault(attrs, []).extend(run)
     infeasible = set()
+    subsets = []  # those holding a feasible requirement
     for (attrs, group), (fn, count) in zip(groups.items(), _projections(space, groups)):
         if count < math.prod(space.model.attribute(a).size for a in attrs):
-            infeasible.update(b for b in group if not fn.evaluate(space.binding_bits(b)))
+            out = [b for b in group if not fn.evaluate(space.binding_bits(b))]
+            infeasible.update(out)
+            if len(out) == len(group):
+                continue  # a group of directives may be infeasible throughout
+        subsets.append(attrs)
     feasible = [r for r in reqs if r.bindings not in infeasible]
-    return RequirementSet(reqs, feasible, space.model.attribute_names)
+    return RequirementSet(reqs, feasible, space.model.attribute_names, subsets)
 
 
 def _projections(space: ModelSpace, subsets):

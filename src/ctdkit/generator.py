@@ -5,7 +5,10 @@ feasible requirement (in the deterministic requirement order), start from
 the legal space cofactored on its values, then bind the remaining
 attributes one at a time in declaration order.  A candidate value is
 viable iff cofactoring the running function on it leaves it non-false,
-i.e. some legal test extends the partial assignment.  Among viable values,
+i.e. some legal test extends the partial assignment.  One engine call per
+attribute gives every value's cofactor (`ModelSpace.value_cofactors`): the
+attribute's block is at the top of the running function, so splitting it
+follows edges and builds no nodes.  Among viable values,
 the one completing the most currently-uncovered requirements wins, lowest
 value index on ties (or a seeded random choice among the tied best when
 randomized tie-breaking is enabled).  A candidate's score is how many of
@@ -63,8 +66,8 @@ def grow_tests(space: ModelSpace, reqs: RequirementSet, already_covered: set,
                 continue
             best = []  # tied (label, cofactor) candidates at best_score
             best_score = -1
-            for label in attr.labels:
-                candidate = space.cofactor(fn, ((attr.name, label),))
+            for label, candidate in zip(attr.labels,
+                                        space.value_cofactors(fn, attr.name)):
                 if candidate.is_false:
                     continue
                 # uncovered requirements this binding completes: every other

@@ -488,9 +488,17 @@ class ModelSpace:
         False exactly when fn has no test holding those values, without
         building the conjunction.
         """
-        for var, bit in self.binding_bits(bindings).items():
-            fn = fn.restrict(var, bit)
-        return fn
+        return self.manager.cofactor(fn, self.binding_bits(bindings))
+
+    def value_cofactors(self, fn: Function, attr: str) -> list[Function]:
+        """fn cofactored on each value of one attribute, in value order.
+
+        One engine call splits fn over the attribute's block; a value's
+        index is its code, so its cofactor is the one for that bit pattern.
+        """
+        ai = self._attr_index(attr)
+        cofactors = self.manager.cofactors(fn, self.encoding.blocks[ai])
+        return cofactors[:self.model.attributes[ai].size]
 
     @cached_property
     def _components(self) -> list[int]:

@@ -6,8 +6,9 @@ Plan JSON carries the same rows plus coverage metrics and a
 schema_version field.
 
 Cycle results CSV: header ``test,verdict``; ``test`` is either a 1-based
-row index into the plan CSV or the row's content hash (see `row_hash`),
-``verdict`` is PASS or FAIL (case-insensitive).
+row index into the plan CSV or the row's content hash (see `row_hash`;
+identical rows take one hash ref each, in file order), ``verdict`` is PASS
+or FAIL (case-insensitive).
 """
 
 from __future__ import annotations
@@ -159,8 +160,12 @@ def read_results_csv(path) -> list[tuple[str, bool]]:
 
 def resolve_results(results, tests, columns) -> list[bool | None]:
     """Per-test verdicts (None = no verdict); refs are 1-based indices or
-    hashes.  Two verdicts for one row, by either kind of ref, are rejected."""
-    hashes = {row_hash(test, columns): i for i, test in enumerate(tests)}
+    hashes.  A hash names the first row with that content that has no
+    verdict yet, so identical rows take one verdict each, in file order.
+    Two verdicts for one row, by either kind of ref, are rejected."""
+    hashes: dict[str, list[int]] = {}  # row hash -> its rows, in file order
+    for i, test in enumerate(tests):
+        hashes.setdefault(row_hash(test, columns), []).append(i)
     verdicts: list[bool | None] = [None] * len(tests)
     for ref, passed in results:
         if ref.isascii() and ref.isdigit():  # '²' is a digit that int() rejects
@@ -169,9 +174,11 @@ def resolve_results(results, tests, columns) -> list[bool | None]:
                 raise PlanFormatError(
                     f"results reference row {ref}, plan has {len(tests)} rows")
         else:
-            index = hashes.get(ref)
-            if index is None:
+            rows = hashes.get(ref)
+            if rows is None:
                 raise PlanFormatError(f"results reference unknown row hash {ref!r}")
+            # when every copy has a verdict, the last one is reported
+            index = next((i for i in rows if verdicts[i] is None), rows[-1])
         if verdicts[index] is not None:
             raise PlanFormatError(
                 f"results give more than one verdict for row {index + 1}")

@@ -358,6 +358,75 @@ def test_projections_check_their_variables():
     assert m.projections(m.false, [[], [0, 1, 2]])[1].is_false
 
 
+def _shifted(tree, k):
+    """The tree with every variable index moved up by k."""
+    if tree[0] == "var":
+        return ("var", tree[1] + k)
+    if tree[0] == "const":
+        return tree
+    return (tree[0], *(_shifted(sub, k) for sub in tree[1:]))
+
+
+# a random function over 4 variables placed at offset 0..4 of an 8-variable
+# manager, so cofactored variables fall above, inside and below its support
+_placed_trees = st.builds(
+    lambda seed, k: _shifted(oracles.random_tree(random.Random(seed), 4, 4), k),
+    st.integers(0, 2**32 - 1), st.integers(0, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_placed_trees, st.lists(st.integers(0, 7), unique=True, max_size=4))
+def test_cofactors_equal_nested_restricts(tree, variables):
+    m = BDD(8)
+    f = oracles.tree_fn(tree, m)
+    support, nodes, cached = f.support(), len(m), len(m._cache)
+    split = m.cofactors(f, variables)
+    assert len(split) == 2 ** len(variables)
+    for pattern, g in enumerate(split):
+        expected = f
+        for i, var in enumerate(variables):  # the first variable is the MSB
+            expected = expected.restrict(var, pattern >> (len(variables) - 1 - i) & 1)
+        assert g.root == expected.root
+    if variables == sorted(variables) and all(
+            v in variables for v in support if v <= max(variables, default=-1)):
+        assert len(m) == nodes  # a block at the top is split along edges
+    assert len(m._cache) == cached  # memos live for one call
+
+
+@settings(max_examples=200, deadline=None)
+@given(_placed_trees, st.dictionaries(st.integers(0, 7), st.integers(0, 1), max_size=5))
+def test_cube_cofactor_equals_sequential_restricts(tree, cube):
+    m = BDD(8)
+    f = oracles.tree_fn(tree, m)
+    cached = len(m._cache)
+    g = m.cofactor(f, cube)
+    assert len(m._cache) == cached
+    expected = f
+    for var, bit in cube.items():
+        expected = expected.restrict(var, bit)
+    assert g.root == expected.root
+    # and it agrees with the truth table on every row that matches the cube
+    table = oracles.tree_table(tree, 8)
+    for row in range(256):
+        bits = [(row >> (7 - v)) & 1 for v in range(8)]  # variable 0 is the MSB
+        if all(bits[v] == b for v, b in cube.items()):
+            assert g.evaluate(bits) == bool(table >> row & 1)
+
+
+def test_cofactor_checks_its_variables():
+    m = BDD(3)
+    f = m.var(0) & m.var(2)
+    assert m.cofactor(f, {}).root == f.root
+    assert [g.root for g in m.cofactors(f, [])] == [f.root]
+    assert [g.root for g in m.cofactors(f, [0])] == [m.false.root, m.var(2).root]
+    with pytest.raises(BddError):
+        m.cofactor(f, {3: 1})
+    with pytest.raises(BddError):
+        m.cofactors(f, [0, -1])
+    with pytest.raises(BddError):
+        m.cofactor(BDD(3).var(0), {0: 1})
+
+
 def test_store_invariants_after_random_operations():
     n = 7
     m = BDD(n)

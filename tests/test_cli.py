@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ctdkit import Model, constraints, load_model
+from ctdkit import Model, constraints, load_model, row_hash
 from ctdkit.cli import main
 
 M = "models"
@@ -361,6 +361,31 @@ def test_augment_rejects_two_verdicts_for_one_row(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "more than one verdict for row 1" in err
+
+
+def test_augment_gives_identical_rows_one_hash_verdict_each(capsys, tmp_path):
+    # a 2x2 model whose plan repeats a row: the two verdicts for its hash
+    # go to the two copies in file order
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"attributes": [
+        {"name": "A", "values": ["a", "b"]}, {"name": "B", "values": ["x", "y"]}]}))
+    plan = tmp_path / "plan.csv"
+    plan.write_text("A,B\na,x\na,x\nb,y\n")
+    digest = row_hash({"A": "a", "B": "x"}, ["A", "B"])
+    results = tmp_path / "results.csv"
+    results.write_text(f"test,verdict\n{digest},PASS\n{digest},FAIL\n3,PASS\n")
+    code, out, err = run(capsys, "augment", str(model), str(plan), str(results),
+                         "--t", "2", "--n", "5")
+    assert code == 0
+    # the passed rows a,x and b,y leave a,y and b,x
+    assert err == "new=2 residual_before=2 residual_after=0 coverage=100.00%\n"
+    assert out.splitlines()[1:] == ["a,y", "b,x"]
+    results.write_text(f"test,verdict\n{digest},PASS\n{digest},FAIL\n"
+                       f"{digest},PASS\n")
+    code, out, err = run(capsys, "augment", str(model), str(plan), str(results),
+                         "--t", "2", "--n", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: results give more than one verdict for row 2\n"
 
 
 def _plan_with_repeated_column(tmp_path):

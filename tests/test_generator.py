@@ -10,6 +10,7 @@ from ctdkit import (
     coverage_of,
     generate_plan,
     lower_bound,
+    parse_model,
 )
 
 
@@ -136,3 +137,12 @@ def test_generated_coverage_matches_brute_force(api8x2, api8x2_space):
     names = [a.name for a in api8x2.attributes]
     covered = oracles.covered_t_tuples(plan.tests, names, 2)
     assert covered == oracles.feasible_t_tuples(api8x2, 2)
+
+
+@pytest.mark.parametrize("k, v, t, most", [(20, 5, 2, 3500), (12, 4, 3, 700)])
+def test_candidates_add_few_nodes(k, v, t, most):
+    # the greedy splits each attribute's block along edges; cofactoring every
+    # candidate value bit by bit would more than double the nodes
+    space = ModelSpace(parse_model(oracles.chain_document(k, v)))
+    generate_plan(space, t)
+    assert len(space.manager) <= most

@@ -122,6 +122,25 @@ def test_resolve_results_rejects_two_verdicts_for_one_row():
             resolve_results(results, tests, columns)
 
 
+def test_resolve_results_hashes_fill_identical_rows_in_file_order():
+    columns = ["A", "B"]
+    tests = [{"A": "a", "B": "x"}, {"A": "a", "B": "x"}, {"A": "b", "B": "y"}]
+    digest = row_hash(tests[0], columns)
+    assert resolve_results([(digest, True)], tests, columns) == [True, None, None]
+    assert resolve_results([(digest, True), (digest, False)], tests, columns) == [
+        True, False, None]
+    # a number takes its row, and a hash the copy left over
+    assert resolve_results([("1", False), (digest, True)], tests, columns) == [
+        False, True, None]
+    assert resolve_results([("2", False), (digest, True)], tests, columns) == [
+        True, False, None]
+    # a third verdict for two copies is one too many
+    with pytest.raises(PlanFormatError, match="more than one verdict for row 2"):
+        resolve_results([(digest, True)] * 3, tests, columns)
+    with pytest.raises(PlanFormatError, match="more than one verdict for row 2"):
+        resolve_results([(digest, True), (digest, True), ("2", True)], tests, columns)
+
+
 def test_row_hash_is_stable_and_order_sensitive():
     columns = ["A", "B"]
     test = {"A": "x", "B": "y"}
