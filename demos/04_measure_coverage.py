@@ -32,5 +32,5 @@ grade("code_review", "code_review_plan13")
 print("\ntruncated to three rows, the analyzer names what is missing:")
 report = grade("api8x2", "api8x2_plan7", rows_slice=3)
 for req in report.missing[:8]:
-    print("  missing:", req.format())
+    print("  missing:", ", ".join(f"{a}={v}" for a, v in req))
 print(f"  ... and {len(report.missing) - 8} more")

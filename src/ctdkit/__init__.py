@@ -11,7 +11,6 @@ cycles, and concretize subdomain values into executable inputs.
 from .bdd import BDD, Function
 from .coverage import (
     CoverageReport,
-    Requirement,
     RequirementSet,
     coverage_of,
     filter_feasible,
@@ -60,7 +59,7 @@ __all__ = [
     "Model", "Attribute", "Value", "Encoding", "ModelSpace",
     "ValidationReport", "build_encoding", "load_model", "parse_model",
     "validate_model",
-    "Requirement", "RequirementSet", "CoverageReport",
+    "RequirementSet", "CoverageReport",
     "generate_requirements", "filter_feasible", "coverage_of",
     "TestPlan", "read_plan_csv", "read_results_csv", "row_hash",
     "generate_plan", "lower_bound",

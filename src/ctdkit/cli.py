@@ -4,7 +4,8 @@ Subcommands: validate, count, generate, analyze, augment, project,
 instantiate.  Exit codes: 0 success, 1 domain or validation error,
 2 I/O or usage error.  JSON outputs carry a schema_version field.
 The CTDKIT_FORMAT environment variable sets the default output format
-(csv or json); flags override it.
+(csv or json, in any case); flags override it, and any other value is a
+usage error.
 """
 
 from __future__ import annotations
@@ -22,11 +23,17 @@ from .model import ModelSpace, _checked_space, load_model, validate_model
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
+FORMATS = ("csv", "json")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "format" in args and args.format is None:
+        env = os.environ.get("CTDKIT_FORMAT", "csv")
+        if env.lower() not in FORMATS:
+            parser.error(f"CTDKIT_FORMAT must be csv or json, got {env!r}")
+        args.format = env.lower()
     try:
         return args.handler(args)
     except CtdError as exc:
@@ -68,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--max-missing", type=_non_negative_int, default=20,
                    help="cap on listed missing requirements")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("augment",
@@ -111,14 +118,8 @@ def _non_negative_int(text: str) -> int:
 
 
 def _format_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-
-
-def _chosen_format(args) -> str:
-    if args.format:
-        return args.format
-    return os.environ.get("CTDKIT_FORMAT", "csv").lower()
 
 
 def _load_valid(path) -> ModelSpace:
@@ -164,7 +165,7 @@ def cmd_generate(args) -> int:
     plan = generator.generate_plan(space, args.t, args.budget, args.seed,
                                    args.randomize_ties)
     columns = space.model.attribute_names
-    if _chosen_format(args) == "json":
+    if args.format == "json":
         text = plans.plan_json_text(plan, columns, {"seed": args.seed})
     else:
         text = plans.plan_csv_text(plan.tests, columns)
@@ -185,7 +186,7 @@ def cmd_analyze(args) -> int:
     space = _load_valid(args.model)
     rows = _read_plan_for(space, args.plan)
     report = coverage.coverage_of(space, rows, args.t)
-    if _chosen_format(args) == "json":
+    if args.format == "json":
         print(json.dumps(report.to_json(args.max_missing), indent=2))
     else:
         print(report.format(args.max_missing))
@@ -203,7 +204,7 @@ def cmd_augment(args) -> int:
     passed = [row for row, v in zip(rows, verdicts) if v]
     result = cycles.augment_plan(space, args.t, passed, args.n, args.seed)
     columns = space.model.attribute_names
-    if _chosen_format(args) == "json":
+    if args.format == "json":
         text = plans.plan_json_text(result.plan, columns, {
             "seed": args.seed,
             "residual_before": result.residual_before,
@@ -239,7 +240,7 @@ def cmd_instantiate(args) -> int:
     concrete = instantiate(space.model, rows, args.seed)
     free = [_parse_free(item) for item in args.free]
     concrete = randomize_free(space.model, concrete, free, args.seed)
-    if _chosen_format(args) == "json":
+    if args.format == "json":
         text = json.dumps(concrete.to_json(), indent=2) + "\n"
     else:
         text = plans.plan_csv_text(concrete.rows, concrete.columns)

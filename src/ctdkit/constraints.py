@@ -27,12 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .errors import (
-    ConstraintSyntaxError,
-    LexicalError,
-    UnknownAttributeError,
-    UnknownValueError,
-)
+from .errors import ConstraintSyntaxError, LexicalError
 
 if TYPE_CHECKING:
     from .bdd import BDD, Function
@@ -323,10 +318,10 @@ def _fmt(e: Expr, min_prec: int) -> str:
 def typecheck(e: Expr, model: "Model") -> Expr:
     """Resolve every attribute/value reference; returns the checked AST."""
     if isinstance(e, (Equals, NotEquals)):
-        _resolve(model, e.attr, e.value)
+        model.resolve(e.attr, e.value)
     elif isinstance(e, In):
         for value in e.values:
-            _resolve(model, e.attr, value)
+            model.resolve(e.attr, value)
     elif isinstance(e, Not):
         typecheck(e.child, model)
     elif isinstance(e, (And, Or)):
@@ -340,30 +335,20 @@ def typecheck(e: Expr, model: "Model") -> Expr:
     return e
 
 
-def _resolve(model: "Model", attr: str, value: str) -> tuple[int, int]:
-    ai = model.attribute_index(attr)
-    if ai is None:
-        raise UnknownAttributeError(attr)
-    vi = model.attributes[ai].index_of(value)
-    if vi is None:
-        raise UnknownValueError(attr, value)
-    return ai, vi
-
-
 def compile_expr(e: Expr, model: "Model", encoding: "Encoding",
                  manager: "BDD") -> "Function":
     """Compile a typechecked AST to a function over the encoding's variables."""
     if isinstance(e, Equals):
-        ai, vi = _resolve(model, e.attr, e.value)
+        ai, vi = model.resolve(e.attr, e.value)
         return encoding.value_eq(manager, ai, vi)
     if isinstance(e, NotEquals):
-        ai, vi = _resolve(model, e.attr, e.value)
+        ai, vi = model.resolve(e.attr, e.value)
         return ~encoding.value_eq(manager, ai, vi)
     if isinstance(e, In):
-        ai = _resolve(model, e.attr, e.values[0])[0]
+        ai = model.resolve(e.attr, e.values[0])[0]
         result = manager.false
         for value in e.values:
-            vi = _resolve(model, e.attr, value)[1]
+            vi = model.resolve(e.attr, value)[1]
             result = result | encoding.value_eq(manager, ai, vi)
         return result
     if isinstance(e, Not):

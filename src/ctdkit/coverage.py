@@ -1,7 +1,8 @@
 """Interaction coverage requirements and coverage measurement.
 
-A requirement is one value tuple over a t-subset of attributes; a test
-covers it when it assigns exactly those values.  Requirement order is
+A requirement is one value tuple over a t-subset of attributes, held as
+its bindings `((attr, label), ...)` in declaration order; a test covers it
+when it assigns exactly those values.  Requirement order is
 deterministic: attribute subsets in lexicographic declaration order, value
 tuples in value-index order, then any explicit model directives
 (deduplicated).  Feasibility is decided once per distinct attribute subset,
@@ -13,11 +14,12 @@ are all feasible unevaluated; otherwise each is evaluated on the projection.
 The counts also give `feasible_count` (sum) and `generator.lower_bound` (max).
 
 `filter_feasible` returns the one `RequirementSet` of a (space, t): the
-requirements in order, each feasible or not, and `candidate_keys`, which
-lists what a test may cover.  At a width where every attribute subset has
-a feasible requirement (t always does), that is the combinations of the
-test's bindings in declaration order, hashed in C against a set of
-binding tuples; at any other width (directives), one lookup per subset.
+requirements in order, each feasible or not, `covered`, the feasible ones
+some tests cover, and `candidate_keys`, which lists what a test may cover.
+At a width where every attribute subset has a feasible requirement (t
+always does), that is the combinations of the test's bindings in
+declaration order, hashed in C against the set of feasible requirements;
+at any other width (directives), one lookup per subset.
 Plan generation, coverage analysis and cycle augmentation each build the
 set once per call and measure against it.  Coverage credit is granted
 only by tests inside the legal space; imported tests that violate it are
@@ -30,23 +32,10 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add, attrgetter, itemgetter
+from operator import add, itemgetter
 
-from .errors import CtdError, UnknownAttributeError, UnknownValueError
+from .errors import CtdError
 from .model import Model, ModelSpace
-
-
-@dataclass(frozen=True)
-class Requirement:
-    """An (attr, value) tuple over distinct attributes, in declaration order."""
-    bindings: tuple[tuple[str, str], ...]
-
-    @property
-    def attrs(self) -> tuple[str, ...]:
-        return _attrs(self.bindings)
-
-    def format(self) -> str:
-        return ", ".join(f"{a}={v}" for a, v in self.bindings)
 
 
 class RequirementSet:
@@ -57,7 +46,9 @@ class RequirementSet:
 
     def __init__(self, requirements, feasible, attributes, subsets):
         self._requirements = tuple(requirements)
-        self._by_bindings = {r.bindings: r for r in feasible}
+        # each feasible requirement to itself: `covered` hands back these
+        # tuples, not the equal ones a test's combinations build
+        self._feasible = {bindings: bindings for bindings in feasible}
         self._attributes = tuple(attributes)
         widths = Counter(map(len, subsets))
         self._dense = [w for w in widths
@@ -70,15 +61,15 @@ class RequirementSet:
     def __iter__(self):
         return iter(self._requirements)
 
-    def feasible(self) -> list[Requirement]:
+    def feasible(self) -> list[tuple[tuple[str, str], ...]]:
         """The feasible requirements, in requirement order."""
-        return list(self._by_bindings.values())
+        return list(self._feasible)
 
     def candidate_keys(self, before, binding=None, after=()):
-        """The bindings of the requirements that a test holding `before`
-        (bindings in declaration order) may cover, feasible or not.  Given
-        a `binding` that goes between `before` and `after`, only those that
-        hold it, their other bindings drawn from both sides."""
+        """The requirements that a test holding `before` (bindings in
+        declaration order) may cover, feasible or not.  Given a `binding`
+        that goes between `before` and `after`, only those that hold it,
+        their other bindings drawn from both sides."""
         if binding is None:
             keys = [itertools.combinations(before, w) for w in self._dense]
             sparse = self._sparse
@@ -93,62 +84,46 @@ class RequirementSet:
             keys.append(tuple((a, value(a)) for a in s) for s in sparse)
         return itertools.chain.from_iterable(keys)
 
-    def covered_bindings(self, tests) -> set:
-        """The bindings of the feasible requirements that some test in
-        `tests` covers.  A test may bind its attributes in any key order,
-        and earns nothing for the ones it leaves out."""
+    def covered(self, tests) -> set:
+        """The feasible requirements that some test in `tests` covers.  A
+        test may bind its attributes in any key order, and earns nothing
+        for the ones it leaves out."""
         found: set = set()
-        lookup, bindings = self._by_bindings.get, attrgetter("bindings")
+        lookup = self._feasible.get
         for test in tests:
             keys = self.candidate_keys(
                 [(a, test[a]) for a in self._attributes if a in test])
-            # the requirements' own tuples, so `found` keeps no new ones alive
-            found.update(map(bindings, filter(None, map(lookup, keys))))
+            found.update(filter(None, map(lookup, keys)))
         return found
 
-    def covered(self, tests) -> set[Requirement]:
-        """The feasible requirements that some test in `tests` covers."""
-        return set(map(self._by_bindings.__getitem__,
-                       self.covered_bindings(tests)))
 
-
-def _attrs(bindings) -> tuple[str, ...]:
-    """The attributes of (attr, value) bindings, in their order."""
-    return tuple(map(itemgetter(0), bindings))
-
-
-def normalize_bindings(model: Model, bindings) -> Requirement:
+def normalize_bindings(model: Model, bindings) -> tuple[tuple[str, str], ...]:
     """Typecheck bindings and order them by attribute declaration."""
-    resolved = []
-    seen = set()
+    resolved: dict[int, tuple[str, str]] = {}
     for attr, value in bindings:
-        ai = model.attribute_index(attr)
-        if ai is None:
-            raise UnknownAttributeError(attr)
-        if model.attributes[ai].index_of(value) is None:
-            raise UnknownValueError(attr, value)
-        if ai in seen:
+        ai, _ = model.resolve(attr, value)
+        if ai in resolved:
             raise CtdError(f"requirement repeats attribute {attr!r}")
-        seen.add(ai)
-        resolved.append((ai, attr, value))
+        resolved[ai] = (attr, value)
     if not resolved:
         raise CtdError("requirement has no bindings")
-    resolved.sort(key=lambda x: x[0])
-    return Requirement(tuple((attr, value) for _, attr, value in resolved))
+    return tuple(resolved[ai] for ai in sorted(resolved))
 
 
-def generate_requirements(model: Model, t: int,
-                          include_directives: bool = True) -> list[Requirement]:
+def generate_requirements(model: Model, t: int) -> list[tuple[tuple[str, str], ...]]:
     """All value tuples over every t-subset of attributes, plus directives,
     in order and without repeats."""
-    keys = list(itertools.chain.from_iterable(
+    return list(itertools.chain.from_iterable(
         map(tuple, map(zip, itertools.repeat([model.attributes[i].name for i in subset]),
                        itertools.product(*(model.attributes[i].labels for i in subset))))
-        for subset in _t_subsets(model, t)))
-    directives = (normalize_bindings(model, d).bindings for d in model.directives)
-    if include_directives:  # one that is t wide is one of the tuples above
-        keys += dict.fromkeys(b for b in directives if len(b) != t)
-    return list(map(Requirement, keys))
+        for subset in _t_subsets(model, t))) + _directives(model, t)
+
+
+def _directives(model: Model, t: int) -> list[tuple[tuple[str, str], ...]]:
+    """The model's directives, normalized, in order and without repeats,
+    less those t wide: each of those is one of the t-way value tuples."""
+    directives = (normalize_bindings(model, d) for d in model.directives)
+    return list(dict.fromkeys(b for b in directives if len(b) != t))
 
 
 def _t_subsets(model: Model, t: int):
@@ -166,11 +141,11 @@ def filter_feasible(reqs, space: ModelSpace) -> RequirementSet:
     the legal space, and one by one only where that excludes a value tuple."""
     reqs = tuple(reqs)
     known = {(a.name, v) for a in space.model.attributes for v in a.labels}
-    unknown = itertools.filterfalse(known.__contains__, itertools.chain.from_iterable(
-        map(attrgetter("bindings"), reqs)))
+    unknown = itertools.filterfalse(known.__contains__,
+                                    itertools.chain.from_iterable(reqs))
     space.binding_bits(unknown)  # raises UnknownAttributeError or UnknownValueError
-    groups: dict[tuple[str, ...], list] = {}  # subset -> its requirements' bindings
-    for attrs, run in itertools.groupby(map(attrgetter("bindings"), reqs), _attrs):
+    groups: dict[tuple[str, ...], list] = {}  # subset -> its requirements
+    for attrs, run in itertools.groupby(reqs, lambda r: tuple(map(itemgetter(0), r))):
         groups.setdefault(attrs, []).extend(run)
     infeasible = set()
     subsets = []  # those holding a feasible requirement
@@ -181,7 +156,7 @@ def filter_feasible(reqs, space: ModelSpace) -> RequirementSet:
             if len(out) == len(group):
                 continue  # a group of directives may be infeasible throughout
         subsets.append(attrs)
-    feasible = [r for r in reqs if r.bindings not in infeasible]
+    feasible = [r for r in reqs if r not in infeasible]
     return RequirementSet(reqs, feasible, space.model.attribute_names, subsets)
 
 
@@ -206,10 +181,7 @@ def feasible_count(space: ModelSpace, t: int) -> int:
     building the t-way ones: the sum of `_subset_counts`.  Directives that
     are not t-tuples are checked one by one."""
     total = sum(_subset_counts(space, t))
-    directives = dict.fromkeys(
-        r for r in (normalize_bindings(space.model, d) for d in space.model.directives)
-        if len(r.bindings) != t)
-    return total + len(filter_feasible(directives, space).feasible())
+    return total + len(filter_feasible(_directives(space.model, t), space).feasible())
 
 
 def coverage_percent(covered: int, total: int) -> float:
@@ -224,7 +196,7 @@ def coverage_percent(covered: int, total: int) -> float:
 class CoverageReport:
     total_feasible: int
     covered: int
-    missing: list[Requirement] = field(default_factory=list)
+    missing: list[tuple[tuple[str, str], ...]] = field(default_factory=list)
     illegal_tests: list[int] = field(default_factory=list)  # 0-based test indices
 
     @property
@@ -242,7 +214,7 @@ class CoverageReport:
             "total_feasible": self.total_feasible,
             "covered": self.covered,
             "percent": round(self.percent, 4),
-            "missing": [list(r.bindings) for r in missing],
+            "missing": [list(r) for r in missing],
             "missing_truncated": max_missing is not None
                 and len(self.missing) > max_missing,
             "illegal_tests": self.illegal_tests,
@@ -258,7 +230,7 @@ class CoverageReport:
             lines.append(f"illegal tests excluded from credit (rows): {rows}")
         shown = self.missing if max_missing is None else self.missing[:max_missing]
         for r in shown:
-            lines.append(f"missing: {r.format()}")
+            lines.append("missing: " + ", ".join(f"{a}={v}" for a, v in r))
         if max_missing is not None and len(self.missing) > max_missing:
             lines.append(f"... and {len(self.missing) - max_missing} more")
         return "\n".join(lines)
@@ -282,6 +254,6 @@ def coverage_of(space: ModelSpace, tests, t: int) -> CoverageReport:
     legal, illegal = split_legal(space, tests)
     reqs = filter_feasible(generate_requirements(space.model, t), space)
     feasible = reqs.feasible()
-    covered = reqs.covered_bindings(legal)
-    missing = [r for r in feasible if r.bindings not in covered]
+    covered = reqs.covered(legal)
+    missing = [r for r in feasible if r not in covered]
     return CoverageReport(len(feasible), len(covered), missing, illegal)

@@ -14,17 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .coverage import (
-    Requirement,
-    coverage_percent,
-    filter_feasible,
-    generate_requirements,
-    split_legal,
-)
+from .coverage import (coverage_percent, filter_feasible, generate_requirements,
+                       split_legal)
 from .errors import CtdError
 from .generator import grow_tests
 from .model import ModelSpace
-from .plans import GENERATED, TestPlan
+from .plans import TestPlan
 
 
 @dataclass
@@ -50,7 +45,7 @@ class CycleRecord:
 @dataclass
 class CycleState:
     passed: list[dict[str, str]]
-    residual: list[Requirement]
+    residual: list[tuple[tuple[str, str], ...]]
     history: list[CycleRecord]
     total_feasible: int
 
@@ -69,11 +64,11 @@ def augment_plan(space: ModelSpace, t: int, passed, n: int,
     reqs = filter_feasible(generate_requirements(space.model, t), space)
     total = len(reqs.feasible())
     legal, illegal = split_legal(space, passed)
-    covered = reqs.covered_bindings(legal)
+    covered = reqs.covered(legal)
     residual_before = total - len(covered)
     tests = grow_tests(space, reqs, covered, n, seed, randomize_ties)
-    covered |= reqs.covered_bindings(tests)
-    plan = TestPlan(tests, len(covered), total, t, [GENERATED] * len(tests))
+    covered |= reqs.covered(tests)
+    plan = TestPlan(tests, len(covered), total, t)
     return AugmentResult(plan, residual_before, total - len(covered), illegal)
 
 
@@ -95,7 +90,7 @@ def run_cycles(space: ModelSpace, t: int, n: int,
         raise CtdError(f"cycle budget must be >= 1, got {n}")
     reqs = filter_feasible(generate_requirements(space.model, t), space)
     feasible = reqs.feasible()
-    credited: set = set()  # bindings of the covered requirements
+    credited: set = set()  # the covered requirements
     passed: list[dict[str, str]] = []
     history: list[CycleRecord] = []
     for _ in range(max_cycles):
@@ -106,9 +101,9 @@ def run_cycles(space: ModelSpace, t: int, n: int,
             break  # nothing left to target
         newly_passed = [test for test in tests if verdict_source(test)]
         passed.extend(newly_passed)
-        credited |= reqs.covered_bindings(newly_passed)
+        credited |= reqs.covered(newly_passed)
         history.append(CycleRecord(n, len(tests), len(credited), len(feasible)))
         if len(credited) == len(feasible):
             break
-    residual = [r for r in feasible if r.bindings not in credited]
+    residual = [r for r in feasible if r not in credited]
     return CycleState(passed, residual, history, len(feasible))

@@ -26,7 +26,7 @@ from .coverage import (RequirementSet, _subset_counts, filter_feasible,
                        generate_requirements)
 from .errors import CtdError
 from .model import ModelSpace
-from .plans import GENERATED, TestPlan
+from .plans import TestPlan
 
 
 def generate_plan(space: ModelSpace, t: int, budget: int | None = None,
@@ -36,19 +36,17 @@ def generate_plan(space: ModelSpace, t: int, budget: int | None = None,
         raise CtdError(f"budget must be >= 1, got {budget}")
     reqs = filter_feasible(generate_requirements(space.model, t), space)
     tests = grow_tests(space, reqs, set(), budget, seed, randomize_ties)
-    return TestPlan(tests, len(reqs.covered_bindings(tests)), len(reqs.feasible()),
-                    t, [GENERATED] * len(tests))
+    return TestPlan(tests, len(reqs.covered(tests)), len(reqs.feasible()), t)
 
 
 def grow_tests(space: ModelSpace, reqs: RequirementSet, already_covered: set,
                budget: int | None, seed: int = 0,
                randomize_ties: bool = False) -> list[dict[str, str]]:
     """Greedy core shared with cycle augmentation: cover the feasible
-    requirements of `reqs` whose bindings are not in `already_covered`,
-    emitting at most `budget` tests."""
+    requirements of `reqs` not in `already_covered`, emitting at most
+    `budget` tests."""
     rng = random.Random(seed)
-    pending = [r.bindings for r in reqs.feasible()
-               if r.bindings not in already_covered]
+    pending = [r for r in reqs.feasible() if r not in already_covered]
     uncovered = set(pending)
     attributes = space.model.attributes
     tests: list[dict[str, str]] = []

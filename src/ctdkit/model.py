@@ -62,7 +62,7 @@ class Attribute:
     name: str
     values: tuple[Value, ...]
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(v.label for v in self.values)
 
@@ -103,6 +103,16 @@ class Model:
             index.setdefault(a.name, i)
         return index
 
+    def resolve(self, attr: str, label: str) -> tuple[int, int]:
+        """The indices of an attribute and of one of its values."""
+        ai = self.attribute_index(attr)
+        if ai is None:
+            raise UnknownAttributeError(attr)
+        vi = self.attributes[ai].index_of(label)
+        if vi is None:
+            raise UnknownValueError(attr, label)
+        return ai, vi
+
     def attribute(self, name: str) -> Attribute:
         i = self.attribute_index(name)
         if i is None:
@@ -119,9 +129,7 @@ class Model:
     def check_assignment(self, assignment: dict[str, str], full: bool = False) -> None:
         """Typecheck a (partial) assignment of value labels to attributes."""
         for name, label in assignment.items():
-            attr = self.attribute(name)
-            if attr.index_of(label) is None:
-                raise UnknownValueError(name, label)
+            self.resolve(name, label)
         if full:
             for a in self.attributes:
                 if a.name not in assignment:
@@ -463,20 +471,13 @@ class ModelSpace:
             raise UnknownAttributeError(attr)
         return ai
 
-    def _indices(self, attr: str, label: str) -> tuple[int, int]:
-        ai = self._attr_index(attr)
-        vi = self.model.attributes[ai].index_of(label)
-        if vi is None:
-            raise UnknownValueError(attr, label)
-        return ai, vi
-
     def binding_bits(self, bindings) -> dict[int, int]:
         """Variable -> bit for the block codes of (attr, value) bindings."""
         bits: dict[int, int] = {}
         for attr, label in bindings:
             code = self._codes.get((attr, label))
             if code is None:
-                ai, vi = self._indices(attr, label)
+                ai, vi = self.model.resolve(attr, label)
                 code = self._codes[attr, label] = tuple(zip(
                     self.encoding.blocks[ai], self.encoding.value_bits(ai, vi)))
             bits.update(code)
@@ -535,10 +536,9 @@ class ModelSpace:
 
     def project(self, partial: dict[str, str]) -> Function:
         """Legal combinations consistent with the fixed attribute values."""
-        self.model.check_assignment(partial)
         fixed = self.manager.true
         for attr, label in partial.items():
-            ai, vi = self._indices(attr, label)
+            ai, vi = self.model.resolve(attr, label)
             fixed = fixed & self.encoding.value_eq(self.manager, ai, vi)
         return self.legal & fixed
 

@@ -17,14 +17,11 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coverage import coverage_percent
 from .errors import PlanFormatError
 from .model import Model
-
-GENERATED = "generated"
-IMPORTED = "imported"
 
 
 @dataclass
@@ -36,11 +33,6 @@ class TestPlan:
     covered: int
     total_feasible: int
     t: int
-    provenance: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.provenance:
-            self.provenance = [GENERATED] * len(self.tests)
 
     def __len__(self) -> int:
         return len(self.tests)
@@ -113,7 +105,7 @@ def plan_to_json(plan: TestPlan, columns, extra: dict | None = None) -> dict:
         "schema_version": 1,
         "columns": list(columns),
         "tests": [[test[c] for c in columns] for test in plan.tests],
-        "provenance": list(plan.provenance),
+        "provenance": ["generated"] * len(plan.tests),  # every plan is generated
         "t": plan.t,
         "covered": plan.covered,
         "total_feasible": plan.total_feasible,

@@ -506,6 +506,33 @@ def test_format_env_var_sets_default(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["schema_version"] == 1
 
 
+@pytest.mark.parametrize("value", ["xml", "", "jsonl"])
+def test_unknown_format_env_var_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("CTDKIT_FORMAT", value)
+    for command in (["generate", f"{M}/shopping.json", "--t", "2"],
+                    ["analyze", f"{M}/api8x2.json", f"{M}/api8x2_plan7.csv",
+                     "--t", "2"]):
+        with pytest.raises(SystemExit) as err:
+            main(command)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"CTDKIT_FORMAT must be csv or json, got {value!r}" in captured.err
+    # a flag overrides the variable, and commands without one ignore it
+    code, out, _ = run(capsys, "generate", f"{M}/manual3x3x3.json", "--t", "2",
+                       "--format", "csv")
+    assert code == 0
+    assert out.startswith("Color,Size,Quantity")
+    assert run(capsys, "validate", f"{M}/shopping.json")[0] == 0
+
+
+def test_format_env_var_ignores_case(capsys, monkeypatch):
+    monkeypatch.setenv("CTDKIT_FORMAT", "JSON")
+    code, out, _ = run(capsys, "generate", f"{M}/manual3x3x3.json", "--t", "2")
+    assert code == 0
+    assert json.loads(out)["schema_version"] == 1
+
+
 def test_flag_overrides_env_var(capsys, monkeypatch):
     monkeypatch.setenv("CTDKIT_FORMAT", "json")
     code, out, _ = run(capsys, "generate", f"{M}/manual3x3x3.json", "--t", "2",

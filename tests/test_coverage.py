@@ -12,7 +12,6 @@ from ctdkit import (
     CtdError,
     Model,
     ModelSpace,
-    Requirement,
     UnknownAttributeError,
     UnknownValueError,
     coverage_of,
@@ -37,7 +36,7 @@ def test_shopping_triple_count_vs_brute_force(shopping):
     reqs = generate_requirements(shopping, 3)
     oracle = oracles.feasible_t_tuples(shopping, 3)
     assert len(reqs) == len(oracle) == 314
-    assert {r.bindings for r in reqs} == oracle
+    assert set(reqs) == oracle
 
 
 def test_xyz_pair_count(xyz):
@@ -63,8 +62,8 @@ def _product(xs):
 
 def test_requirement_order_is_deterministic(shopping):
     reqs = list(generate_requirements(shopping, 2))
-    assert reqs[0].bindings == (("Availability", "Available"), ("Payment", "Credit"))
-    assert reqs[1].bindings == (("Availability", "Available"), ("Payment", "Paypal"))
+    assert reqs[0] == (("Availability", "Available"), ("Payment", "Credit"))
+    assert reqs[1] == (("Availability", "Available"), ("Payment", "Paypal"))
     assert reqs[:2] == list(generate_requirements(shopping, 2))[:2]
 
 
@@ -83,8 +82,8 @@ def test_directives_are_added_and_deduplicated(shopping):
               (triple, duplicate_pair, triple))
     reqs = list(generate_requirements(m, 2))
     assert len(reqs) == 102  # 101 pairs + the triple; the pair was already there
-    assert reqs[-1].bindings == (("Payment", "Credit"), ("Carrier", "Fedex"),
-                                 ("DeliverySchedule", "One Day"))
+    assert reqs[-1] == (("Payment", "Credit"), ("Carrier", "Fedex"),
+                        ("DeliverySchedule", "One Day"))
 
 
 def test_directive_bindings_are_normalized_to_declaration_order(shopping):
@@ -92,8 +91,8 @@ def test_directive_bindings_are_normalized_to_declaration_order(shopping):
               ((("DeliverySchedule", "One Day"), ("Carrier", "UPS"),
                 ("Payment", "Credit")),))
     reqs = list(generate_requirements(m, 2))
-    assert reqs[-1].bindings == (("Payment", "Credit"), ("Carrier", "UPS"),
-                                 ("DeliverySchedule", "One Day"))
+    assert reqs[-1] == (("Payment", "Credit"), ("Carrier", "UPS"),
+                        ("DeliverySchedule", "One Day"))
     # a directive that merely repeats a base pair is absorbed
     m2 = Model(shopping.attributes, (),
                ((("DeliverySchedule", "One Day"), ("Payment", "Credit")),))
@@ -110,8 +109,7 @@ def test_filter_feasible_after_dropping_a_value(xyz_drop_a):
     space = ModelSpace(xyz_drop_a)
     reqs = filter_feasible(generate_requirements(xyz_drop_a, 2), space)
     assert len(reqs.feasible()) == 8
-    infeasible = ({r.bindings for r in reqs}
-                  - {r.bindings for r in reqs.feasible()})
+    infeasible = set(reqs) - set(reqs.feasible())
     assert infeasible == {
         (("X", "a"), ("Y", "c")), (("X", "a"), ("Y", "d")),
         (("X", "a"), ("Z", "e")), (("X", "a"), ("Z", "f")),
@@ -126,9 +124,8 @@ def test_filter_feasible_matches_brute_force_on_code_review(code_review,
                    for i in range(1, 6))
     oracle = oracles.feasible_t_tuples(code_review, 2, pred)
     reqs = filter_feasible(generate_requirements(code_review, 2), code_review_space)
-    assert {r.bindings for r in reqs.feasible()} == oracle
-    zero_and_interesting = Requirement(
-        (("LenCBchain", "0"), ("InterestingCB1", "true")))
+    assert set(reqs.feasible()) == oracle
+    zero_and_interesting = (("LenCBchain", "0"), ("InterestingCB1", "true"))
     assert zero_and_interesting in list(reqs)
     assert zero_and_interesting not in reqs.feasible()
 
@@ -178,8 +175,7 @@ def test_filter_feasible_projects_linked_pieces_only(monkeypatch, k, v, t,
     monkeypatch.undo()
     assert len(kept) <= kept_sets
     assert len(evaluated) <= evaluations
-    assert ([r.bindings for r in result.feasible()]
-            == oracles.feasible_requirements_by_search(model, t))
+    assert result.feasible() == oracles.feasible_requirements_by_search(model, t)
     assert list(result) == reqs
 
 
@@ -199,16 +195,14 @@ def test_filter_feasible_rejects_unknown_bindings(shopping, shopping_space):
     for bad, error in (((("Payment", "Bitcoin"),), UnknownValueError),
                        ((("Currency", "EUR"),), UnknownAttributeError)):
         with pytest.raises(error):
-            filter_feasible(reqs + [Requirement(bad)], shopping_space)
+            filter_feasible(reqs + [bad], shopping_space)
 
 
 def test_filter_feasible_is_monotone_under_constraints(xyz, xyz_drop_a):
     free = filter_feasible(generate_requirements(xyz, 2), ModelSpace(xyz))
     constrained = filter_feasible(generate_requirements(xyz_drop_a, 2),
                                   ModelSpace(xyz_drop_a))
-    feasible_constrained = {r.bindings for r in constrained.feasible()}
-    feasible_free = {r.bindings for r in free.feasible()}
-    assert feasible_constrained <= feasible_free
+    assert set(constrained.feasible()) <= set(free.feasible())
 
 
 def test_pairs_of_single_shopping_test(shopping):
@@ -217,7 +211,7 @@ def test_pairs_of_single_shopping_test(shopping):
         "DeliverySchedule": "2-5 working days", "ExportControl": "True",
     }
     reqs = filter_feasible(generate_requirements(shopping, 2), ModelSpace(shopping))
-    pairs = {p.bindings for p in reqs.covered([test])}
+    pairs = reqs.covered([test])
     assert pairs == {
         (("Availability", "Available"), ("Payment", "Paypal")),
         (("Availability", "Available"), ("Carrier", "Fedex")),
@@ -236,8 +230,7 @@ def test_pairs_of_single_shopping_test(shopping):
 def test_pairs_of_test_at_full_width_is_the_test(xyz):
     test = {"X": "a", "Y": "d", "Z": "e"}
     reqs = filter_feasible(generate_requirements(xyz, 3), ModelSpace(xyz))
-    [req] = reqs.covered([test])
-    assert req.bindings == (("X", "a"), ("Y", "d"), ("Z", "e"))
+    assert reqs.covered([test]) == {(("X", "a"), ("Y", "d"), ("Z", "e"))}
 
 
 def test_coverage_of_rejects_partial_assignment(xyz):
@@ -313,7 +306,7 @@ def test_pairs_of_test_are_reported_covered(xyz):
     space = ModelSpace(xyz)
     test = {"X": "b", "Y": "c", "Z": "f"}
     reqs = [r for r in generate_requirements(xyz, 2)
-            if all(test[a] == v for a, v in r.bindings)]
+            if all(test[a] == v for a, v in r)]
     report = coverage_of(space, [test], 2)
     missing = set(report.missing)
     assert all(r not in missing for r in reqs)
@@ -342,12 +335,12 @@ def test_directive_wider_than_t_is_credited(shopping):
     report = coverage_of(space, [holds], 2)
     assert report.total_feasible == 102
     assert report.covered == 10 + 1  # C(5, 2) pairs and the directive
-    assert Requirement(QUAD) not in report.missing
+    assert QUAD not in report.missing
     # three of its four values cover the pairs, not the directive
     near = dict(holds, Carrier="UPS")
     report = coverage_of(space, [near], 2)
     assert report.covered == 10
-    assert Requirement(QUAD) in report.missing
+    assert QUAD in report.missing
 
 
 @st.composite
@@ -395,8 +388,11 @@ def test_covered_equals_brute_force(case):
         expected |= oracles.covered_t_tuples([test], [n for n in names if n in test], t)
         expected |= {d for d in directives if all(test.get(a) == v for a, v in d)}
     reqs = filter_feasible(generate_requirements(model, t), ModelSpace(model))
-    assert {r.bindings for r in reqs.covered(tests)} == expected & feasible
-    assert reqs.covered_bindings(tests) == expected & feasible
+    covered = reqs.covered(tests)
+    assert covered == expected & feasible
+    # the requirements' own tuples, not equal copies
+    own = {id(r) for r in reqs.feasible()}
+    assert all(id(r) in own for r in covered)
 
 
 def test_wide_directive_is_looked_up_once():
