@@ -196,11 +196,12 @@ def cmd_analyze(args) -> int:
 def cmd_augment(args) -> int:
     space = _load_valid(args.model)
     rows = _read_plan_for(space, args.plan)
-    # unlike coverage_of and instantiate, augment_plan sees only passed rows
-    for row in rows:
-        space.model.check_assignment(row, full=True)
     results = plans.read_results_csv(args.results)
     verdicts = plans.resolve_results(results, rows, space.model.attribute_names)
+    # augment_plan typechecks the passed rows; the rest are checked here
+    for row, v in zip(rows, verdicts):
+        if not v:
+            space.model.check_assignment(row, full=True)
     passed = [row for row, v in zip(rows, verdicts) if v]
     result = cycles.augment_plan(space, args.t, passed, args.n, args.seed)
     columns = space.model.attribute_names

@@ -14,16 +14,18 @@ are all feasible unevaluated; otherwise each is evaluated on the projection.
 The counts also give `feasible_count` (sum) and `generator.lower_bound` (max).
 
 `filter_feasible` returns the one `RequirementSet` of a (space, t): the
-requirements in order, each feasible or not, `covered`, the feasible ones
-some tests cover, and `candidate_keys`, which lists what a test may cover.
-At a width where every attribute subset has a feasible requirement (t
-always does), that is the combinations of the test's bindings in
-declaration order, hashed in C against the set of feasible requirements;
-at any other width (directives), one lookup per subset.
-Plan generation, coverage analysis and cycle augmentation each build the
-set once per call and measure against it.  Coverage credit is granted
-only by tests inside the legal space; imported tests that violate it are
-listed in the report and ignored.
+requirements in order, each feasible or not, `uncovered`, which keeps the
+requirements of a list that no given test covers, and `candidate_keys`,
+which lists what a test may cover.  At a width where every attribute subset
+has a feasible requirement (t always does), that is the combinations of
+the test's bindings in declaration order, hashed in C against the set of
+residual requirements; at any other width (directives), one lookup per
+subset.  Plan generation, coverage analysis and cycle augmentation each
+build the set once per call and pass on the residual, the feasible
+requirements still uncovered: `uncovered` and `generator.grow_tests` each
+take a residual and return the one their tests leave.  Coverage credit is
+granted only by tests inside the legal space; imported tests that violate
+it are listed in the report and ignored.
 """
 
 from __future__ import annotations
@@ -40,15 +42,13 @@ from .model import Model, ModelSpace
 
 class RequirementSet:
     """Ordered, deduplicated requirements, each feasible or not, with the
-    routine that finds the feasible ones a test covers.  Built by
+    routine that finds the ones tests leave uncovered.  Built by
     `filter_feasible`, which passes the attribute subsets that hold a
     feasible requirement."""
 
     def __init__(self, requirements, feasible, attributes, subsets):
         self._requirements = tuple(requirements)
-        # each feasible requirement to itself: `covered` hands back these
-        # tuples, not the equal ones a test's combinations build
-        self._feasible = {bindings: bindings for bindings in feasible}
+        self._feasible = tuple(feasible)
         self._attributes = tuple(attributes)
         widths = Counter(map(len, subsets))
         self._dense = [w for w in widths
@@ -84,17 +84,15 @@ class RequirementSet:
             keys.append(tuple((a, value(a)) for a in s) for s in sparse)
         return itertools.chain.from_iterable(keys)
 
-    def covered(self, tests) -> set:
-        """The feasible requirements that some test in `tests` covers.  A
-        test may bind its attributes in any key order, and earns nothing
-        for the ones it leaves out."""
-        found: set = set()
-        lookup = self._feasible.get
+    def uncovered(self, pending, tests) -> list:
+        """The requirements of `pending` that no test in `tests` covers, in
+        `pending`'s order.  A test may bind its attributes in any key order,
+        and earns nothing for the ones it leaves out."""
+        left = set(pending)
         for test in tests:
-            keys = self.candidate_keys(
-                [(a, test[a]) for a in self._attributes if a in test])
-            found.update(filter(None, map(lookup, keys)))
-        return found
+            left.difference_update(self.candidate_keys(
+                [(a, test[a]) for a in self._attributes if a in test]))
+        return [r for r in pending if r in left]
 
 
 def normalize_bindings(model: Model, bindings) -> tuple[tuple[str, str], ...]:
@@ -254,6 +252,5 @@ def coverage_of(space: ModelSpace, tests, t: int) -> CoverageReport:
     legal, illegal = split_legal(space, tests)
     reqs = filter_feasible(generate_requirements(space.model, t), space)
     feasible = reqs.feasible()
-    covered = reqs.covered(legal)
-    missing = [r for r in feasible if r not in covered]
-    return CoverageReport(len(feasible), len(covered), missing, illegal)
+    missing = reqs.uncovered(feasible, legal)
+    return CoverageReport(len(feasible), len(feasible) - len(missing), missing, illegal)

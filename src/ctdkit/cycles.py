@@ -1,9 +1,10 @@
 """Budget-limited planning across test cycles.
 
 `augment_plan` and `run_cycles` each build the requirement set of their
-(space, t) once and credit every test through it.  Each cycle credits
-the tests that passed so far and asks the greedy generator for at most n
-new tests covering the residual requirements.  Iterating until full
+(space, t) once and keep the residual: the feasible requirements that the
+passed tests leave uncovered (`RequirementSet.uncovered`).  Each cycle
+asks the greedy generator for at most n new tests covering the residual,
+then takes from it what the tests that pass cover.  Iterating until full
 coverage (or until cycles run out) yields a monotonically nondecreasing
 coverage history.  Failed tests earn no credit; they may be regenerated
 in a later cycle.
@@ -25,7 +26,7 @@ from .plans import TestPlan
 @dataclass
 class AugmentResult:
     plan: TestPlan                       # the new tests only; coverage fields
-    residual_before: int                 # reflect the union with credited tests
+    residual_before: int                 # reflect the union with passed tests
     residual_after: int
     illegal_passed: list[int] = field(default_factory=list)  # 0-based indices
 
@@ -59,17 +60,16 @@ def augment_plan(space: ModelSpace, t: int, passed, n: int,
                  seed: int = 0, randomize_ties: bool = False) -> AugmentResult:
     """Generate at most n new tests covering requirements the passed tests
     leave uncovered.  Illegal passed tests are reported and earn no credit."""
+    # split first: a bad row is reported before a bad n or t
+    legal, illegal = split_legal(space, passed)
     if n < 1:
         raise CtdError(f"cycle budget must be >= 1, got {n}")
     reqs = filter_feasible(generate_requirements(space.model, t), space)
-    total = len(reqs.feasible())
-    legal, illegal = split_legal(space, passed)
-    covered = reqs.covered(legal)
-    residual_before = total - len(covered)
-    tests = grow_tests(space, reqs, covered, n, seed, randomize_ties)
-    covered |= reqs.covered(tests)
-    plan = TestPlan(tests, len(covered), total, t)
-    return AugmentResult(plan, residual_before, total - len(covered), illegal)
+    feasible = reqs.feasible()
+    residual = reqs.uncovered(feasible, legal)
+    tests, left = grow_tests(space, reqs, residual, n, seed, randomize_ties)
+    plan = TestPlan(tests, len(feasible) - len(left), len(feasible), t)
+    return AugmentResult(plan, len(residual), len(left), illegal)
 
 
 def run_cycles(space: ModelSpace, t: int, n: int,
@@ -89,21 +89,17 @@ def run_cycles(space: ModelSpace, t: int, n: int,
     if n < 1:
         raise CtdError(f"cycle budget must be >= 1, got {n}")
     reqs = filter_feasible(generate_requirements(space.model, t), space)
-    feasible = reqs.feasible()
-    credited: set = set()  # the covered requirements
+    residual = feasible = reqs.feasible()
     passed: list[dict[str, str]] = []
     history: list[CycleRecord] = []
     for _ in range(max_cycles):
-        # every passed test is generated, hence legal, so the running
-        # `credited` set is exactly what `augment_plan` would credit them
-        tests = grow_tests(space, reqs, credited, n, seed)
-        if not tests:
-            break  # nothing left to target
+        if not residual:
+            break
+        tests = grow_tests(space, reqs, residual, n, seed)[0]
         newly_passed = [test for test in tests if verdict_source(test)]
         passed.extend(newly_passed)
-        credited |= reqs.covered(newly_passed)
-        history.append(CycleRecord(n, len(tests), len(credited), len(feasible)))
-        if len(credited) == len(feasible):
-            break
-    residual = [r for r in feasible if r not in credited]
+        # every passed test is generated, hence legal: no split_legal
+        residual = reqs.uncovered(residual, newly_passed)
+        history.append(CycleRecord(n, len(tests), len(feasible) - len(residual),
+                                   len(feasible)))
     return CycleState(passed, residual, history, len(feasible))

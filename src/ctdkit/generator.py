@@ -1,7 +1,8 @@
 """Greedy construction of near-minimal covering test plans.
 
 One test per iteration (AETG-style): seed with the first uncovered
-feasible requirement (in the deterministic requirement order), start from
+requirement of the residual it is given (feasible requirements in
+requirement order), start from
 the legal space cofactored on its values, then bind the remaining
 attributes one at a time in declaration order.  A candidate value is
 viable iff cofactoring the running function on it leaves it non-false,
@@ -15,7 +16,8 @@ randomized tie-breaking is enabled).  A candidate's score is how many of
 its combinations with the bound values (`RequirementSet.candidate_keys`)
 are in the set of uncovered requirement bindings.  Every emitted test is
 legal by construction and covers at least one new requirement, so the
-loop terminates at full coverage unless a budget cuts it short.
+loop covers the whole residual unless a budget cuts it short; what is left
+goes back to the caller.
 """
 
 from __future__ import annotations
@@ -35,18 +37,19 @@ def generate_plan(space: ModelSpace, t: int, budget: int | None = None,
     if budget is not None and budget < 1:
         raise CtdError(f"budget must be >= 1, got {budget}")
     reqs = filter_feasible(generate_requirements(space.model, t), space)
-    tests = grow_tests(space, reqs, set(), budget, seed, randomize_ties)
-    return TestPlan(tests, len(reqs.covered(tests)), len(reqs.feasible()), t)
+    feasible = reqs.feasible()
+    tests, left = grow_tests(space, reqs, feasible, budget, seed, randomize_ties)
+    return TestPlan(tests, len(feasible) - len(left), len(feasible), t)
 
 
-def grow_tests(space: ModelSpace, reqs: RequirementSet, already_covered: set,
-               budget: int | None, seed: int = 0,
-               randomize_ties: bool = False) -> list[dict[str, str]]:
-    """Greedy core shared with cycle augmentation: cover the feasible
-    requirements of `reqs` not in `already_covered`, emitting at most
-    `budget` tests."""
+def grow_tests(space: ModelSpace, reqs: RequirementSet, pending: list,
+               budget: int | None, seed: int = 0, randomize_ties: bool = False
+               ) -> tuple[list[dict[str, str]], list]:
+    """Greedy core shared with cycle augmentation: cover the requirements
+    of `pending` (feasible ones of `reqs`, in requirement order), emitting
+    at most `budget` tests.  Returns the tests and the requirements of
+    `pending` they leave uncovered, in order."""
     rng = random.Random(seed)
-    pending = [r for r in reqs.feasible() if r not in already_covered]
     uncovered = set(pending)
     attributes = space.model.attributes
     tests: list[dict[str, str]] = []
@@ -81,7 +84,7 @@ def grow_tests(space: ModelSpace, reqs: RequirementSet, already_covered: set,
             before.append((attr.name, label))
         tests.append(partial)
         uncovered.difference_update(reqs.candidate_keys(before))
-    return tests
+    return tests, [r for r in pending if r in uncovered]
 
 
 def lower_bound(space: ModelSpace, t: int) -> int:

@@ -221,7 +221,7 @@ def _parse_directive(raw) -> tuple[tuple[str, str], ...]:
 
 def load_model(path) -> Model:
     """Load a model document from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             document = json.load(fh)
         except json.JSONDecodeError as exc:

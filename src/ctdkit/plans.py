@@ -2,6 +2,8 @@
 
 Plan CSV: first row is the header (attribute names in declaration order,
 none repeated), one row per test; the csv module double-quotes values containing commas.
+Readers skip a UTF-8 byte-order mark (as spreadsheets save "CSV UTF-8")
+and strip spaces around header names and values.
 Plan JSON carries the same rows plus coverage metrics and a
 schema_version field.
 
@@ -70,10 +72,10 @@ def plan_csv_text(tests, columns) -> str:
 
 def read_plan_csv(path) -> tuple[list[str], list[dict[str, str]]]:
     """Read (columns, rows); labels are not validated against any model."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            columns = next(reader)
+            columns = [c.strip() for c in next(reader)]
         except StopIteration:
             raise PlanFormatError(f"{path}: empty plan file") from None
         repeated = sorted({c for c in columns if columns.count(c) > 1})
@@ -127,7 +129,7 @@ def plan_json_text(plan: TestPlan, columns, extra: dict | None = None) -> str:
 def read_results_csv(path) -> list[tuple[str, bool]]:
     """Read (test reference, passed) pairs from a results file."""
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -243,8 +243,15 @@ def test_analyze_bad_row_wins_over_bad_t(capsys, t):
 
 
 @pytest.mark.parametrize("command", [["analyze", "--t", "2"],
-                                     ["instantiate", "--seed", "1"]])
-def test_plan_rows_are_typechecked_once(capsys, monkeypatch, command):
+                                     ["instantiate", "--seed", "1"],
+                                     ["augment", "RESULTS", "--t", "2", "--n", "3"]])
+def test_plan_rows_are_typechecked_once(capsys, tmp_path, monkeypatch, command):
+    # augment checks the rows that fail or have no verdict, and augment_plan
+    # the ones that pass
+    results = tmp_path / "results.csv"
+    results.write_text("test,verdict\n" + "".join(
+        f"{i},{'PASS' if i % 3 else 'FAIL'}\n" for i in range(1, 14) if i % 5))
+    command = [str(results) if a == "RESULTS" else a for a in command]
     checked = []
     real = Model.check_assignment
 
@@ -329,6 +336,36 @@ def test_augment_rejects_a_bad_row_that_failed(capsys, tmp_path):
                          "--t", "2", "--n", "3")
     assert (code, out) == (1, "")
     assert err == "error: unknown value '0' for attribute 'DA'\n"
+
+
+def test_augment_rejects_a_bad_row_that_passed(capsys, tmp_path):
+    # augment_plan checks the passed rows, with the same message
+    results = tmp_path / "results.csv"
+    _write_results(results, [True] * 19)
+    code, out, err = run(capsys, "augment", f"{M}/code_review_dispatch.json",
+                         f"{M}/code_review_dispatch_plan19.csv", str(results),
+                         "--t", "2", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: unknown value '0' for attribute 'DA'\n"
+
+
+def test_augment_reads_spreadsheet_csv(capsys, tmp_path):
+    """A plan and results saved as "CSV UTF-8" (byte-order mark, CRLF) with
+    spaces after the header commas give the same output as the plain files."""
+    plain = f"{M}/manual3x3x3_plan9.csv"
+    results = tmp_path / "results.csv"
+    _write_results(results, [i % 2 == 0 for i in range(9)])
+    lines = open(plain).read().splitlines()
+    plan = tmp_path / "excel.csv"
+    plan.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(
+        [lines[0].replace(",", ", ")] + lines[1:]).encode("utf-8") + b"\r\n")
+    excel_results = tmp_path / "excel_results.csv"
+    excel_results.write_bytes(b"\xef\xbb\xbf" + results.read_bytes())
+    model, args = f"{M}/manual3x3x3.json", ["--t", "2", "--n", "3", "--format", "json"]
+    expected = run(capsys, "augment", model, plain, str(results), *args)
+    got = run(capsys, "augment", model, str(plan), str(excel_results), *args)
+    assert expected[0] == 0
+    assert got == expected
 
 
 def test_augment_rejects_unknown_row_reference(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Requirement generation, feasibility filtering, and coverage measurement."""
 
 import itertools
+import operator
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from ctdkit import (
     ModelSpace,
     UnknownAttributeError,
     UnknownValueError,
+    augment_plan,
     coverage_of,
     filter_feasible,
     generate_plan,
@@ -22,6 +24,7 @@ from ctdkit import (
     lower_bound,
     parse_model,
     read_plan_csv,
+    run_cycles,
 )
 from ctdkit.bdd import BDD
 from ctdkit.coverage import feasible_count
@@ -211,7 +214,8 @@ def test_pairs_of_single_shopping_test(shopping):
         "DeliverySchedule": "2-5 working days", "ExportControl": "True",
     }
     reqs = filter_feasible(generate_requirements(shopping, 2), ModelSpace(shopping))
-    pairs = reqs.covered([test])
+    feasible = reqs.feasible()
+    pairs = set(feasible).difference(reqs.uncovered(feasible, [test]))
     assert pairs == {
         (("Availability", "Available"), ("Payment", "Paypal")),
         (("Availability", "Available"), ("Carrier", "Fedex")),
@@ -230,7 +234,9 @@ def test_pairs_of_single_shopping_test(shopping):
 def test_pairs_of_test_at_full_width_is_the_test(xyz):
     test = {"X": "a", "Y": "d", "Z": "e"}
     reqs = filter_feasible(generate_requirements(xyz, 3), ModelSpace(xyz))
-    assert reqs.covered([test]) == {(("X", "a"), ("Y", "d"), ("Z", "e"))}
+    feasible = reqs.feasible()
+    assert [r for r in feasible if r not in reqs.uncovered(feasible, [test])] == [
+        (("X", "a"), ("Y", "d"), ("Z", "e"))]
 
 
 def test_coverage_of_rejects_partial_assignment(xyz):
@@ -344,9 +350,8 @@ def test_directive_wider_than_t_is_credited(shopping):
 
 
 @st.composite
-def _credit_cases(draw):
-    """A small constrained model with directives, t, and tests that may be
-    illegal, list their attributes in any order, or leave one out."""
+def _credit_models(draw):
+    """A small constrained model with directives, and t."""
     k = draw(st.integers(2, 5))
     names = [f"A{i}" for i in range(k)]
     labels = [[f"v{j}" for j in range(draw(st.integers(1, 3)))] for _ in names]
@@ -361,38 +366,108 @@ def _credit_cases(draw):
     directives = tuple(
         tuple((names[i], draw(st.sampled_from(labels[i]))) for i in subset)
         for subset in draw(st.lists(st.sets(attr, min_size=1), max_size=4)))
-    model = Model(attributes, constraints, directives)
-    t = draw(st.integers(1, k))
-    tests = []
+    return Model(attributes, constraints, directives), draw(st.integers(1, k))
+
+
+def _draw_rows(draw, model, partial):
+    """Up to four rows that may be illegal and list their attributes in any
+    order; with `partial`, a row may leave one attribute out."""
+    rows = []
     for _ in range(draw(st.integers(0, 4))):
-        test = {n: draw(st.sampled_from(ls)) for n, ls in zip(names, labels)}
-        order = draw(st.permutations(names))
-        if draw(st.booleans()):
+        row = {a.name: draw(st.sampled_from(a.labels)) for a in model.attributes}
+        order = draw(st.permutations(list(row)))
+        if partial and draw(st.booleans()):
             order = order[1:]
-        tests.append({n: test[n] for n in order})
-    return model, t, tests
+        rows.append({n: row[n] for n in order})
+    return rows
+
+
+@st.composite
+def _credit_cases(draw):
+    """A `_credit_models` model and t, and tests that may be illegal, list
+    their attributes in any order, or leave one out."""
+    model, t = draw(_credit_models())
+    return model, t, _draw_rows(draw, model, partial=True)
+
+
+def _brute_force(model, t):
+    """The model's legal tuples and, in requirement order, its feasible
+    requirements."""
+    legal = oracles.legal_tuples(model, oracles.constraint_predicate(model))
+    return legal, oracles.feasible_requirement_tuples(model, t, legal)
+
+
+def _held(requirements, tests):
+    """The requirements, in order, that some test in `tests` holds."""
+    return [r for r in requirements
+            if any(all(test.get(a) == v for a, v in r) for test in tests)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_credit_cases())
 def test_covered_equals_brute_force(case):
     model, t, tests = case
-    legal = oracles.legal_tuples(model, oracles.constraint_predicate(model))
+    legal, feasible = _brute_force(model, t)
     assume(legal)
-    names = [a.name for a in model.attributes]
-    directives = [tuple(sorted(d, key=lambda b: names.index(b[0])))
-                  for d in model.directives]
-    feasible = set(oracles.feasible_requirement_tuples(model, t, legal))
-    expected = set()
-    for test in tests:
-        expected |= oracles.covered_t_tuples([test], [n for n in names if n in test], t)
-        expected |= {d for d in directives if all(test.get(a) == v for a, v in d)}
     reqs = filter_feasible(generate_requirements(model, t), ModelSpace(model))
-    covered = reqs.covered(tests)
-    assert covered == expected & feasible
-    # the requirements' own tuples, not equal copies
-    own = {id(r) for r in reqs.feasible()}
-    assert all(id(r) in own for r in covered)
+    pending = reqs.feasible()
+    assert pending == feasible
+    covered = _held(feasible, tests)
+    left = reqs.uncovered(pending, tests)
+    assert left == [r for r in feasible if r not in covered]
+    # the requirements of `pending` themselves, not equal copies
+    assert all(map(operator.is_, left, [r for r in pending if r not in covered]))
+    # a strict subset, out of requirement order, keeps its own order
+    subset = pending[::-2]
+    assert reqs.uncovered(subset, tests) == [r for r in subset if r not in covered]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_credit_models(), st.data())
+def test_augment_credit_equals_brute_force(case, data):
+    model, t = case
+    legal, feasible = _brute_force(model, t)
+    assume(legal)
+    passed = _draw_rows(data.draw, model, partial=False)
+    n = data.draw(st.integers(1, 3))
+    result = augment_plan(ModelSpace(model), t, passed, n)
+    credited = [row for row in passed if row in legal]
+    assert result.illegal_passed == [i for i, row in enumerate(passed)
+                                     if row not in legal]
+    assert result.residual_before == len(feasible) - len(_held(feasible, credited))
+    covered = _held(feasible, credited + result.plan.tests)
+    assert result.plan.covered == len(covered)
+    assert result.residual_after == len(feasible) - len(covered)
+    assert result.plan.total_feasible == len(feasible)
+    assert all(test in legal for test in result.plan.tests)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_credit_models(), st.lists(st.booleans(), min_size=1, max_size=6),
+       st.integers(1, 3), st.integers(1, 4))
+def test_cycle_residual_equals_brute_force(case, stream, n, max_cycles):
+    model, t = case
+    legal, feasible = _brute_force(model, t)
+    assume(legal)
+    executed = []  # (test, passed) in execution order
+
+    def verdict(test):
+        executed.append((test, stream[len(executed) % len(stream)]))
+        return executed[-1][1]
+
+    state = run_cycles(ModelSpace(model), t, n, verdict, max_cycles)
+    assert state.residual == [r for r in feasible
+                              if r not in _held(feasible, state.passed)]
+    assert state.total_feasible == len(feasible)
+    done, passed, history = 0, [], []
+    for record in state.history:
+        passed += [test for test, ok in executed[done:done + record.emitted] if ok]
+        done += record.emitted
+        assert record.covered == len(_held(feasible, passed))
+        assert record.total_feasible == len(feasible)
+        history.append(record.covered)
+    assert history == sorted(history)
+    assert passed == state.passed and done == len(executed)
 
 
 def test_wide_directive_is_looked_up_once():

@@ -33,6 +33,13 @@ def test_load_rejects_unknown_top_level_field(tmp_path):
         load_model(path)
 
 
+def test_load_skips_a_byte_order_mark(tmp_path):
+    doc = {"attributes": [{"name": " A ", "values": ["x"]}]}
+    path = tmp_path / "m.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode("utf-8"))
+    assert load_model(path).attribute_names == ("A",)
+
+
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("{not json")

@@ -45,6 +45,25 @@ def test_read_plan_csv_rejects_repeated_column(tmp_path):
         read_plan_csv(path)
 
 
+def test_read_plan_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "plan.csv"
+    path.write_bytes(b"\xef\xbb\xbfA,B\r\nx,y\r\n")  # as spreadsheets save "CSV UTF-8"
+    assert read_plan_csv(path) == (["A", "B"], [{"A": "x", "B": "y"}])
+
+
+def test_read_plan_csv_strips_header_names(tmp_path):
+    path = tmp_path / "plan.csv"
+    path.write_text("A, B \nx, y\n")
+    assert read_plan_csv(path) == (["A", "B"], [{"A": "x", "B": "y"}])
+
+
+def test_read_plan_csv_rejects_column_repeated_after_stripping(tmp_path):
+    path = tmp_path / "plan.csv"
+    path.write_text("X, X,Y\na,b,c\n")
+    with pytest.raises(PlanFormatError, match=r"repeats column.*\['X'\]"):
+        read_plan_csv(path)
+
+
 def test_check_plan_columns(shopping):
     check_plan_columns(list(shopping.attribute_names), shopping)
     with pytest.raises(PlanFormatError):
@@ -69,6 +88,12 @@ def test_results_csv_parsing(tmp_path):
     path = tmp_path / "results.csv"
     path.write_text("test,verdict\n1,PASS\n2,fail\n3,Pass\n")
     assert read_results_csv(path) == [("1", True), ("2", False), ("3", True)]
+
+
+def test_results_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_bytes(b"\xef\xbb\xbftest, verdict\r\n1,PASS\r\n")
+    assert read_results_csv(path) == [("1", True)]
 
 
 def test_results_csv_bad_header(tmp_path):
