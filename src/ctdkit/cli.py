@@ -228,7 +228,10 @@ def cmd_project(args) -> int:
         attr, sep, value = item.partition("=")
         if not sep:
             raise CtdError(f"--fix expects ATTR=VALUE, got {item!r}")
-        partial[attr.strip()] = value.strip()
+        attr = attr.strip()
+        if attr in partial:
+            raise CtdError(f"--fix repeats attribute {attr!r}")
+        partial[attr] = value.strip()
     fn = space.project(partial)
     rows = list(space.assignments(fn, limit=args.limit))
     sys.stdout.write(plans.plan_csv_text(rows, space.model.attribute_names))

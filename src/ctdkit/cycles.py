@@ -1,8 +1,9 @@
 """Budget-limited planning across test cycles.
 
-`augment_plan` and `run_cycles` each build the requirement set of their
-(space, t) once and keep the residual: the feasible requirements that the
-passed tests leave uncovered (`RequirementSet.uncovered`).  Each cycle
+`augment_plan` and `run_cycles` each measure their (space, t) once
+(`coverage.measure`) and keep the residual: the feasible requirements that
+the passed tests leave uncovered.  `run_cycles` credits each cycle's passed
+tests with `RequirementSet.uncovered`.  Each cycle
 asks the greedy generator for at most n new tests covering the residual,
 then takes from it what the tests that pass cover.  Iterating until full
 coverage (or until cycles run out) yields a monotonically nondecreasing
@@ -15,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .coverage import (coverage_percent, filter_feasible, generate_requirements,
-                       split_legal)
+from .coverage import coverage_percent, measure, split_legal
 from .errors import CtdError
 from .generator import grow_tests
 from .model import ModelSpace
@@ -64,11 +64,9 @@ def augment_plan(space: ModelSpace, t: int, passed, n: int,
     legal, illegal = split_legal(space, passed)
     if n < 1:
         raise CtdError(f"cycle budget must be >= 1, got {n}")
-    reqs = filter_feasible(generate_requirements(space.model, t), space)
-    feasible = reqs.feasible()
-    residual = reqs.uncovered(feasible, legal)
+    reqs, total, residual = measure(space, t, legal)
     tests, left = grow_tests(space, reqs, residual, n, seed, randomize_ties)
-    plan = TestPlan(tests, len(feasible) - len(left), len(feasible), t)
+    plan = TestPlan(tests, total - len(left), total, t)
     return AugmentResult(plan, len(residual), len(left), illegal)
 
 
@@ -88,8 +86,7 @@ def run_cycles(space: ModelSpace, t: int, n: int,
         raise CtdError(f"max_cycles must be >= 1, got {max_cycles}")
     if n < 1:
         raise CtdError(f"cycle budget must be >= 1, got {n}")
-    reqs = filter_feasible(generate_requirements(space.model, t), space)
-    residual = feasible = reqs.feasible()
+    reqs, total, residual = measure(space, t, ())
     passed: list[dict[str, str]] = []
     history: list[CycleRecord] = []
     for _ in range(max_cycles):
@@ -100,6 +97,5 @@ def run_cycles(space: ModelSpace, t: int, n: int,
         passed.extend(newly_passed)
         # every passed test is generated, hence legal: no split_legal
         residual = reqs.uncovered(residual, newly_passed)
-        history.append(CycleRecord(n, len(tests), len(feasible) - len(residual),
-                                   len(feasible)))
-    return CycleState(passed, residual, history, len(feasible))
+        history.append(CycleRecord(n, len(tests), total - len(residual), total))
+    return CycleState(passed, residual, history, total)

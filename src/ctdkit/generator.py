@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import random
 
-from .coverage import (RequirementSet, _subset_counts, filter_feasible,
-                       generate_requirements)
+from .coverage import RequirementSet, _subset_counts, measure
 from .errors import CtdError
 from .model import ModelSpace
 from .plans import TestPlan
@@ -36,10 +35,9 @@ def generate_plan(space: ModelSpace, t: int, budget: int | None = None,
     """Cover every feasible t-way requirement of the space, or stop at budget."""
     if budget is not None and budget < 1:
         raise CtdError(f"budget must be >= 1, got {budget}")
-    reqs = filter_feasible(generate_requirements(space.model, t), space)
-    feasible = reqs.feasible()
+    reqs, total, feasible = measure(space, t, ())
     tests, left = grow_tests(space, reqs, feasible, budget, seed, randomize_ties)
-    return TestPlan(tests, len(feasible) - len(left), len(feasible), t)
+    return TestPlan(tests, total - len(left), total, t)
 
 
 def grow_tests(space: ModelSpace, reqs: RequirementSet, pending: list,

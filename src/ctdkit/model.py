@@ -88,7 +88,7 @@ class Model:
     constraints: tuple[str, ...] = ()
     directives: tuple[tuple[tuple[str, str], ...], ...] = ()
 
-    @property
+    @cached_property
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
@@ -513,24 +513,27 @@ class ModelSpace:
             component = [min(merged) if c in merged else c for c in component]
         return component
 
+    def pieces(self, attrs) -> list[tuple[str, ...]]:
+        """The attributes of `attrs` in each component (see `_components`),
+        one tuple per component in the order of its least attribute, each
+        in the order `attrs` lists them.  `legal` is the product of one
+        factor per component (support, not syntax, keeps pieces small), so
+        a subset's projection is the AND of those of its pieces."""
+        key, names = self._components.__getitem__, self.model.attribute_names
+        return [tuple(names[ai] for ai in piece) for _, piece in itertools.groupby(
+                    sorted(map(self._attr_index, attrs), key=key), key)]
+
     def marginals(self, subsets) -> list[Function]:
         """The legal space projected onto the blocks of each attribute
-        subset (every other variable quantified away), in order.
-
-        `legal` is the product of one factor per component (see
-        `_components`; support, not syntax, keeps pieces small), so a
-        subset's projection is the AND of those of its pieces, its
-        attributes in each component.  One engine call projects every
+        subset (every other variable quantified away), in order: the AND
+        of the projections of its `pieces`.  One engine call projects every
         distinct piece, so they share what they quantify alike.  `coverage`
-        counts each projection: one that excludes no value tuple makes every
-        requirement of its subset feasible."""
-        key, blocks = self._components.__getitem__, self.encoding.blocks
-        split = [[tuple(p) for _, p in itertools.groupby(
-                      sorted(map(self._attr_index, attrs), key=key), key)]
-                 for attrs in subsets]
+        passes pieces, so it gets each piece's projection alone."""
+        blocks, index = self.encoding.blocks, self.model.attribute_index
+        split = [self.pieces(attrs) for attrs in subsets]
         distinct = list(dict.fromkeys(itertools.chain.from_iterable(split)))
         projected = dict(zip(distinct, self.manager.projections(
-            self.legal, [[v for ai in p for v in blocks[ai]] for p in distinct])))
+            self.legal, [[v for a in p for v in blocks[index(a)]] for p in distinct])))
         return [reduce(Function.__and__, map(projected.__getitem__, pieces),
                        self.manager.true) for pieces in split]
 

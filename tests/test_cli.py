@@ -482,6 +482,15 @@ def test_project_limit(capsys):
     assert len(out.strip().splitlines()) == 5
 
 
+@pytest.mark.parametrize("second", ["x1=1", " x1 =0"])
+def test_project_repeated_fix_exits_1(capsys, second):
+    code, out, err = run(capsys, "project", f"{M}/at_least_one.json",
+                         "--fix", "x1=0", "--fix", second)
+    assert code == 1
+    assert out == ""
+    assert "--fix repeats attribute 'x1'" in err
+
+
 def test_project_unknown_value(capsys):
     code, _, err = run(capsys, "project", f"{M}/shopping.json",
                        "--fix", "Payment=Bitcoin")

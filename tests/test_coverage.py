@@ -27,7 +27,8 @@ from ctdkit import (
     run_cycles,
 )
 from ctdkit.bdd import BDD
-from ctdkit.coverage import feasible_count
+from ctdkit import coverage
+from ctdkit.coverage import feasible_count, measure, split_legal
 from ctdkit.model import Attribute, Value
 
 
@@ -150,14 +151,16 @@ def test_filter_feasible_leaves_few_bdd_nodes():
 
 @pytest.mark.parametrize("k,v,t,kept_sets,evaluations", [
     (30, 5, 2, 15 + 30, 15 * 5 ** 2),
-    # each of the 6 linked pairs with each of the 10 other attributes
-    (12, 4, 3, 6 + 12, 6 * 10 * 4 ** 3),
+    # the value pairs of the 6 linked pairs, not the 6 * 10 * 4**3 triples
+    # that hold one
+    (12, 4, 3, 6 + 12, 6 * 4 ** 2),
 ])
 def test_filter_feasible_projects_linked_pieces_only(monkeypatch, k, v, t,
                                                       kept_sets, evaluations):
     """The chain links only the pairs its constraints name: the subsets
     need one projection per linked pair and per attribute, and only the
-    requirements of subsets that hold a linked pair are evaluated."""
+    value tuples of the linked pairs are evaluated, once per call, by both
+    `filter_feasible` and `measure`."""
     model = parse_model(oracles.chain_document(k, v))
     space = ModelSpace(model)
     reqs = generate_requirements(model, t)
@@ -174,12 +177,15 @@ def test_filter_feasible_projects_linked_pieces_only(monkeypatch, k, v, t,
 
     monkeypatch.setattr(BDD, "projections", counted_projections)
     monkeypatch.setattr(BDD, "evaluate", counted_evaluate)
-    result = filter_feasible(reqs, space)
-    monkeypatch.undo()
-    assert len(kept) <= kept_sets
-    assert len(evaluated) <= evaluations
-    assert result.feasible() == oracles.feasible_requirements_by_search(model, t)
-    assert list(result) == reqs
+    expected = oracles.feasible_requirements_by_search(model, t)
+    for listing in (lambda: filter_feasible(reqs, space).feasible(),
+                    lambda: measure(space, t, ())[2]):
+        kept.clear()
+        evaluated.clear()
+        assert listing() == expected
+        assert len(kept) <= kept_sets
+        assert len(evaluated) <= evaluations
+    assert list(filter_feasible(reqs, space)) == reqs
 
 
 @pytest.mark.parametrize("name", ["code_review", "shopping", "at_least_one",
@@ -351,7 +357,7 @@ def test_directive_wider_than_t_is_credited(shopping):
 
 @st.composite
 def _credit_models(draw):
-    """A small constrained model with directives, and t."""
+    """A small constrained model with directives of any width, and t."""
     k = draw(st.integers(2, 5))
     names = [f"A{i}" for i in range(k)]
     labels = [[f"v{j}" for j in range(draw(st.integers(1, 3)))] for _ in names]
@@ -363,6 +369,13 @@ def _credit_models(draw):
         f"{names[j]} != {draw(st.sampled_from(labels[j]))}"
         for i, j in draw(st.lists(st.tuples(attr, attr).filter(lambda p: p[0] != p[1]),
                                   max_size=3)))
+    # a value excluded outright, and a constraint linking three attributes
+    constraints += tuple(f"{names[i]} != {draw(st.sampled_from(labels[i]))}"
+                         for i in draw(st.lists(attr, max_size=1)))
+    if k >= 3 and draw(st.booleans()):
+        i, j, m = draw(st.permutations(range(k)))[:3]
+        constraints += (f"{names[i]} = {labels[i][0]} AND {names[j]} = {labels[j][0]}"
+                        f" -> {names[m]} != {labels[m][-1]}",)
     directives = tuple(
         tuple((names[i], draw(st.sampled_from(labels[i]))) for i in subset)
         for subset in draw(st.lists(st.sets(attr, min_size=1), max_size=4)))
@@ -468,6 +481,73 @@ def test_cycle_residual_equals_brute_force(case, stream, n, max_cycles):
         history.append(record.covered)
     assert history == sorted(history)
     assert passed == state.passed and done == len(executed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_credit_models(), st.data())
+def test_measure_equals_brute_force(case, data):
+    model, t = case
+    legal, feasible = _brute_force(model, t)
+    assume(legal)
+    space = ModelSpace(model)
+    rows = _draw_rows(data.draw, model, partial=False)
+    rows += rows[:data.draw(st.integers(0, 2))]  # repeated rows
+    tests, illegal = split_legal(space, rows)
+    assert illegal == [i for i, row in enumerate(rows) if row not in legal]
+    _, total, missing = measure(space, t, tests)
+    assert total == len(feasible)
+    covered = _held(feasible, tests)
+    assert missing == [r for r in feasible if r not in covered]
+    listed = filter_feasible(generate_requirements(model, t), space).feasible()
+    assert measure(space, t, [])[1:] == (len(feasible), feasible) == (len(listed), listed)
+
+
+def test_measure_at_t1(xyz_drop_a):
+    """One attribute per subset: sub-rows are 1-tuples, and X = a, which
+    the constraint excludes, is neither counted nor missing."""
+    space = ModelSpace(xyz_drop_a)
+    test = {"Z": "e", "X": "b", "Y": "c"}
+    _, total, missing = measure(space, 1, [test, test])
+    assert total == 5
+    assert missing == [(("Y", "d"),), (("Z", "f"),)]
+    assert measure(space, 1, [])[2] == [
+        (("X", "b"),), (("Y", "c"),), (("Y", "d"),), (("Z", "e"),), (("Z", "f"),)]
+    report = coverage_of(space, [test, {"X": "a", "Y": "d", "Z": "f"}], 1)
+    assert (report.covered, report.missing, report.illegal_tests) == (3, missing, [1])
+
+
+def test_hot_paths_list_no_t_way_requirement(monkeypatch, code_review):
+    """Measuring, generating and augmenting count the t-way requirements
+    per attribute subset: no t-way list is generated or filtered, and only
+    the directives that are not t wide go through `filter_feasible`."""
+    directives = ((("LenCBchain", "0"),),
+                  (("InterestingCB1", "true"), ("LenCBchain", "3")),
+                  (("LenCBchain", "4"), ("InterestingCB1", "false"),
+                   ("InterestingCB4", "true")))
+    model = Model(code_review.attributes, code_review.constraints, directives)
+    space = ModelSpace(model)
+    legal, feasible = _brute_force(model, 2)
+    filtered = []
+
+    def directives_only(reqs, space):
+        reqs = list(reqs)
+        filtered.append(reqs)
+        assert all(len(r) != 2 for r in reqs)
+        return filter_feasible(reqs, space)
+
+    def no_listing(model, t):
+        raise AssertionError("every t-way requirement listed")
+
+    monkeypatch.setattr(coverage, "filter_feasible", directives_only)
+    monkeypatch.setattr(coverage, "generate_requirements", no_listing)
+    plan = generate_plan(space, 2)
+    report = coverage_of(space, plan.tests[:4], 2)
+    result = augment_plan(space, 2, plan.tests[:4], 2)
+    state = run_cycles(space, 2, 3, lambda test: True, 10)
+    assert plan.total_feasible == report.total_feasible == len(feasible)
+    assert plan.covered == len(feasible) and not state.residual
+    assert result.residual_before == len(report.missing)
+    assert filtered == [[directives[0], directives[2]]] * 4
 
 
 def test_wide_directive_is_looked_up_once():

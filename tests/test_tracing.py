@@ -31,15 +31,18 @@ def test_tracer_sees_every_layer_of_the_library(code_review, code_review_space):
         ctdkit.coverage_of(space, plan.tests[:3], 2)
         ctdkit.augment_plan(space, 2, plan.tests[:3], 2)
         ctdkit.run_cycles(space, 2, 3, lambda test: True, 5)
+        # the four filter only directives, and code_review has none
+        listed = tracer.requirements
+        ctdkit.filter_feasible(ctdkit.generate_requirements(code_review, 2), space)
         metrics = tracer.summary(1)
     finally:
         tracer.uninstall()
     assert (ctdkit.generate_plan, ctdkit.filter_feasible) == originals
-    # one requirement set per call of each of the four functions
-    assert metrics["coverage.filter_calls"][0] == 4
+    # one directive filter per call of each of the four functions, and ours
+    assert metrics["coverage.filter_calls"][0] == 4 + 1
     assert metrics["generator.grow_calls"][0] >= 3
-    # each of the four built the t=2 requirements once
-    assert metrics["coverage.requirements"][0] == 4 * len(
+    assert listed == 0
+    assert metrics["coverage.requirements"][0] == len(
         ctdkit.generate_requirements(code_review, 2))
     legal = oracles.legal_tuples(code_review, oracles.constraint_predicate(code_review))
     feasible = oracles.feasible_requirement_tuples(code_review, 2, legal)
