@@ -65,7 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="interaction level")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--randomize-ties", action="store_true")
+    p.add_argument("--randomize-ties", action="store_true",
+                   help="pick at random (by --seed) among values that tie on both "
+                        "requirements completed and uncovered requirements held, "
+                        "instead of the lowest value index")
     _format_args(p)
     p.set_defaults(handler=cmd_generate)
 

@@ -10,19 +10,28 @@ i.e. some legal test extends the partial assignment.  One engine call per
 attribute gives every value's cofactor (`ModelSpace.value_cofactors`): the
 attribute's block is at the top of the running function, so splitting it
 follows edges and builds no nodes.  Among viable values,
-the one completing the most currently-uncovered requirements wins, lowest
-value index on ties (or a seeded random choice among the tied best when
-randomized tie-breaking is enabled).  A candidate's score is how many of
-its combinations with the bound values (`RequirementSet.candidate_keys`)
-are in the set of uncovered requirement bindings.  Every emitted test is
-legal by construction and covers at least one new requirement, so the
-loop covers the whole residual unless a budget cuts it short; what is left
-goes back to the caller.
+the one completing the most currently-uncovered requirements wins.  A
+candidate's score is how many of its combinations with the bound values
+(`RequirementSet.candidate_keys`) are in the set of uncovered requirement
+bindings.  Ties go to the value held by the most uncovered requirements
+(AETG's value-selection rule; a `Counter` of live bindings, decremented
+as rows cover requirements), then to the lowest value index, or to a
+seeded random choice among the values tied on both when randomized
+tie-breaking is enabled.  Every emitted test is legal by construction and
+covers at least one new requirement, so the loop covers the whole residual
+unless a budget cuts it short; what is left goes back to the caller.
+
+A last pass walks the rows backwards and drops each one whose newly
+covered requirements the rows kept after it all hold: the rows before it
+hold the rest of its requirements, so the plan covers exactly what it did,
+and every row left holds a requirement no other row holds.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 
 from .coverage import RequirementSet, _subset_counts, measure
 from .errors import CtdError
@@ -45,14 +54,16 @@ def grow_tests(space: ModelSpace, reqs: RequirementSet, pending: list,
                ) -> tuple[list[dict[str, str]], list]:
     """Greedy core shared with cycle augmentation: cover the requirements
     of `pending` (feasible ones of `reqs`, in requirement order), emitting
-    at most `budget` tests.  Returns the tests and the requirements of
-    `pending` they leave uncovered, in order."""
+    at most `budget` tests, less those the backward pass drops.  Returns
+    the tests and the requirements of `pending` they leave uncovered, in
+    order."""
     rng = random.Random(seed)
     uncovered = set(pending)
+    live = Counter(itertools.chain.from_iterable(pending))  # uncovered, per binding
     attributes = space.model.attributes
-    tests: list[dict[str, str]] = []
+    rows = []  # (test, the requirements it may cover, those it covered first)
     first = 0
-    while uncovered and (budget is None or len(tests) < budget):
+    while uncovered and (budget is None or len(rows) < budget):
         while pending[first] not in uncovered:
             first += 1
         after = list(pending[first])  # seed bindings not yet passed
@@ -63,25 +74,39 @@ def grow_tests(space: ModelSpace, reqs: RequirementSet, pending: list,
             if after and after[0][0] == attr.name:
                 before.append(after.pop(0))
                 continue
-            best = []  # tied (label, cofactor) candidates at best_score
-            best_score = -1
+            best = []  # tied (label, cofactor) candidates at best_key
+            best_key = (-1, -1)
             for label, candidate in zip(attr.labels,
                                         space.value_cofactors(fn, attr.name)):
                 if candidate.is_false:
                     continue
-                # uncovered requirements this binding completes: every other
-                # binding is already in the partial assignment
-                score = sum(map(uncovered.__contains__, reqs.candidate_keys(
-                    before, (attr.name, label), after)))
-                if score > best_score:
-                    best, best_score = [(label, candidate)], score
-                elif score == best_score:
+                binding = (attr.name, label)
+                # uncovered requirements this binding completes (every other
+                # binding is already in the partial assignment), then those
+                # that hold it
+                key = (sum(map(uncovered.__contains__, reqs.candidate_keys(
+                    before, binding, after))), live.get(binding, 0))
+                if key > best_key:
+                    best, best_key = [(label, candidate)], key
+                elif key == best_key:
                     best.append((label, candidate))
             label, fn = best[0] if not randomize_ties else rng.choice(best)
             partial[attr.name] = label
             before.append((attr.name, label))
-        tests.append(partial)
-        uncovered.difference_update(reqs.candidate_keys(before))
+        keys = tuple(reqs.candidate_keys(before))
+        done = uncovered.intersection(keys)
+        uncovered -= done
+        # every requirement done is in the row: at most one binding per attribute
+        for binding, count in Counter(itertools.chain.from_iterable(done)).items():
+            live[binding] -= count
+        rows.append((partial, keys, done))
+    # drop each row whose first-covered requirements the kept later rows hold
+    tests, later = [], set()
+    for test, keys, done in reversed(rows):
+        if not done <= later:
+            tests.append(test)
+            later.update(keys)
+    tests.reverse()
     return tests, [r for r in pending if r in uncovered]
 
 

@@ -103,6 +103,12 @@ class Model:
             index.setdefault(a.name, i)
         return index
 
+    @cached_property
+    def _bindings(self) -> frozenset[tuple[str, str]]:
+        """Every (attribute, label) pair that `resolve` accepts."""
+        return frozenset((name, label) for name, ai in self._name_index.items()
+                         for label in self.attributes[ai]._label_index)
+
     def resolve(self, attr: str, label: str) -> tuple[int, int]:
         """The indices of an attribute and of one of its values."""
         ai = self.attribute_index(attr)
@@ -128,6 +134,11 @@ class Model:
 
     def check_assignment(self, assignment: dict[str, str], full: bool = False) -> None:
         """Typecheck a (partial) assignment of value labels to attributes."""
+        # the common case in one C-level subset test; anything else goes
+        # through the loop for its error
+        if assignment.items() <= self._bindings and (
+                not full or len(assignment) == len(self.attributes)):
+            return
         for name, label in assignment.items():
             self.resolve(name, label)
         if full:

@@ -265,11 +265,15 @@ def reference_greedy(model, t, legal, budget=None, seed=0, randomize_ties=False,
     """The greedy plan by definition: seed each test with the first
     uncovered feasible requirement, bind the other attributes in
     declaration order, keep a value only if some legal tuple extends the
-    partial test, and score it by scanning every uncovered requirement.
-    The requirement tuples in `already_covered` start covered."""
+    partial test, and score it by scanning every uncovered requirement for
+    those it completes, then for those that hold it.  Then walk the tests
+    backwards and drop each one whose every requirement another remaining
+    test holds.  The requirement tuples in `already_covered` start
+    covered."""
     rng = random.Random(seed)
-    uncovered = dict.fromkeys(r for r in feasible_requirement_tuples(model, t, legal)
-                              if r not in already_covered)
+    pending = [r for r in feasible_requirement_tuples(model, t, legal)
+               if r not in already_covered]
+    uncovered = dict.fromkeys(pending)
     tests = []
     while uncovered and (budget is None or len(tests) < budget):
         partial = dict(next(iter(uncovered)))
@@ -277,17 +281,19 @@ def reference_greedy(model, t, legal, budget=None, seed=0, randomize_ties=False,
         for attr in model.attributes:
             if attr.name in partial:
                 continue
-            best, best_score = [], -1
+            best, best_key = [], (-1, -1)
             for label in attr.labels:
                 if not any(x[attr.name] == label for x in consistent):
                     continue
                 bound = {**partial, attr.name: label}
-                score = sum(1 for r in uncovered
-                            if any(a == attr.name for a, _ in r)
-                            and all(a in bound and bound[a] == v for a, v in r))
-                if score > best_score:
-                    best, best_score = [label], score
-                elif score == best_score:
+                completed = sum(1 for r in uncovered
+                                if any(a == attr.name for a, _ in r)
+                                and all(a in bound and bound[a] == v for a, v in r))
+                holding = sum(1 for r in uncovered if (attr.name, label) in r)
+                key = (completed, holding)
+                if key > best_key:
+                    best, best_key = [label], key
+                elif key == best_key:
                     best.append(label)
             label = best[0] if not randomize_ties else rng.choice(best)
             partial[attr.name] = label
@@ -295,6 +301,11 @@ def reference_greedy(model, t, legal, budget=None, seed=0, randomize_ties=False,
         tests.append(partial)
         for r in [r for r in uncovered if _matches(partial, r)]:
             del uncovered[r]
+    for i in reversed(range(len(tests))):
+        others = tests[:i] + tests[i + 1:]
+        if all(any(_matches(x, r) for x in others)
+               for r in pending if _matches(tests[i], r)):
+            del tests[i]
     return tests
 
 

@@ -116,8 +116,8 @@ DIGESTS = {
     'analyze-manual3x3x3-t2-json': 'f6a0bc0970c3d7489d7a5f02c99b16a9eadaeaf5',
     'analyze-manual3x3x3-t3-csv': '2600b05aef45cf2609ff8a13249049b406faf77c',
     'analyze-manual3x3x3-t3-json': '9c6e6f169daf7b074e65ff5ef48d92e90c4c2ccf',
-    'augment-api8x2-t2-csv': '5d16ec8d0c58907cc235329c9c53afa887a490e1',
-    'augment-api8x2-t2-json': '1ee8f9cdfdddc80850dce4fc3ccad5431e1db383',
+    'augment-api8x2-t2-csv': 'fcd3d9fef839384c4a9ae1f0ba0c7abdebcaae99',
+    'augment-api8x2-t2-json': 'fabf08a99c48951a94014427e8f00a0e151cfdcb',
     'augment-api8x2-t3-csv': '8578947687820ac4167a48b6361802fb5b53b24f',
     'augment-api8x2-t3-json': 'cb5dc596eb73eb10ef7a19e6b507775fa3d3725c',
     'augment-code_review-t2-csv': '1a348ad4b13cc2a0cdd005e5583e9b5b6d38d5e2',
@@ -141,24 +141,24 @@ DIGESTS = {
     'count-code_review_directed': '3cbd3a17bc7b794108e482e739af1a1e1a623594',
     'count-code_review_dispatch': '6426682f51a3c9b31d0919338e870b33d36699f2',
     'count-manual3x3x3': 'b04f55637af38a2ebb3c3090d4aac91a4ae270a1',
-    'generate-api8x2-t2-csv': 'a6e187526689f06013dfdc84d3f20fe321acd2ae',
-    'generate-api8x2-t2-json': 'd3382307d7c6382351a9478e4dafe93fc8c56a00',
-    'generate-api8x2-t3-csv': 'f01d394205a177e85cc06da9d9006197981d8b61',
-    'generate-api8x2-t3-json': '906e5a55e8f489531d20768f2965be59abc06ff4',
-    'generate-code_review-t2-csv': 'fd36fe1b65ec64eed52a66e7171374e06368b8e9',
-    'generate-code_review-t2-json': '96420b31a56cae7a66ef5ecff8bf6fc72934f8e5',
-    'generate-code_review-t3-csv': '291d10d5d15a8a08dfbbbff25f860814a00fc14a',
-    'generate-code_review-t3-json': '9a08367e64f58a9e586b17964386b9572dbc3a6d',
-    'generate-code_review_directed-t2-csv': '4e00debf6308438d99c06fee7687d69f68a6e369',
-    'generate-code_review_directed-t2-json': '7757f500911452d64598dc7eae6d18db29c0bf38',
-    'generate-code_review_directed-t3-csv': '291d10d5d15a8a08dfbbbff25f860814a00fc14a',
-    'generate-code_review_directed-t3-json': 'f5f52b50d3c36aa37cecae10925d9d81652e38fe',
-    'generate-code_review_dispatch-t2-csv': 'ac75c13734f2008629d4218648a99698173ed7cc',
-    'generate-code_review_dispatch-t2-json': '06bf17de2555a6c2bf9300f2cfd0dc26bc2f1e9f',
-    'generate-code_review_dispatch-t3-csv': '050007cd46ee0157027e8f8d28d917b08297ab0e',
-    'generate-code_review_dispatch-t3-json': 'f4e911e75018d1b4c3e496f5ccd3934c8a1ab191',
-    'generate-manual3x3x3-t2-csv': '6af54453cc299fd8022a946c1c8c44fc36cd4308',
-    'generate-manual3x3x3-t2-json': 'fdf2fb2b48e3fbe90bed4c62d90cd002c4e2c7bc',
+    'generate-api8x2-t2-csv': 'f32d7f197b055ce8b2d67b2259505684ff0686c6',
+    'generate-api8x2-t2-json': 'ffd000d08fd155e396abc99e92f51dc06fcd6fad',
+    'generate-api8x2-t3-csv': 'c90fc4104694f09741a07d6455cc6835bd88bc3d',
+    'generate-api8x2-t3-json': '6d4c40c0fa80497d58165bb7fb949af00bad75da',
+    'generate-code_review-t2-csv': 'b982914a63e61a80404183881f4f5e645d2ce5f1',
+    'generate-code_review-t2-json': '07e83194753acf81b1edb023a5fa2bbecb799f79',
+    'generate-code_review-t3-csv': '034b20d8b0f98d9ee9002306b2a33eb482daf34a',
+    'generate-code_review-t3-json': 'f410810bea543aeec96b4da72b2a5e13cec80f0e',
+    'generate-code_review_directed-t2-csv': '106a88c37e8b84a831561846032bdf143bed8a93',
+    'generate-code_review_directed-t2-json': 'fe08cbe09211d6613a12e51e50d45720ab04fc1a',
+    'generate-code_review_directed-t3-csv': '433c5730752011bc2803ee16909a42ed9fcd4694',
+    'generate-code_review_directed-t3-json': 'b1cd9627d53973bda9a15fb388c2c2cb4af74286',
+    'generate-code_review_dispatch-t2-csv': 'd23ab164458813e4838322936ad01eebcb10497c',
+    'generate-code_review_dispatch-t2-json': 'c5f078d30eca161419fb68a5da0e182b777c939b',
+    'generate-code_review_dispatch-t3-csv': '9e5e84d89641e00c06edfde08673903a40e2f0c9',
+    'generate-code_review_dispatch-t3-json': 'f120eeaedd07fc5be5a0693693cb88f687b38e24',
+    'generate-manual3x3x3-t2-csv': 'f89e6bacb707d486cd6df60ae1083e91f403bc81',
+    'generate-manual3x3x3-t2-json': 'fe7b3ccd37d872eb758576771c3c864c57e110c3',
     'generate-manual3x3x3-t3-csv': 'd9f447b835a44af362900acec3d436a1ca8c54d9',
     'generate-manual3x3x3-t3-json': '94e1d58004366c08d20a302047d494a9c948b1aa',
 }

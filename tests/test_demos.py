@@ -17,9 +17,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 STDOUT_SHA1 = {
     "01_symbolic_spaces.py": "2969bcaf4f34718bfd71767ada43bd7dff5878e8",
     "02_model_counts.py": "b301c4a398315fea0210b4d5759d6155a6d56dc8",
-    "03_generate_plan.py": "2039942a7666d7313a197621b7f6db0ab8459347",
+    "03_generate_plan.py": "62d5c3917b6dcd1d09d9163386e53ebff3844070",
     "04_measure_coverage.py": "ca57df0a08b24a734ee3e39e65a92199048ee33c",
-    "05_budget_cycles.py": "1067b5452d4a079ace74f9e9e8d291fa5c25406b",
+    "05_budget_cycles.py": "9ab5d85909d094b478ddc0dfb10d786b99d0a9d2",
     "06_concrete_values.py": "0740bed687142cebe26dc2a8407b71a9c1fda793",
 }
 

@@ -1,17 +1,20 @@
 """Greedy plan construction: completeness, legality, size, determinism, budget."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from ctdkit import (
     CtdError,
     Model,
     ModelSpace,
+    augment_plan,
     coverage_of,
     generate_plan,
     lower_bound,
     parse_model,
 )
+from test_coverage import _credit_models, _held
 
 
 def _check_plan(space, plan, t):
@@ -146,3 +149,41 @@ def test_candidates_add_few_nodes(k, v, t, most):
     space = ModelSpace(parse_model(oracles.chain_document(k, v)))
     generate_plan(space, t)
     assert len(space.manager) <= most
+
+
+@st.composite
+def _greedy_cases(draw):
+    """A `_credit_models` model, t of 1..3, a seed and up to three passed
+    rows that may be illegal."""
+    model, _ = draw(_credit_models())
+    t = draw(st.integers(1, min(3, len(model.attributes))))
+    passed = [{a.name: draw(st.sampled_from(a.labels)) for a in model.attributes}
+              for _ in range(draw(st.integers(0, 3)))]
+    return model, t, draw(st.integers(0, 3)), passed
+
+
+def _each_row_needed(tests, requirements):
+    """Every test holds a requirement that no other test holds."""
+    return all(set(_held(requirements, tests[i:i + 1]))
+               - set(_held(requirements, tests[:i] + tests[i + 1:]))
+               for i in range(len(tests)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_greedy_cases())
+def test_greedy_plans_against_brute_force(case):
+    model, t, seed, passed = case
+    legal = oracles.legal_tuples(model, oracles.constraint_predicate(model))
+    assume(legal)
+    feasible = oracles.feasible_requirement_tuples(model, t, legal)
+    everything = oracles.requirement_tuples(model, t)
+    space = ModelSpace(model)
+    for randomize in (False, True):
+        tests = generate_plan(space, t, seed=seed, randomize_ties=randomize).tests
+        assert all(test in legal for test in tests)
+        assert _held(everything, tests) == feasible
+        assert _each_row_needed(tests, feasible)
+    new = augment_plan(space, t, passed, 2, seed=seed).plan.tests
+    assert len(new) <= 2 and all(test in legal for test in new)
+    residual = set(feasible) - set(_held(feasible, [p for p in passed if p in legal]))
+    assert _each_row_needed(new, residual)
