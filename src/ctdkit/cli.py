@@ -64,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--t", type=int, required=True, help="interaction level")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of --randomize-ties; without that flag, the "
+                        "plan does not depend on the seed")
     p.add_argument("--randomize-ties", action="store_true",
                    help="pick at random (by --seed) among values that tie on both "
                         "requirements completed and uncovered requirements held, "
@@ -88,7 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("results", help="results CSV (test,verdict)")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="max new tests")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in JSON output only: augment breaks ties by "
+                        "lowest value index, so its tests do not depend on "
+                        "the seed")
     _format_args(p)
     p.set_defaults(handler=cmd_augment)
 

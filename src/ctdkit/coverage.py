@@ -30,7 +30,9 @@ given test covers.  At a width where every attribute subset has a
 feasible requirement (t always does), that is the combinations of the
 test's bindings in declaration order, hashed in C against the set of
 residual requirements; at any other width (directives), one lookup per
-subset.  Plan generation, coverage analysis and cycle augmentation each
+subset.  `step_keys` and `sub_keys` list, by the same split, the keys of
+the greedy's index: requirements less one binding (`generator`).  Plan
+generation, coverage analysis and cycle augmentation each
 call `measure` once and pass on the residual, the feasible requirements
 still uncovered: `generator.grow_tests` takes a residual and returns the
 one its tests leave, and `run_cycles` credits each cycle's passed tests
@@ -45,7 +47,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .errors import CtdError
 from .model import Model, ModelSpace
@@ -54,7 +56,8 @@ from .model import Model, ModelSpace
 class RequirementSet:
     """The requirements over some attribute subsets, every value tuple of
     each, feasible or not, with the routines that list those a test may
-    cover and keep those of a list that no test covers."""
+    cover, the keys that index them less one binding, and keep those of a
+    list that no test covers."""
 
     def __init__(self, attributes, subsets):
         self._attributes = tuple(attributes)
@@ -63,24 +66,47 @@ class RequirementSet:
         self._dense = [w for w in widths
                        if widths[w] == math.comb(len(self._attributes), w)]
         self._sparse = [s for s in self.subsets if len(s) not in self._dense]
+        # per attribute, each sparse subset holding it, less that attribute
+        self._less_one = {a: [tuple(b for b in s if b != a)
+                              for s in self._sparse if a in s]
+                          for a in self._attributes}
 
-    def candidate_keys(self, before, binding=None, after=()):
-        """The requirements that a test holding `before` (bindings in
-        declaration order) may cover, feasible or not.  Given a `binding`
-        that goes between `before` and `after`, only those that hold it,
-        their other bindings drawn from both sides."""
-        if binding is None:
-            keys = [itertools.combinations(before, w) for w in self._dense]
-            sparse = self._sparse
-        else:
-            keys = [map(add, itertools.combinations(before, w - 1 - j),
-                        itertools.repeat((binding,) + tail))
-                    for w in self._dense for j in range(min(w, len(after) + 1))
-                    for tail in itertools.combinations(after, j)]
-            sparse = [s for s in self._sparse if binding[0] in s]
-        if sparse:
-            value = dict([*before, binding, *after] if binding else before).get
-            keys.append(tuple((a, value(a)) for a in s) for s in sparse)
+    def candidate_keys(self, bindings):
+        """The requirements that a test holding `bindings` (in declaration
+        order) may cover, feasible or not."""
+        keys = [itertools.combinations(bindings, w) for w in self._dense]
+        if self._sparse:
+            value = dict(bindings).get
+            keys.append(tuple((a, value(a)) for a in s) for s in self._sparse)
+        return itertools.chain.from_iterable(keys)
+
+    def step_keys(self, bound, attribute):
+        """Each requirement that holds `attribute` and binds every other
+        attribute it names as `bound` does (bindings in declaration order,
+        none of `attribute`), less its binding of `attribute`.  Distinct
+        keys, at most `most_step_keys` of them."""
+        keys = [itertools.combinations(bound, w - 1) for w in self._dense]
+        if self._less_one[attribute]:
+            value = dict(bound)
+            keys.append(tuple((a, value[a]) for a in s)
+                        for s in self._less_one[attribute]
+                        if all(a in value for a in s))
+        return itertools.chain.from_iterable(keys)
+
+    def most_step_keys(self) -> int:
+        """The most keys `step_keys` lists for one attribute."""
+        k = len(self._attributes)
+        return (sum(math.comb(k - 1, w - 1) for w in self._dense)
+                + len(self._sparse))
+
+    def sub_keys(self, row):
+        """Each requirement that a test binding every attribute as `row`
+        does (in declaration order) may cover, less one of its bindings."""
+        keys = [itertools.combinations(row, w - 1) for w in self._dense]
+        if self._sparse:
+            value = dict(row)
+            keys.append(tuple((a, value[a]) for a in s)
+                        for less_one in self._less_one.values() for s in less_one)
         return itertools.chain.from_iterable(keys)
 
     def uncovered(self, pending, tests) -> list:

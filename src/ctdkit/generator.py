@@ -10,10 +10,16 @@ i.e. some legal test extends the partial assignment.  One engine call per
 attribute gives every value's cofactor (`ModelSpace.value_cofactors`): the
 attribute's block is at the top of the running function, so splitting it
 follows edges and builds no nodes.  Among viable values,
-the one completing the most currently-uncovered requirements wins.  A
-candidate's score is how many of its combinations with the bound values
-(`RequirementSet.candidate_keys`) are in the set of uncovered requirement
-bindings.  Ties go to the value held by the most uncovered requirements
+the one completing the most currently-uncovered requirements wins.
+Scores come from an index built once per call: each pending requirement
+is entered under each of its keys "the requirement less one binding", as
+a packed integer with one counter field per binding, the requirement
+setting the field of the binding its key lacks.  At each attribute step,
+one `sum` in C adds the entries of every key drawn from the bound values
+(`RequirementSet.step_keys`), and a candidate's score is its field of
+that total.  An emitted row clears its fields from every key inside it
+(`RequirementSet.sub_keys`), which takes out exactly the requirements it
+covers.  Ties go to the value held by the most uncovered requirements
 (AETG's value-selection rule; a `Counter` of live bindings, decremented
 as rows cover requirements), then to the lowest value index, or to a
 seeded random choice among the values tied on both when randomized
@@ -61,6 +67,17 @@ def grow_tests(space: ModelSpace, reqs: RequirementSet, pending: list,
     uncovered = set(pending)
     live = Counter(itertools.chain.from_iterable(pending))  # uncovered, per binding
     attributes = space.model.attributes
+    # one counter field per binding, wide enough that a step's total of
+    # `most_step_keys` entries carries into no neighbour
+    width = reqs.most_step_keys().bit_length()
+    ones = (1 << width) - 1
+    offset = {binding: width * i for i, binding in enumerate(
+        (a.name, label) for a in attributes for label in a.labels)}
+    # each pending requirement less one binding -> the field of that binding
+    lacking: dict[tuple, int] = {}
+    for r in pending:
+        for key, binding in zip(itertools.combinations(r, len(r) - 1), reversed(r)):
+            lacking[key] = lacking.get(key, 0) | 1 << offset[binding]
     rows = []  # (test, the requirements it may cover, those it covered first)
     first = 0
     while uncovered and (budget is None or len(rows) < budget):
@@ -74,6 +91,10 @@ def grow_tests(space: ModelSpace, reqs: RequirementSet, pending: list,
             if after and after[0][0] == attr.name:
                 before.append(after.pop(0))
                 continue
+            # per binding of attr, in its field: the uncovered requirements
+            # it completes (every other binding is in the partial assignment)
+            total = sum(map(lacking.get, reqs.step_keys(before + after, attr.name),
+                            itertools.repeat(0)))
             best = []  # tied (label, cofactor) candidates at best_key
             best_key = (-1, -1)
             for label, candidate in zip(attr.labels,
@@ -81,11 +102,8 @@ def grow_tests(space: ModelSpace, reqs: RequirementSet, pending: list,
                 if candidate.is_false:
                     continue
                 binding = (attr.name, label)
-                # uncovered requirements this binding completes (every other
-                # binding is already in the partial assignment), then those
-                # that hold it
-                key = (sum(map(uncovered.__contains__, reqs.candidate_keys(
-                    before, binding, after))), live.get(binding, 0))
+                # ties go to the binding more uncovered requirements hold
+                key = ((total >> offset[binding]) & ones, live.get(binding, 0))
                 if key > best_key:
                     best, best_key = [(label, candidate)], key
                 elif key == best_key:
@@ -99,6 +117,12 @@ def grow_tests(space: ModelSpace, reqs: RequirementSet, pending: list,
         # every requirement done is in the row: at most one binding per attribute
         for binding, count in Counter(itertools.chain.from_iterable(done)).items():
             live[binding] -= count
+        # a row binding's field under a key inside the row is a requirement
+        # the row holds: clear them all
+        keep = ~sum(1 << offset[binding] for binding in before)
+        for key in reqs.sub_keys(before):
+            if key in lacking:
+                lacking[key] &= keep
         rows.append((partial, keys, done))
     # drop each row whose first-covered requirements the kept later rows hold
     tests, later = [], set()

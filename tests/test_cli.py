@@ -311,6 +311,18 @@ def test_augment_all_fail_retargets(capsys, tmp_path):
     assert "residual_before=112" in err
 
 
+def test_augment_tests_do_not_depend_on_seed(capsys, tmp_path):
+    # the seed drives only random tie-breaks, which augment never takes
+    results = tmp_path / "results.csv"
+    _write_results(results, [])
+    outputs = {run(capsys, "augment", f"{M}/api8x2.json", f"{M}/api8x2_plan7.csv",
+                   str(results), "--t", "2", "--n", "2", "--seed", seed)
+               for seed in ("0", "1", "7")}
+    assert len(outputs) == 1
+    (code, out, _), = outputs
+    assert code == 0 and len(out.strip().splitlines()) == 3  # header + 2 rows
+
+
 def test_augment_partial_pass_shrinks_residual(capsys, tmp_path):
     plan = tmp_path / "plan.csv"
     run(capsys, "generate", f"{M}/api8x2.json", "--t", "2", "-o", str(plan))

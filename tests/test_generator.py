@@ -180,10 +180,14 @@ def test_greedy_plans_against_brute_force(case):
     space = ModelSpace(model)
     for randomize in (False, True):
         tests = generate_plan(space, t, seed=seed, randomize_ties=randomize).tests
+        assert tests == oracles.reference_greedy(model, t, legal, seed=seed,
+                                                 randomize_ties=randomize)
         assert all(test in legal for test in tests)
         assert _held(everything, tests) == feasible
         assert _each_row_needed(tests, feasible)
     new = augment_plan(space, t, passed, 2, seed=seed).plan.tests
+    covered = set(_held(feasible, [p for p in passed if p in legal]))
+    assert new == oracles.reference_greedy(model, t, legal, budget=2, seed=seed,
+                                           already_covered=covered)
     assert len(new) <= 2 and all(test in legal for test in new)
-    residual = set(feasible) - set(_held(feasible, [p for p in passed if p in legal]))
-    assert _each_row_needed(new, residual)
+    assert _each_row_needed(new, set(feasible) - covered)
