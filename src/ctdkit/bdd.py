@@ -20,11 +20,12 @@ cube (a `{var: bit}` dict) in one pass, walking straight down while the
 root tests a bound variable, and memoizes within the call, so `_cache`
 holds only ite, AND and OR entries; `restrict` is a one-variable cube.
 `cofactors` splits f over a block of variables into one cofactor per bit
-pattern, following edges where the block is at the top of f.  Negation is
-`ite(f, false, true)`; there are no complemented edges.  Counting and
-enumeration walk an explicit stack, so their depth is not bounded by the
-interpreter's recursion limit; `ite`, the AND/OR kernels, `cofactor` and
-`exists` still recurse, one frame per variable level.
+pattern, following edges where the block is at the top of f; `table`, its
+dual, builds a function over a block from one truth value per pattern.
+Negation is `ite(f, false, true)`; there are no complemented edges.
+Counting and enumeration walk an explicit stack, so their depth is not
+bounded by the interpreter's recursion limit; `ite`, the AND/OR kernels,
+`cofactor` and `exists` still recurse, one frame per variable level.
 
 A manager and its handles are confined to one thread of control at a time;
 distinct managers are independent.
@@ -78,6 +79,25 @@ class BDD:
         """Projection onto variable `index`."""
         self._check_var(index)
         return Function(self, self._node(index, FALSE, TRUE))
+
+    def table(self, variables, rows) -> "Function":
+        """The function over an ascending run of variables that is true on
+        exactly the bit patterns whose row is true, one row per pattern,
+        big-endian as in `cofactors` (its dual).  Built from the last variable
+        up, pairing the table's halves into hash-consed nodes; no apply call."""
+        variables = list(variables)
+        for var in variables:
+            self._check_var(var)
+        if any(a >= b for a, b in zip(variables, variables[1:])):
+            raise BddError(f"table variables must ascend, got {variables}")
+        roots = [TRUE if row else FALSE for row in rows]
+        if len(roots) != 1 << len(variables):
+            raise BddError(f"table over {len(variables)} variables needs "
+                           f"{1 << len(variables)} rows, got {len(roots)}")
+        for var in reversed(variables):
+            roots = [self._node(var, low, high)
+                     for low, high in zip(roots[::2], roots[1::2])]
+        return Function(self, roots[0])
 
     def _check_var(self, index: int) -> None:
         if not 0 <= index < self.var_count:

@@ -317,10 +317,8 @@ def _fmt(e: Expr, min_prec: int) -> str:
 
 def typecheck(e: Expr, model: "Model") -> Expr:
     """Resolve every attribute/value reference; returns the checked AST."""
-    if isinstance(e, (Equals, NotEquals)):
-        model.resolve(e.attr, e.value)
-    elif isinstance(e, In):
-        for value in e.values:
+    if isinstance(e, (Equals, NotEquals, In)):
+        for value in (e.values if isinstance(e, In) else (e.value,)):
             model.resolve(e.attr, value)
     elif isinstance(e, Not):
         typecheck(e.child, model)
@@ -338,19 +336,11 @@ def typecheck(e: Expr, model: "Model") -> Expr:
 def compile_expr(e: Expr, model: "Model", encoding: "Encoding",
                  manager: "BDD") -> "Function":
     """Compile a typechecked AST to a function over the encoding's variables."""
-    if isinstance(e, Equals):
-        ai, vi = model.resolve(e.attr, e.value)
-        return encoding.value_eq(manager, ai, vi)
-    if isinstance(e, NotEquals):
-        ai, vi = model.resolve(e.attr, e.value)
-        return ~encoding.value_eq(manager, ai, vi)
-    if isinstance(e, In):
-        ai = model.resolve(e.attr, e.values[0])[0]
-        result = manager.false
-        for value in e.values:
-            vi = model.resolve(e.attr, value)[1]
-            result = result | encoding.value_eq(manager, ai, vi)
-        return result
+    if isinstance(e, (Equals, NotEquals, In)):
+        labels = e.values if isinstance(e, In) else (e.value,)
+        codes = [model.resolve(e.attr, value)[1] for value in labels]
+        fn = encoding.value_set(manager, model.attribute_index(e.attr), codes)
+        return ~fn if isinstance(e, NotEquals) else fn  # true on unused codes too
     if isinstance(e, Not):
         return ~compile_expr(e.child, model, encoding, manager)
     if isinstance(e, And):

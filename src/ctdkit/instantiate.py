@@ -27,6 +27,8 @@ class FreeAttribute:
     hi: int
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name.strip():
+            raise CtdError("free attribute name must be a non-empty string")
         if self.lo >= self.hi:
             raise CtdError(f"free attribute {self.name!r}: empty range "
                            f"[{self.lo}, {self.hi})")
@@ -66,10 +68,13 @@ def instantiate(model: Model, tests, seed: int) -> ConcretePlan:
 
 def randomize_free(model: Model, plan: ConcretePlan, free, seed: int) -> ConcretePlan:
     """Append seeded random columns for attributes kept out of the model."""
+    names = [fa.name for fa in free]
     for fa in free:
         if model.attribute_index(fa.name) is not None:
             raise CtdError(
                 f"free attribute {fa.name!r} collides with a model attribute")
+        if names.count(fa.name) > 1:
+            raise CtdError(f"free attribute {fa.name!r} is given twice")
     if not free:
         return ConcretePlan(list(plan.columns), [dict(r) for r in plan.rows],
                             plan.seed)

@@ -9,10 +9,12 @@ and `ModelSpace` binds a model to a BDD manager holding its legal space:
 
     legal = validity AND constraint_1 AND ... AND constraint_k
 
-where validity excludes the bit patterns that decode to no value.  Tuple
-counts over the legal space therefore equal counts of legal tests.  The
-product is built bottom-up: validity is split into one condition per
-attribute block, and of these and the constraints, the function whose
+where validity holds each block to a code below its domain size (a
+value's code is its index).  Tuple counts over the legal space therefore
+equal counts of legal tests.  Every attribute predicate (validity, `=`,
+`!=`, `IN`, a `project` binding) is `Encoding.value_set`, one truth table
+over its block (`BDD.table`).  The product is built bottom-up: of the
+validity blocks with unused codes and the constraints, the function whose
 root variable is deepest is conjoined first.
 
 Model document (JSON):
@@ -192,7 +194,7 @@ def _parse_attribute(raw) -> Attribute:
 
 def _parse_value(attr_name: str, raw) -> Value:
     if isinstance(raw, str):
-        return Value(raw.strip())
+        raw = {"label": raw}  # a bare string is a rangeless label
     if not isinstance(raw, dict):
         raise ModelFormatError(
             f"attribute {attr_name!r}: each value must be a string or object")
@@ -201,7 +203,8 @@ def _parse_value(attr_name: str, raw) -> Value:
         raise ModelFormatError(f"unknown value fields: {sorted(unknown)}")
     label = raw.get("label")
     if not isinstance(label, str) or not label.strip():
-        raise ModelFormatError(f"attribute {attr_name!r}: value 'label' must be a string")
+        raise ModelFormatError(
+            f"attribute {attr_name!r}: value label must be a non-empty string")
     rng = raw.get("range")
     if rng is None:
         return Value(label.strip())
@@ -254,16 +257,11 @@ class Encoding:
         width = len(self.blocks[attr_index])
         return tuple((value_index >> (width - 1 - i)) & 1 for i in range(width))
 
-    def value_eq(self, manager: BDD, attr_index: int, value_index: int) -> Function:
-        """Function true exactly when the block holds this value's code."""
-        # last bit first, so each step adds one node above the last
-        fn = manager.true
-        block = self.blocks[attr_index]
-        bits = self.value_bits(attr_index, value_index)
-        for var, bit in zip(reversed(block), reversed(bits)):
-            v = manager.var(var)
-            fn = (v if bit else ~v) & fn
-        return fn
+    def value_set(self, manager: BDD, attr_index: int, value_indices) -> Function:
+        """Function true exactly when the block holds the code of one of
+        these values; a value's code is its index."""
+        block, chosen = self.blocks[attr_index], set(value_indices)
+        return manager.table(block, [code in chosen for code in range(1 << len(block))])
 
     def decode(self, bits) -> tuple[int, ...]:
         """Value indices for one bit vector (codes assumed valid)."""
@@ -384,21 +382,6 @@ def _checked_space(model: Model
     return report, None
 
 
-def _validity_blocks(model: Model, encoding: Encoding, manager: BDD
-                     ) -> list[Function]:
-    """One condition per attribute whose block has codes that decode to no
-    value, in declaration order: the block holds one of its values' codes."""
-    blocks = []
-    for ai, attr in enumerate(model.attributes):
-        if attr.size == (1 << len(encoding.blocks[ai])):
-            continue  # every code decodes to a value
-        any_value = manager.false
-        for vi in range(attr.size):
-            any_value = any_value | encoding.value_eq(manager, ai, vi)
-        blocks.append(any_value)
-    return blocks
-
-
 # ----------------------------------------------------------------------
 # the bound symbolic space
 
@@ -414,11 +397,12 @@ class ModelSpace:
         self.encoding = build_encoding(model)
         self.manager = BDD(self.encoding.var_count)
         true = self.manager.true
-        blocks = _validity_blocks(model, self.encoding, self.manager)
-        validity = true
-        for block in reversed(blocks):
-            validity = block & validity
-        self.validity = validity
+        # validity: each block with unused codes holds a code below its
+        # domain size
+        blocks = [self.encoding.value_set(self.manager, ai, range(attr.size))
+                  for ai, attr in enumerate(model.attributes)
+                  if attr.size < 1 << len(self.encoding.blocks[ai])]
+        self.validity = reduce(Function.__and__, reversed(blocks), true)
         self.constraint_fns = []
         for source in model.constraints:
             ast = constraints.typecheck(constraints.parse(source), model)
@@ -553,7 +537,7 @@ class ModelSpace:
         fixed = self.manager.true
         for attr, label in partial.items():
             ai, vi = self.model.resolve(attr, label)
-            fixed = fixed & self.encoding.value_eq(self.manager, ai, vi)
+            fixed = fixed & self.encoding.value_set(self.manager, ai, [vi])
         return self.legal & fixed
 
     def tuple_count(self, fn: Function | None = None) -> int:

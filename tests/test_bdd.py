@@ -427,6 +427,53 @@ def test_cofactor_checks_its_variables():
         m.cofactor(BDD(3).var(0), {0: 1})
 
 
+def _literal_table(m, variables, rows):
+    """`BDD.table` built literal by literal: an OR of one minterm per true row."""
+    fn = m.false
+    for pattern, row in enumerate(rows):
+        if row:
+            term = m.true
+            for i, var in enumerate(variables):
+                bit = pattern >> (len(variables) - 1 - i) & 1
+                term = term & (m.var(var) if bit else ~m.var(var))
+            fn = fn | term
+    return fn
+
+
+def test_table_equals_literal_construction():
+    rng = random.Random(53)
+    for width in range(5):
+        for _ in range(20):
+            m = BDD(6)
+            variables = sorted(rng.sample(range(6), width))
+            rows = [rng.random() < 0.5 for _ in range(1 << width)]
+            got = m.table(variables, rows)
+            assert got.root == _literal_table(m, variables, rows).root
+            # the dual of cofactors: splitting over the block gives the rows back
+            assert [c.root for c in m.cofactors(got, variables)] \
+                == [m.const(row).root for row in rows]
+            for bits in itertools.product((0, 1), repeat=6):
+                pattern = 0
+                for var in variables:
+                    pattern = pattern << 1 | bits[var]
+                assert got.evaluate(bits) == rows[pattern]
+
+
+def test_table_checks_its_arguments():
+    m = BDD(3)
+    assert m.table([], [True]).is_true and m.table([], [0]).is_false
+    with pytest.raises(BddError, match="needs 4 rows, got 3"):
+        m.table([0, 1], [True] * 3)
+    with pytest.raises(BddError, match="needs 1 rows, got 2"):
+        m.table([], [True, False])
+    for variables in ([2, 3], [-1, 0]):
+        with pytest.raises(BddError, match="out of range"):
+            m.table(variables, [True] * 4)
+    for variables in ([1, 0], [1, 1]):
+        with pytest.raises(BddError, match="must ascend"):
+            m.table(variables, [True] * 4)
+
+
 def test_store_invariants_after_random_operations():
     n = 7
     m = BDD(n)

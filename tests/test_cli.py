@@ -554,6 +554,20 @@ def test_instantiate_free_column_and_json(capsys, tmp_path):
     assert all(1 <= int(row[size_index]) < 4096 for row in document["tests"])
 
 
+@pytest.mark.parametrize("free, message", [
+    (["x=1:5", "x=10:20"], "free attribute 'x' is given twice"),
+    ([" =1:5"], "free attribute name must be a non-empty string"),
+    (["=1:5"], "free attribute name must be a non-empty string"),
+], ids=["repeated", "blank", "empty"])
+def test_instantiate_rejects_bad_free_names(capsys, free, message):
+    flags = [arg for item in free for arg in ("--free", item)]
+    code, out, err = run(capsys, "instantiate", f"{M}/api8x2.json",
+                         f"{M}/api8x2_plan7.csv", "--seed", "1", *flags)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 # ----------------------------------------------------------------------
 # global behavior
 

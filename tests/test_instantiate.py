@@ -133,6 +133,19 @@ def test_free_attribute_empty_range_rejected():
         FreeAttribute("w", 5, 5)
 
 
+@pytest.mark.parametrize("name", ["", "  "])
+def test_free_attribute_blank_name_rejected(name):
+    with pytest.raises(CtdError, match="name must be a non-empty string"):
+        FreeAttribute(name, 0, 2)
+
+
+def test_free_attribute_repeated_name_rejected(power_failure):
+    concrete = instantiate(power_failure, _abstract_rows(power_failure), seed=2)
+    with pytest.raises(CtdError, match="'x' is given twice"):
+        randomize_free(power_failure, concrete,
+                       [FreeAttribute("x", 1, 5), FreeAttribute("x", 10, 20)], seed=0)
+
+
 def test_instantiate_rejects_unknown_labels(power_failure):
     with pytest.raises(CtdError):
         instantiate(power_failure, [{"FailureType": "nope", "WriteCount": "small",

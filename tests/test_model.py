@@ -1,5 +1,6 @@
 """Model loading, validation, encoding, legal space, projection, enumeration."""
 
+import functools
 import json
 import pathlib
 import random
@@ -15,6 +16,7 @@ from ctdkit import (
     ModelSpace,
     UnknownValueError,
     build_encoding,
+    constraints,
     load_model,
     parse_model,
     validate_model,
@@ -57,6 +59,14 @@ def test_load_rejects_bad_json(tmp_path):
 def test_parse_rejects_bad_value_objects(value):
     with pytest.raises(ModelFormatError):
         parse_model({"attributes": [{"name": "A", "values": [value]}]})
+
+
+@pytest.mark.parametrize("value", ["", "  ", {"label": ""}, {"label": " "},
+                                   {"label": 5}, {"range": [1, 2]}])
+def test_parse_rejects_empty_or_blank_labels(value):
+    doc = {"attributes": [{"name": "A", "values": [value, "b"]}]}
+    with pytest.raises(ModelFormatError, match="label must be a non-empty string"):
+        parse_model(doc)
 
 
 def test_parse_rejects_empty_range():
@@ -613,6 +623,49 @@ def test_enumeration_over_empty_space():
 def test_enumeration_limit(shopping_space):
     got = list(shopping_space.assignments(limit=5))
     assert len(got) == 5
+
+
+def _literal_value_set(space, ai, value_indices):
+    """A value set built literal by literal: one conjunction of bit literals
+    per value's code, ORed."""
+    m, encoding = space.manager, space.encoding
+    fn = m.false
+    for vi in value_indices:
+        code = m.true
+        for var, bit in zip(encoding.blocks[ai], encoding.value_bits(ai, vi)):
+            code = code & (m.var(var) if bit else ~m.var(var))
+        fn = fn | code
+    return fn
+
+
+def test_value_sets_equal_literal_construction():
+    # widths 0 (one value), 2 (three values, one unused code), 3 (five, three
+    # unused) and 1 (two, none unused)
+    sizes = {"One": 1, "Three": 3, "Five": 5, "Two": 2}
+    model = Model(tuple(Attribute(name, tuple(Value(f"v{i}") for i in range(size)))
+                        for name, size in sizes.items()))
+    space = ModelSpace(model)
+    ref = functools.partial(_literal_value_set, space)
+    assert [len(b) for b in space.encoding.blocks] == [0, 2, 3, 1]
+
+    def compiled(source):
+        return constraints.compile_expr(constraints.typecheck(
+            constraints.parse(source), model), model, space.encoding, space.manager)
+
+    for ai, name in enumerate(sizes):
+        for vi in range(sizes[name]):
+            assert compiled(f"{name} = v{vi}") == ref(ai, [vi])
+            assert compiled(f"{name} != v{vi}") == ~ref(ai, [vi])
+            assert compiled(f"NOT {name} = v{vi}") == ~ref(ai, [vi])
+            assert space.project({name: f"v{vi}"}) == space.legal & ref(ai, [vi])
+        picked = list(range(0, sizes[name], 2))
+        labels = ", ".join(f"v{vi}" for vi in picked)
+        assert compiled(f"{name} IN {{{labels}}}") == ref(ai, picked)
+        assert compiled(f"{name} IN {{{labels}, v0}}") == ref(ai, picked)
+    assert space.validity == ref(1, range(3)) & ref(2, range(5))
+    assert space.legal == space.validity
+    assert space.project({"One": "v0", "Five": "v4", "Two": "v1"}) \
+        == space.legal & ref(0, [0]) & ref(2, [4]) & ref(3, [1])
 
 
 def test_single_value_attribute_consumes_no_bits(staircase):
