@@ -11,7 +11,7 @@ cycles, and concretize subdomain values into executable inputs.
 from .bdd import BDD, Function
 from .coverage import (
     CoverageReport,
-    RequirementSet,
+    Residual,
     coverage_of,
     filter_feasible,
     generate_requirements,
@@ -59,7 +59,7 @@ __all__ = [
     "Model", "Attribute", "Value", "Encoding", "ModelSpace",
     "ValidationReport", "build_encoding", "load_model", "parse_model",
     "validate_model",
-    "RequirementSet", "CoverageReport",
+    "Residual", "CoverageReport",
     "generate_requirements", "filter_feasible", "coverage_of",
     "TestPlan", "read_plan_csv", "read_results_csv", "row_hash",
     "generate_plan", "lower_bound",

@@ -7,42 +7,32 @@ deterministic: attribute subsets in lexicographic declaration order, value
 tuples in value-index order, then any explicit model directives
 (deduplicated).
 
-Coverage is measured per attribute subset, without listing the
-requirements.  A subset's feasible count is the count of its projection of
-the legal space: the product of the counts of its pieces, its attributes in
-each component that the constraints link (`ModelSpace.pieces`).  A legal
-test holds only feasible value tuples, so a subset's covered count is the
-number of distinct sub-rows of the legal tests.  `measure` lists value
-tuples only for the subsets where the two differ, in value-index order,
-less the covered ones and those a piece excludes; with no tests, that is
-every feasible requirement.  A piece's excluded tuples are found once per
-call, by evaluating its value tuples on its projection, and only when its
-count shows it excludes one (`_feasibility`).  The counts also give
-`feasible_count` (sum) and `generator.lower_bound` (max).
+Feasibility is decided per attribute subset.  A subset's feasible count is
+the count of its projection of the legal space: the product of the counts
+of its pieces, its attributes in each component that the constraints link
+(`ModelSpace.pieces`).  A piece's excluded tuples are found once per call,
+by evaluating its value tuples on its projection, and only when its count
+shows it excludes one (`_feasibility`).  The counts give `feasible_count`
+(sum) and `generator.lower_bound` (max), and `filter_feasible` decides
+listed requirements the same way.
 
-`filter_feasible` decides listed requirements the same way, one subset at
-a time: `measure` passes it the directives that are not t wide, and tests
-and demos the full list from `generate_requirements`.  A `RequirementSet`
-holds the attribute subsets (`measure` returns the t-subsets and those of
-the feasible directives), `candidate_keys`, which lists what a test may
-cover, and `uncovered`, which keeps the requirements of a list that no
-given test covers.  At a width where every attribute subset has a
-feasible requirement (t always does), that is the combinations of the
-test's bindings in declaration order, hashed in C against the set of
-residual requirements; at any other width (directives), one lookup per
-subset.  `step_keys` and `sub_keys` list, by the same split, the keys of
-the greedy's index: requirements less one binding (`generator`).  Plan
-generation, coverage analysis and cycle augmentation each
-call `measure` once and pass on the residual, the feasible requirements
-still uncovered: `generator.grow_tests` takes a residual and returns the
-one its tests leave, and `run_cycles` credits each cycle's passed tests
-with `uncovered`.  Coverage credit is granted only by tests inside the
-legal space; imported tests that violate it are listed in the report and
-ignored.
+A `Residual` is the one set of feasible requirements still uncovered:
+plan generation, coverage analysis and cycle augmentation each build one,
+and the greedy (`generator.grow_tests`) scores its candidates from it and
+takes out what its rows cover.  It is built per t-subset.  A legal test
+holds only feasible value tuples, so a subset's covered tuples are the
+distinct sub-rows of the tests, and when they are as many as its
+projection holds, it leaves nothing.  A subset that no test touches and no
+piece cuts enters whole, without listing its requirements; any other
+enters its value tuples less the covered ones and those a piece excludes,
+and each feasible directive that is not t wide and not covered enters on
+its own.  Coverage credit is granted only by tests inside the legal space;
+imported tests that violate it are listed in the report and ignored.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from collections import Counter
@@ -53,88 +43,174 @@ from .errors import CtdError
 from .model import Model, ModelSpace
 
 
-class RequirementSet:
-    """The requirements over some attribute subsets, every value tuple of
-    each, feasible or not, with the routines that list those a test may
-    cover, the keys that index them less one binding, and keep those of a
-    list that no test covers."""
+class Residual:
+    """The feasible requirements of (space, t) that `tests` (full and
+    legal, as `split_legal` keeps them) leave uncovered, in requirement
+    order, held in the layout the greedy scores from.
 
-    def __init__(self, attributes, subsets):
-        self._attributes = tuple(attributes)
-        self.subsets = tuple(subsets)
-        widths = Counter(map(len, self.subsets))
-        self._dense = [w for w in widths
-                       if widths[w] == math.comb(len(self._attributes), w)]
-        self._sparse = [s for s in self.subsets if len(s) not in self._dense]
-        # per attribute, each sparse subset holding it, less that attribute
-        self._less_one = {a: [tuple(b for b in s if b != a)
-                              for s in self._sparse if a in s]
-                          for a in self._attributes}
+    Each key "requirement less one binding" maps to one packed int with one
+    counter field per binding (declaration order, then value index): an
+    uncovered requirement sets the field of the binding its key lacks, so
+    it is held once under each of its keys.  Every t-subset has keys, so
+    those inside a row are the combinations of its bindings; a directive
+    subset's are looked up one by one.  `_live` counts the uncovered
+    requirements per binding."""
 
-    def candidate_keys(self, bindings):
-        """The requirements that a test holding `bindings` (in declaration
-        order) may cover, feasible or not."""
-        keys = [itertools.combinations(bindings, w) for w in self._dense]
-        if self._sparse:
-            value = dict(bindings).get
-            keys.append(tuple((a, value(a)) for a in s) for s in self._sparse)
-        return itertools.chain.from_iterable(keys)
+    def __init__(self, space: ModelSpace, t: int, tests=()):
+        self._model = model = space.model
+        self._names = names = model.attribute_names
+        self._labels = labels = {a.name: a.labels for a in model.attributes}
+        subsets = list(_t_subsets(model, t))
+        directives = filter_feasible(_directives(model, t), space).feasible()
+        self._t = t
+        sparse = list(dict.fromkeys(tuple(map(itemgetter(0), r)) for r in directives))
+        # per attribute, each directive subset holding it, less that attribute
+        self._less_one = {a: [tuple(b for b in s if b != a) for s in sparse if a in s]
+                          for a in names}
+        self._sparse_keys = list(dict.fromkeys(
+            itertools.chain.from_iterable(self._less_one.values())))
+        # one counter field per binding, wide enough that a step's total (one
+        # entry per key of a requirement holding the attribute) carries into
+        # no neighbour
+        self._width = (math.comb(len(names) - 1, t - 1) + len(sparse)).bit_length()
+        self._ones = (1 << self._width) - 1
+        self._bindings = [(a, v) for a in names for v in labels[a]]
+        self._offset = {b: self._width * i for i, b in enumerate(self._bindings)}
+        self._mask = {a: sum(1 << self._offset[a, v] for v in labels[a]) for a in names}
+        self._index: dict[tuple, int] = {}
+        self._live: Counter = Counter()
+        self._entries = []  # (attributes, None) whole, or (None, listed)
+        self._count = 0  # requirements entered and not covered since
+        columns = {a: list(map(itemgetter(a), tests)) for a in names}
 
-    def step_keys(self, bound, attribute):
-        """Each requirement that holds `attribute` and binds every other
-        attribute it names as `bound` does (bindings in declaration order,
-        none of `attribute`), less its binding of `attribute`.  Distinct
-        keys, at most `most_step_keys` of them."""
-        keys = [itertools.combinations(bound, w - 1) for w in self._dense]
-        if self._less_one[attribute]:
-            value = dict(bound)
-            keys.append(tuple((a, value[a]) for a in s)
-                        for s in self._less_one[attribute]
-                        if all(a in value for a in s))
-        return itertools.chain.from_iterable(keys)
+        def held(attrs):  # the distinct sub-rows of the tests
+            return set(zip(*map(columns.__getitem__, attrs)))
 
-    def most_step_keys(self) -> int:
-        """The most keys `step_keys` lists for one attribute."""
-        k = len(self._attributes)
-        return (sum(math.comb(k - 1, w - 1) for w in self._dense)
-                + len(self._sparse))
+        self.total = len(directives)
+        for attrs, (count, excluders) in zip(subsets, _feasibility(space, subsets)):
+            self.total += count
+            covered = held(attrs)
+            if len(covered) == count:
+                continue
+            if not covered and not excluders:
+                self._enter_whole(attrs)
+                continue
+            values = itertools.filterfalse(covered.__contains__, itertools.product(
+                *map(labels.__getitem__, attrs)))
+            if excluders:
+                values = (v for v in values if _admits(excluders, v))
+            self._enter(list(map(tuple, map(zip, itertools.repeat(attrs), values))))
+        self._enter([r for r in directives if tuple(map(itemgetter(1), r))
+                     not in held(tuple(map(itemgetter(0), r)))])
 
-    def sub_keys(self, row):
-        """Each requirement that a test binding every attribute as `row`
-        does (in declaration order) may cover, less one of its bindings."""
-        keys = [itertools.combinations(row, w - 1) for w in self._dense]
-        if self._sparse:
-            value = dict(row)
-            keys.append(tuple((a, value[a]) for a in s)
-                        for less_one in self._less_one.values() for s in less_one)
-        return itertools.chain.from_iterable(keys)
+    def _enter_whole(self, attrs) -> None:
+        """Enter every value tuple of a subset: per attribute, its whole
+        field mask under each key over the others."""
+        index, size = self._index, math.prod(len(self._labels[a]) for a in attrs)
+        for i, a in enumerate(attrs):
+            mask = self._mask[a]
+            for key in _value_tuples(self._model, attrs[:i] + attrs[i + 1:]):
+                index[key] = index.get(key, 0) | mask
+            for v in self._labels[a]:
+                self._live[a, v] += size // len(self._labels[a])
+        self._entries.append((attrs, None))
+        self._count += size
 
-    def uncovered(self, pending, tests) -> list:
-        """The requirements of `pending` that no test in `tests` covers, in
-        `pending`'s order.  A test may bind its attributes in any key order,
-        and earns nothing for the ones it leaves out."""
-        left = set(pending)
-        for test in tests:
-            left.difference_update(self.candidate_keys(
-                [(a, test[a]) for a in self._attributes if a in test]))
-        return [r for r in pending if r in left]
-
-
-class RequirementList(RequirementSet):
-    """Requirements listed one by one, in order and without repeats, each
-    feasible or not: what `filter_feasible` returns.  Its subsets are those
-    that hold a feasible requirement."""
-
-    def __init__(self, requirements, feasible, attributes, subsets):
-        super().__init__(attributes, subsets)
-        self._requirements = tuple(requirements)
-        self._feasible = tuple(feasible)
-
-    def __len__(self) -> int:
-        return len(self._requirements)
+    def _enter(self, listed) -> None:
+        """Enter requirements one by one, in order."""
+        index, offset = self._index, self._offset
+        for r in listed:
+            for key, binding in zip(itertools.combinations(r, len(r) - 1), reversed(r)):
+                index[key] = index.get(key, 0) | 1 << offset[binding]
+        self._live.update(itertools.chain.from_iterable(listed))
+        self._entries.append((None, listed))
+        self._count += len(listed)
 
     def __iter__(self):
-        return iter(self._requirements)
+        """The uncovered requirements, in requirement order.  Each is read
+        when it is reached, so what a caller covers meanwhile is skipped."""
+        get, offset = self._index.get, self._offset
+        for attrs, listed in self._entries:
+            if listed is not None:
+                yield from (r for r in listed if get(r[:-1], 0) >> offset[r[-1]] & 1)
+                continue
+            last = self._mask[attrs[-1]]
+            for key in _value_tuples(self._model, attrs[:-1]):
+                mask = last  # the last attribute's fields under this key
+                while bits := get(key, 0) & mask:
+                    low = bits & -bits
+                    yield key + (self._bindings[(low.bit_length() - 1) // self._width],)
+                    mask &= -(low << 1)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def copy(self) -> Residual:
+        other = copy.copy(self)
+        other._index, other._live = dict(self._index), Counter(self._live)
+        return other
+
+    def _keys_within(self, bound, sparse):
+        """Each key that binds as `bound` does (bindings in declaration
+        order): every t-1 of them, and each directive key over `sparse`."""
+        keys = itertools.combinations(bound, self._t - 1)
+        if not sparse:
+            return keys
+        value = dict(bound)
+        return itertools.chain(keys, (tuple((a, value[a]) for a in s) for s in sparse
+                                      if all(a in value for a in s)))
+
+    def _row(self, test):
+        """A test's bindings in declaration order, and their field mask."""
+        row = [(a, test[a]) for a in self._names if a in test]
+        return row, sum(1 << self._offset[b] for b in row)
+
+    def scores(self, bound, attribute) -> list[tuple[int, int]]:
+        """Per value of `attribute`, in value-index order: how many
+        uncovered requirements binding it and `bound` (bindings in
+        declaration order) would complete, and how many hold it."""
+        total = sum(map(self._index.get, self._keys_within(bound, self._less_one[attribute]),
+                        itertools.repeat(0)))
+        return [(total >> self._offset[attribute, v] & self._ones, self._live[attribute, v])
+                for v in self._labels[attribute]]
+
+    def cover(self, test) -> dict[tuple, int]:
+        """Take out what `test` holds.  A test may bind its attributes in any
+        key order, and earns nothing for the ones it leaves out.  Returns
+        the requirements it covered first, as {key: bits}, each once: under
+        the key that lacks its last binding."""
+        row, mask = self._row(test)
+        index, done, covered = self._index, {}, 0
+        for key in self._keys_within(row, self._sparse_keys):
+            bits = index.get(key, 0) & mask
+            if bits:
+                index[key] ^= bits
+                covered += bits
+                # the fields after the key's last binding: requirements it begins
+                last = bits & -(2 << self._offset[key[-1]]) if key else bits
+                if last:
+                    done[key] = last
+        # a requirement covered sets the field of each of its bindings once
+        for b in row:
+            self._live[b] -= covered >> self._offset[b] & self._ones
+        self._count -= sum(map(int.bit_count, done.values()))
+        return done
+
+    def hold(self, held: dict, test) -> None:
+        """Add what `test` holds to `held`, a {key: bits} map like those
+        `cover` returns."""
+        row, mask = self._row(test)
+        for key in self._keys_within(row, self._sparse_keys):
+            held[key] = held.get(key, 0) | mask
+
+
+class RequirementList(list):
+    """Requirements listed one by one, in order and without repeats, each
+    feasible or not: what `filter_feasible` returns."""
+
+    def __init__(self, requirements, feasible):
+        super().__init__(requirements)
+        self._feasible = tuple(feasible)
 
     def feasible(self) -> list[tuple[tuple[str, str], ...]]:
         """The feasible requirements, in requirement order."""
@@ -158,9 +234,13 @@ def generate_requirements(model: Model, t: int) -> list[tuple[tuple[str, str], .
     """All value tuples over every t-subset of attributes, plus directives,
     in order and without repeats."""
     return list(itertools.chain.from_iterable(
-        map(tuple, map(zip, itertools.repeat([model.attributes[i].name for i in subset]),
-                       itertools.product(*(model.attributes[i].labels for i in subset))))
-        for subset in _t_subsets(model, t))) + _directives(model, t)
+        _value_tuples(model, attrs) for attrs in _t_subsets(model, t))) + _directives(model, t)
+
+
+def _value_tuples(model: Model, attrs):
+    """Every value tuple over `attrs`, as bindings, in value-index order."""
+    return map(tuple, map(zip, itertools.repeat(attrs), itertools.product(
+        *(model.attribute(a).labels for a in attrs))))
 
 
 def _directives(model: Model, t: int) -> list[tuple[tuple[str, str], ...]]:
@@ -171,11 +251,11 @@ def _directives(model: Model, t: int) -> list[tuple[tuple[str, str], ...]]:
 
 
 def _t_subsets(model: Model, t: int):
-    """Every t-subset of attribute indices, in lexicographic order."""
+    """Every t-subset of attribute names, in lexicographic declaration order."""
     k = len(model.attributes)
     if not 1 <= t <= k:
         raise CtdError(f"interaction level t={t} out of range 1..{k}")
-    return itertools.combinations(range(k), t)
+    return itertools.combinations(model.attribute_names, t)
 
 
 def filter_feasible(reqs, space: ModelSpace) -> RequirementList:
@@ -192,53 +272,11 @@ def filter_feasible(reqs, space: ModelSpace) -> RequirementList:
     for attrs, run in itertools.groupby(reqs, lambda r: tuple(map(itemgetter(0), r))):
         groups.setdefault(attrs, []).extend(run)
     infeasible = set()
-    subsets = []  # those holding a feasible requirement
-    for (attrs, group), (_, excluders) in zip(groups.items(),
-                                              _feasibility(space, groups)):
+    for group, (_, excluders) in zip(groups.values(), _feasibility(space, groups)):
         if excluders:
-            out = [b for b in group
-                   if not _admits(excluders, tuple(map(itemgetter(1), b)))]
-            infeasible.update(out)
-            if len(out) == len(group):
-                continue  # a group of directives may be infeasible throughout
-        subsets.append(attrs)
-    feasible = [r for r in reqs if r not in infeasible]
-    return RequirementList(reqs, feasible, space.model.attribute_names, subsets)
-
-
-def measure(space: ModelSpace, t: int, tests) -> tuple[RequirementSet, int, list]:
-    """The requirement set of (space, t), how many of its requirements are
-    feasible, and, in requirement order, the feasible ones that `tests`
-    (full and legal, as `split_legal` keeps them) leave uncovered.
-
-    No t-way requirement is listed but those returned.  A legal test holds
-    only feasible value tuples, so a t-subset's covered tuples are the
-    distinct sub-rows of the tests, and when they are as many as its
-    projection holds (`_feasibility`), it leaves nothing.  Any other
-    subset's tuples are listed in value-index order, less the covered ones
-    and those a piece excludes.  Directives that are not t wide go through
-    `filter_feasible` and `RequirementSet.uncovered`."""
-    model = space.model
-    names = model.attribute_names
-    subsets = [tuple(names[i] for i in s) for s in _t_subsets(model, t)]
-    listed = filter_feasible(_directives(model, t), space)
-    columns = {a: list(map(itemgetter(a), tests)) for a in names}
-    labels = {a.name: a.labels for a in model.attributes}
-    total, missing = 0, []
-    for attrs, (count, excluders) in zip(subsets, _feasibility(space, subsets)):
-        total += count
-        covered = set(zip(*map(columns.__getitem__, attrs)))
-        if len(covered) == count:
-            continue
-        values = itertools.filterfalse(covered.__contains__, itertools.product(
-            *map(labels.__getitem__, attrs)))
-        if excluders:
-            values = [v for v in values if _admits(excluders, v)]
-        missing.extend(map(tuple, map(zip, itertools.repeat(attrs), values)))
-    feasible = listed.feasible()
-    missing += listed.uncovered(feasible, tests)
-    reqs = RequirementSet(names, subsets + list(listed.subsets))
-    return reqs, total + len(feasible), missing
+            infeasible.update(b for b in group
+                              if not _admits(excluders, tuple(map(itemgetter(1), b))))
+    return RequirementList(reqs, [r for r in reqs if r not in infeasible])
 
 
 def _feasibility(space: ModelSpace, subsets):
@@ -276,8 +314,7 @@ def _admits(excluders, values) -> bool:
 
 def _subset_counts(space: ModelSpace, t: int) -> list[int]:
     """The feasible value tuples of each t-subset of attributes, in order."""
-    names = space.model.attribute_names
-    subsets = [[names[i] for i in subset] for subset in _t_subsets(space.model, t)]
+    subsets = list(_t_subsets(space.model, t))
     return [count for count, _ in _feasibility(space, subsets)]
 
 
@@ -357,5 +394,6 @@ def coverage_of(space: ModelSpace, tests, t: int) -> CoverageReport:
     """Measure a test list against the feasible requirements of the space."""
     # split first: a bad row is reported before a bad t
     legal, illegal = split_legal(space, tests)
-    _, total, missing = measure(space, t, legal)
-    return CoverageReport(total, total - len(missing), missing, illegal)
+    residual = Residual(space, t, legal)
+    missing = list(residual)
+    return CoverageReport(residual.total, residual.total - len(missing), missing, illegal)

@@ -1,14 +1,13 @@
 """Budget-limited planning across test cycles.
 
-`augment_plan` and `run_cycles` each measure their (space, t) once
-(`coverage.measure`) and keep the residual: the feasible requirements that
-the passed tests leave uncovered.  `run_cycles` credits each cycle's passed
-tests with `RequirementSet.uncovered`.  Each cycle
-asks the greedy generator for at most n new tests covering the residual,
-then takes from it what the tests that pass cover.  Iterating until full
-coverage (or until cycles run out) yields a monotonically nondecreasing
-coverage history.  Failed tests earn no credit; they may be regenerated
-in a later cycle.
+`augment_plan` and `run_cycles` each build one residual
+(`coverage.Residual`): the feasible requirements that the passed tests
+leave uncovered.  Each cycle of `run_cycles` asks the greedy generator for
+at most n new tests covering a copy of the residual, then takes from the
+residual what the tests that pass cover (`Residual.cover`).  Iterating
+until full coverage (or until cycles run out) yields a monotonically
+nondecreasing coverage history.  Failed tests earn no credit; they may be
+regenerated in a later cycle.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .coverage import coverage_percent, measure, split_legal
+from .coverage import Residual, coverage_percent, split_legal
 from .errors import CtdError
 from .generator import grow_tests
 from .model import ModelSpace
@@ -64,10 +63,11 @@ def augment_plan(space: ModelSpace, t: int, passed, n: int,
     legal, illegal = split_legal(space, passed)
     if n < 1:
         raise CtdError(f"cycle budget must be >= 1, got {n}")
-    reqs, total, residual = measure(space, t, legal)
-    tests, left = grow_tests(space, reqs, residual, n, seed, randomize_ties)
-    plan = TestPlan(tests, total - len(left), total, t)
-    return AugmentResult(plan, len(residual), len(left), illegal)
+    residual = Residual(space, t, legal)
+    before, total = len(residual), residual.total
+    tests = grow_tests(space, residual, n, seed, randomize_ties)
+    plan = TestPlan(tests, total - len(residual), total, t)
+    return AugmentResult(plan, before, len(residual), illegal)
 
 
 def run_cycles(space: ModelSpace, t: int, n: int,
@@ -86,16 +86,18 @@ def run_cycles(space: ModelSpace, t: int, n: int,
         raise CtdError(f"max_cycles must be >= 1, got {max_cycles}")
     if n < 1:
         raise CtdError(f"cycle budget must be >= 1, got {n}")
-    reqs, total, residual = measure(space, t, ())
+    residual = Residual(space, t)
+    total = residual.total
     passed: list[dict[str, str]] = []
     history: list[CycleRecord] = []
     for _ in range(max_cycles):
         if not residual:
             break
-        tests = grow_tests(space, reqs, residual, n, seed)[0]
+        tests = grow_tests(space, residual.copy(), n, seed)
         newly_passed = [test for test in tests if verdict_source(test)]
         passed.extend(newly_passed)
         # every passed test is generated, hence legal: no split_legal
-        residual = reqs.uncovered(residual, newly_passed)
+        for test in newly_passed:
+            residual.cover(test)
         history.append(CycleRecord(n, len(tests), total - len(residual), total))
-    return CycleState(passed, residual, history, total)
+    return CycleState(passed, list(residual), history, total)

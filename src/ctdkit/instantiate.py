@@ -13,6 +13,7 @@ random values per test via `randomize_free`.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from .errors import CtdError
@@ -92,15 +93,13 @@ def randomize_free(model: Model, plan: ConcretePlan, free, seed: int) -> Concret
 def abstract_candidates(model: Model, attr_name: str, concrete: str) -> list[str]:
     """Value labels a concrete cell can stand for.
 
-    An integer maps to every subdomain whose range contains it (overlapping
-    subdomains report all matches); any other cell maps to the label itself
-    when it belongs to the domain.
+    An integer written as `instantiate` writes it (ASCII digits, with an
+    optional minus sign) maps to every subdomain whose range contains it
+    (overlapping subdomains report all matches); any other cell maps to the
+    label itself when it belongs to the domain.
     """
     attr = model.attribute(attr_name)
-    try:
-        number = int(concrete)
-    except ValueError:
-        number = None
+    number = int(concrete) if re.fullmatch("-?[0-9]+", concrete) else None
     matches = []
     for value in attr.values:
         if value.range is not None:

@@ -12,6 +12,7 @@ import oracles
 from ctdkit import (
     BDD,
     ModelSpace,
+    Residual,
     augment_plan,
     coverage_of,
     filter_feasible,
@@ -105,9 +106,10 @@ def test_criterion_3_analyzer_fixtures(api8x2, api8x2_space, manual3x3x3,
         (("Carrier", "Fedex"), ("ExportControl", "True")),
         (("DeliverySchedule", "2-5 working days"), ("ExportControl", "True")),
     }
-    pairs = filter_feasible(generate_requirements(shopping, 2), shopping_space)
-    feasible = pairs.feasible()
-    got = set(feasible).difference(pairs.uncovered(feasible, [test]))
+    pairs = Residual(shopping_space, 2)
+    feasible = list(pairs)
+    pairs.cover(test)
+    got = set(feasible).difference(pairs)
     _check(failures, got == expected, "pairs of the single shopping test differ")
     single = coverage_of(shopping_space, [test], 2)
     _check(failures, single.covered == 10,

@@ -1,7 +1,6 @@
 """Requirement generation, feasibility filtering, and coverage measurement."""
 
 import itertools
-import operator
 import time
 
 import pytest
@@ -28,7 +27,7 @@ from ctdkit import (
 )
 from ctdkit.bdd import BDD
 from ctdkit import coverage
-from ctdkit.coverage import feasible_count, measure, split_legal
+from ctdkit.coverage import Residual, feasible_count, split_legal
 from ctdkit.model import Attribute, Value
 
 
@@ -160,7 +159,7 @@ def test_filter_feasible_projects_linked_pieces_only(monkeypatch, k, v, t,
     """The chain links only the pairs its constraints name: the subsets
     need one projection per linked pair and per attribute, and only the
     value tuples of the linked pairs are evaluated, once per call, by both
-    `filter_feasible` and `measure`."""
+    `filter_feasible` and `Residual`."""
     model = parse_model(oracles.chain_document(k, v))
     space = ModelSpace(model)
     reqs = generate_requirements(model, t)
@@ -179,7 +178,7 @@ def test_filter_feasible_projects_linked_pieces_only(monkeypatch, k, v, t,
     monkeypatch.setattr(BDD, "evaluate", counted_evaluate)
     expected = oracles.feasible_requirements_by_search(model, t)
     for listing in (lambda: filter_feasible(reqs, space).feasible(),
-                    lambda: measure(space, t, ())[2]):
+                    lambda: list(Residual(space, t))):
         kept.clear()
         evaluated.clear()
         assert listing() == expected
@@ -219,9 +218,10 @@ def test_pairs_of_single_shopping_test(shopping):
         "Availability": "Available", "Payment": "Paypal", "Carrier": "Fedex",
         "DeliverySchedule": "2-5 working days", "ExportControl": "True",
     }
-    reqs = filter_feasible(generate_requirements(shopping, 2), ModelSpace(shopping))
-    feasible = reqs.feasible()
-    pairs = set(feasible).difference(reqs.uncovered(feasible, [test]))
+    residual = Residual(ModelSpace(shopping), 2)
+    feasible = list(residual)
+    residual.cover(test)
+    pairs = set(feasible).difference(residual)
     assert pairs == {
         (("Availability", "Available"), ("Payment", "Paypal")),
         (("Availability", "Available"), ("Carrier", "Fedex")),
@@ -239,9 +239,10 @@ def test_pairs_of_single_shopping_test(shopping):
 
 def test_pairs_of_test_at_full_width_is_the_test(xyz):
     test = {"X": "a", "Y": "d", "Z": "e"}
-    reqs = filter_feasible(generate_requirements(xyz, 3), ModelSpace(xyz))
-    feasible = reqs.feasible()
-    assert [r for r in feasible if r not in reqs.uncovered(feasible, [test])] == [
+    residual = Residual(ModelSpace(xyz), 3)
+    feasible = list(residual)
+    residual.cover(test)
+    assert [r for r in feasible if r not in list(residual)] == [
         (("X", "a"), ("Y", "d"), ("Z", "e"))]
 
 
@@ -422,17 +423,77 @@ def test_covered_equals_brute_force(case):
     model, t, tests = case
     legal, feasible = _brute_force(model, t)
     assume(legal)
-    reqs = filter_feasible(generate_requirements(model, t), ModelSpace(model))
-    pending = reqs.feasible()
-    assert pending == feasible
+    residual = Residual(ModelSpace(model), t)
+    assert list(residual) == feasible
     covered = _held(feasible, tests)
-    left = reqs.uncovered(pending, tests)
-    assert left == [r for r in feasible if r not in covered]
-    # the requirements of `pending` themselves, not equal copies
-    assert all(map(operator.is_, left, [r for r in pending if r not in covered]))
-    # a strict subset, out of requirement order, keeps its own order
-    subset = pending[::-2]
-    assert reqs.uncovered(subset, tests) == [r for r in subset if r not in covered]
+    for test in tests:
+        residual.cover(test)
+    assert list(residual) == [r for r in feasible if r not in covered]
+
+
+@st.composite
+def _residual_cases(draw):
+    """A `_credit_models` model and t with directives of width 1, t + 1 and
+    every attribute added, rows to build from (full, maybe illegal), and
+    tests to cover that may be illegal, list their attributes in any order,
+    or leave one out."""
+    model, t = draw(_credit_models())
+    attributes = model.attributes
+
+    def directive(width):
+        chosen = sorted(draw(st.permutations(range(len(attributes))))[:width])
+        return tuple((attributes[i].name, draw(st.sampled_from(attributes[i].labels)))
+                     for i in chosen)
+
+    added = tuple(directive(w) for w in (1, t + 1, len(attributes))
+                  if w <= len(attributes))
+    model = Model(attributes, model.constraints, model.directives + added)
+    return (model, t, _draw_rows(draw, model, partial=False),
+            _draw_rows(draw, model, partial=True))
+
+
+def _check_residual(residual, left):
+    assert list(residual) == left
+    assert len(residual) == len(left)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_residual_cases(), st.data())
+def test_residual_equals_brute_force(case, data):
+    model, t, rows, more = case
+    legal, feasible = _brute_force(model, t)
+    assume(legal)
+    space = ModelSpace(model)
+    tests, _ = split_legal(space, rows)
+    residual = Residual(space, t, tests)
+    assert residual.total == len(feasible)
+    left = [r for r in feasible if r not in _held(feasible, tests)]
+    _check_residual(residual, left)
+    kept = residual.copy()
+    for test in more:
+        before = len(residual)
+        done = residual.cover(test)
+        left = [r for r in left if r not in _held(left, [test])]
+        _check_residual(residual, left)
+        # each requirement covered first is returned once
+        assert sum(bits.bit_count() for bits in done.values()) == before - len(left)
+    # the copy is independent, both ways
+    _check_residual(kept, [r for r in feasible if r not in _held(feasible, tests)])
+    for test in tests + more:
+        kept.cover(test)
+    _check_residual(residual, left)
+    # per value of an attribute, the requirements it would complete with a
+    # partial assignment of the others, and those it holds
+    names = model.attribute_names
+    attr = data.draw(st.sampled_from(names))
+    bound = [(a, data.draw(st.sampled_from(model.attribute(a).labels)))
+             for a in names if a != attr and data.draw(st.booleans())]
+    expected = []
+    for label in model.attribute(attr).labels:
+        holding = [r for r in left if (attr, label) in r]
+        assignment = dict(bound, **{attr: label})
+        expected.append((len(_held(holding, [assignment])), len(holding)))
+    assert residual.scores(bound, attr) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -494,12 +555,13 @@ def test_measure_equals_brute_force(case, data):
     rows += rows[:data.draw(st.integers(0, 2))]  # repeated rows
     tests, illegal = split_legal(space, rows)
     assert illegal == [i for i, row in enumerate(rows) if row not in legal]
-    _, total, missing = measure(space, t, tests)
-    assert total == len(feasible)
+    residual = Residual(space, t, tests)
+    assert residual.total == len(feasible)
     covered = _held(feasible, tests)
-    assert missing == [r for r in feasible if r not in covered]
+    assert list(residual) == [r for r in feasible if r not in covered]
     listed = filter_feasible(generate_requirements(model, t), space).feasible()
-    assert measure(space, t, [])[1:] == (len(feasible), feasible) == (len(listed), listed)
+    empty = Residual(space, t, [])
+    assert (empty.total, list(empty)) == (len(feasible), feasible) == (len(listed), listed)
 
 
 def test_measure_at_t1(xyz_drop_a):
@@ -507,10 +569,11 @@ def test_measure_at_t1(xyz_drop_a):
     the constraint excludes, is neither counted nor missing."""
     space = ModelSpace(xyz_drop_a)
     test = {"Z": "e", "X": "b", "Y": "c"}
-    _, total, missing = measure(space, 1, [test, test])
-    assert total == 5
+    residual = Residual(space, 1, [test, test])
+    missing = list(residual)
+    assert residual.total == 5
     assert missing == [(("Y", "d"),), (("Z", "f"),)]
-    assert measure(space, 1, [])[2] == [
+    assert list(Residual(space, 1, [])) == [
         (("X", "b"),), (("Y", "c"),), (("Y", "d"),), (("Z", "e"),), (("Z", "f"),)]
     report = coverage_of(space, [test, {"X": "a", "Y": "d", "Z": "f"}], 1)
     assert (report.covered, report.missing, report.illegal_tests) == (3, missing, [1])

@@ -1,5 +1,7 @@
 """Greedy plan construction: completeness, legality, size, determinism, budget."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -126,6 +128,20 @@ def test_full_strength_plan_enumerates_legal_space(xyz):
     plan = generate_plan(space, 3)
     assert len(plan) == 8
     assert plan.covered == plan.total_feasible == 8
+
+
+def test_t3_plan_lists_no_requirement():
+    """The greedy works on one packed residual: a t=3 plan on a 12x4 chain
+    (13,840 requirements) peaks well below what listing them takes."""
+    space = ModelSpace(parse_model(oracles.chain_document(12, 4)))
+    tracemalloc.start()
+    try:
+        plan = generate_plan(space, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan) == 191
+    assert peak < 4 * 2 ** 20
 
 
 def test_lower_bound_values(model1, api8x2_space, xyz_drop_a):

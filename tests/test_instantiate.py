@@ -88,6 +88,23 @@ def test_overlapping_subdomains_report_all_candidates():
         recover_abstract(m, concrete)
 
 
+def test_only_plain_integers_fall_in_a_range():
+    """A cell is read as an integer only in the form `instantiate` writes:
+    `1_0`, `+7` and the Arabic-Indic digit seven are labels, not numbers."""
+    m = Model((Attribute("N", (Value("1_0"), Value("small", (0, 20)),
+                               Value("neg", (-20, -5)))),))
+    assert abstract_candidates(m, "N", "1_0") == ["1_0"]
+    assert abstract_candidates(m, "N", "10") == ["small"]
+    assert abstract_candidates(m, "N", "+7") == []
+    assert abstract_candidates(m, "N", "\u0667") == []
+    assert abstract_candidates(m, "N", "7\n") == []
+    assert abstract_candidates(m, "N", "-7") == ["neg"]
+    assert abstract_candidates(m, "N", "-5") == []
+    rows = [{"N": "1_0"}, {"N": "small"}, {"N": "neg"}]
+    concrete = instantiate(m, rows, seed=3)
+    assert recover_abstract(m, concrete) == rows
+
+
 def test_abstract_candidates_for_plain_labels(shopping):
     assert abstract_candidates(shopping, "Payment", "Credit") == ["Credit"]
     assert abstract_candidates(shopping, "Payment", "Bitcoin") == []
