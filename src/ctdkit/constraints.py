@@ -333,6 +333,20 @@ def typecheck(e: Expr, model: "Model") -> Expr:
     return e
 
 
+def attributes_of(e: Expr) -> set[str]:
+    """Names of the attributes an expression mentions, whether or not it
+    depends on them."""
+    if isinstance(e, (Equals, NotEquals, In)):
+        return {e.attr}
+    if isinstance(e, Not):
+        return attributes_of(e.child)
+    if isinstance(e, (And, Or)):
+        return set().union(*map(attributes_of, e.children))
+    if isinstance(e, (Implies, Iff)):
+        return attributes_of(e.lhs) | attributes_of(e.rhs)
+    return set()
+
+
 def compile_expr(e: Expr, model: "Model", encoding: "Encoding",
                  manager: "BDD") -> "Function":
     """Compile a typechecked AST to a function over the encoding's variables."""

@@ -6,9 +6,12 @@ space cofactored on its values, then bind the remaining attributes one at
 a time in declaration order.  A candidate value is viable iff cofactoring
 the running function on it leaves it non-false, i.e. some legal test
 extends the partial assignment.  One engine call per attribute gives every
-value's cofactor (`ModelSpace.value_cofactors`): the attribute's block is
-at the top of the running function, so splitting it follows edges and
-builds no nodes.  Among viable values, the one completing the most
+value's cofactor (`ModelSpace.value_cofactors`).  When the blocks follow
+declaration order, the attribute's block is at the top of the running
+function, so splitting it follows edges and builds no nodes; under a
+permuted block order (`model.build_encoding`) a block below the top is
+cofactored, which builds nodes but binds the same values, so plans do not
+depend on the order.  Among viable values, the one completing the most
 uncovered requirements wins (`Residual.scores`: one packed sum in C per
 step).  Ties go to the value held by the most uncovered requirements
 (AETG's value-selection rule), then to the lowest value index, or to a

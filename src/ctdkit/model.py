@@ -4,8 +4,12 @@ A `Model` is the user-facing artifact: an ordered list of attributes with
 ordered value domains (optionally carrying integer subdomain ranges),
 constraint expression strings, and optional explicit requirement tuples
 (directives).  `build_encoding` maps each attribute to a block of Boolean
-variables (log encoding, most-significant bit first, declaration order),
-and `ModelSpace` binds a model to a BDD manager holding its legal space:
+variables (log encoding, most-significant bit first).  The blocks keep
+declaration order when every constraint's attributes form a contiguous run
+of it; otherwise they follow a breadth-first numbering of the constraint
+graph, if that lowers the constraints' summed span (`_block_order`).
+Everything a user sees stays in declaration order.  `ModelSpace` binds a
+model to a BDD manager holding its legal space:
 
     legal = validity AND constraint_1 AND ... AND constraint_k
 
@@ -248,7 +252,11 @@ def load_model(path) -> Model:
 
 @dataclass(frozen=True)
 class Encoding:
-    """Attribute blocks of Boolean variables, log-encoded, MSB first."""
+    """Attribute blocks of Boolean variables, log-encoded, MSB first.
+
+    `blocks` is indexed by attribute; each block is an ascending run of
+    variables, and the blocks follow one another in the order
+    `build_encoding` picks."""
     blocks: tuple[tuple[int, ...], ...]
     var_count: int
 
@@ -263,26 +271,67 @@ class Encoding:
         block, chosen = self.blocks[attr_index], set(value_indices)
         return manager.table(block, [code in chosen for code in range(1 << len(block))])
 
-    def decode(self, bits) -> tuple[int, ...]:
-        """Value indices for one bit vector (codes assumed valid)."""
-        out = []
-        for block in self.blocks:
-            code = 0
-            for var in block:
-                code = (code << 1) | bits[var]
-            out.append(code)
-        return tuple(out)
 
+def build_encoding(model: Model,
+                   asts: list[constraints.Expr] | None = None) -> Encoding:
+    """Assign disjoint variable blocks in an order picked from the
+    constraints alone; deterministic.
 
-def build_encoding(model: Model) -> Encoding:
-    """Assign disjoint variable blocks in declaration order; deterministic."""
-    blocks = []
+    `asts` are the model's typechecked constraints, parsed here when not
+    given.  The blocks follow `_block_order`."""
+    if asts is None:
+        asts = [constraints.typecheck(constraints.parse(source), model)
+                for source in model.constraints]
+    index = model.attribute_index
+    links = [sorted({index(name) for name in constraints.attributes_of(ast)})
+             for ast in asts]
+    blocks: list[tuple[int, ...]] = [()] * len(model.attributes)
     next_var = 0
-    for attr in model.attributes:
-        width = (attr.size - 1).bit_length()
-        blocks.append(tuple(range(next_var, next_var + width)))
+    for ai in _block_order(len(model.attributes), links):
+        width = (model.attributes[ai].size - 1).bit_length()
+        blocks[ai] = tuple(range(next_var, next_var + width))
         next_var += width
     return Encoding(tuple(blocks), next_var)
+
+
+def _block_order(n: int, links: list[list[int]]) -> list[int]:
+    """The order of n attributes' blocks, given each constraint's attribute
+    indices in ascending order.
+
+    BDD size depends on the variable order (Bryant 1986), and a constraint
+    whose attributes lie far apart keeps every attribute between them in
+    its diagram.  Declaration order is kept when every constraint's
+    attributes form a contiguous run of it.  Otherwise the attributes are
+    numbered breadth-first over the graph that links two attributes named
+    by one constraint (Cuthill & McKee 1969): each component from its first
+    declared attribute, neighbours in declaration order.  That order is
+    kept only if it lowers the constraints' summed span, the distance
+    between each one's first and last attribute in the order."""
+    if all(run[-1] - run[0] == len(run) - 1 for run in links if run):
+        return list(range(n))
+    neighbours: list[set[int]] = [set() for _ in range(n)]
+    for run in links:
+        for ai in run:
+            neighbours[ai].update(run)
+    order: list[int] = []
+    position = [-1] * n
+    for start in range(n):
+        if position[start] >= 0:
+            continue
+        position[start] = len(order)
+        order.append(start)
+        k = len(order) - 1
+        while k < len(order):
+            for ai in sorted(neighbours[order[k]]):
+                if position[ai] < 0:
+                    position[ai] = len(order)
+                    order.append(ai)
+            k += 1
+    span = sum(max(position[ai] for ai in run) - min(position[ai] for ai in run)
+               for run in links if run)
+    if span < sum(run[-1] - run[0] for run in links if run):
+        return order
+    return list(range(n))
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +443,9 @@ class ModelSpace:
 
     def __init__(self, model: Model):
         self.model = model
-        self.encoding = build_encoding(model)
+        asts = [constraints.typecheck(constraints.parse(source), model)
+                for source in model.constraints]
+        self.encoding = build_encoding(model, asts)
         self.manager = BDD(self.encoding.var_count)
         true = self.manager.true
         # validity: each block with unused codes holds a code below its
@@ -403,11 +454,9 @@ class ModelSpace:
                   for ai, attr in enumerate(model.attributes)
                   if attr.size < 1 << len(self.encoding.blocks[ai])]
         self.validity = reduce(Function.__and__, reversed(blocks), true)
-        self.constraint_fns = []
-        for source in model.constraints:
-            ast = constraints.typecheck(constraints.parse(source), model)
-            self.constraint_fns.append(
-                constraints.compile_expr(ast, model, self.encoding, self.manager))
+        self.constraint_fns = [
+            constraints.compile_expr(ast, model, self.encoding, self.manager)
+            for ast in asts]
         # Conjoin validity's blocks and the constraints bottom-up: the one
         # whose root variable is deepest goes first, ties in list order
         # (blocks first).  Each step's root is then at or above the running
@@ -501,7 +550,10 @@ class ModelSpace:
         """Per attribute index, the least index of its component: attributes
         are linked when one constraint's BDD depends on both.  Not syntax:
         `(A = a AND B = b) OR (A = a AND B != b)` is `A = a`; B stays apart."""
-        owner = [ai for ai, block in enumerate(self.encoding.blocks) for _ in block]
+        owner = [0] * self.encoding.var_count  # variable -> its attribute
+        for ai, block in enumerate(self.encoding.blocks):
+            for var in block:
+                owner[var] = ai
         component = list(range(len(self.model.attributes)))
         for fn in self.constraint_fns:
             merged = {component[owner[v]] for v in fn.support()}
@@ -553,16 +605,27 @@ class ModelSpace:
         """True when a full assignment satisfies the legal space."""
         return self.legal.evaluate(self.assignment_bits(test))
 
-    def decode_bits(self, bits) -> dict[str, str]:
-        indices = self.encoding.decode(bits)
-        return {a.name: a.values[vi].label
-                for a, vi in zip(self.model.attributes, indices)}
-
     def assignments(self, fn: Function | None = None,
                     limit: int | None = None) -> Iterator[dict[str, str]]:
-        """Decode satisfying bit vectors to assignments, lexicographically."""
-        space = fn if fn is not None else self.legal
-        for i, bits in enumerate(space.satisfying()):
-            if limit is not None and i >= limit:
-                return
-            yield self.decode_bits(bits)
+        """The full assignments fn admits (the legal space by default), in
+        lexicographic declaration order, at most `limit` of them.
+
+        A depth-first walk over an explicit stack that splits the function
+        over each attribute's values in declaration order
+        (`value_cofactors`) and enters only the branches left non-false,
+        whatever the block order."""
+        names, attributes = self.model.attribute_names, self.model.attributes
+        todo = [((), fn if fn is not None else self.legal)]  # (labels, cofactor)
+        emitted = 0
+        while todo and (limit is None or emitted < limit):
+            labels, branch = todo.pop()
+            if branch.is_false:
+                continue
+            depth = len(labels)
+            if depth == len(names):
+                yield dict(zip(names, labels))
+                emitted += 1
+                continue
+            todo += reversed([
+                (labels + (label,), cofactor) for label, cofactor in zip(
+                    attributes[depth].labels, self.value_cofactors(branch, names[depth]))])

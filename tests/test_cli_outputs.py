@@ -1,8 +1,9 @@
 """CLI output pinned byte for byte: the sha1 of the exit code and stdout of
 `analyze`, `augment`, `count` and `generate` on the checked-in plans and
 their models (`code_review_dispatch_plan19` holds a value its model lacks,
-so its plan commands exit 1), and on `code_review` with directives of every
-width.  A digest changes only with a change to output, which CHANGES.md
+so its plan commands exit 1), on `code_review` with directives of every
+width, and of `validate`, `count`, `generate` and `project` on
+`linked8x3`, whose constraints link attributes four apart.  A digest changes only with a change to output, which CHANGES.md
 must declare.
 
 To print the digests of the code under test (say, before a change that
@@ -37,6 +38,8 @@ DIRECTIVES = [
     [("InterestingCB5", "false"), ("InterestingCB4", "false"),
      ("InterestingCB3", "true"), ("LenCBchain", "5")],
 ]
+# a model without a plan; its blocks do not follow declaration order
+LINKED = "linked8x3"
 
 
 def _write_inputs(directory: pathlib.Path) -> dict[str, tuple[str, str, str]]:
@@ -57,6 +60,7 @@ def _write_inputs(directory: pathlib.Path) -> dict[str, tuple[str, str, str]]:
             f"{i},{'FAIL' if i % 3 == 0 else 'PASS'}\n" for i in range(1, rows + 1)),
             encoding="utf-8")
         files[name] = (str(model), str(plan_path), str(results))
+    files[LINKED] = (str(MODELS / f"{LINKED}.json"), "", "")
     return files
 
 
@@ -78,6 +82,14 @@ def _commands() -> dict[str, tuple[str, list]]:
                     "--n", "3", "--seed", "1", "--format", fmt])
         commands[f"analyze-{name}-t2-capped"] = (name, [
             "analyze", "{model}", "{plan}", "--t", "2", "--max-missing", "2"])
+    commands[f"validate-{LINKED}"] = (LINKED, ["validate", "{model}"])
+    commands[f"count-{LINKED}"] = (LINKED, ["count", "{model}"])
+    for t in (2, 3):
+        for fmt in ("csv", "json"):
+            commands[f"generate-{LINKED}-t{t}-{fmt}"] = (LINKED, [
+                "generate", "{model}", "--t", str(t), "--format", fmt])
+    commands[f"project-{LINKED}"] = (LINKED, [
+        "project", "{model}", "--fix", "A0=x", "--limit", "20"])
     return commands
 
 
@@ -140,6 +152,7 @@ DIGESTS = {
     'count-code_review': '39ce095672d1f3292f8ef24c0457bb53481a20d7',
     'count-code_review_directed': '3cbd3a17bc7b794108e482e739af1a1e1a623594',
     'count-code_review_dispatch': '6426682f51a3c9b31d0919338e870b33d36699f2',
+    'count-linked8x3': '62953934689f668a316581b2138640b51b127076',
     'count-manual3x3x3': 'b04f55637af38a2ebb3c3090d4aac91a4ae270a1',
     'generate-api8x2-t2-csv': 'f32d7f197b055ce8b2d67b2259505684ff0686c6',
     'generate-api8x2-t2-json': 'ffd000d08fd155e396abc99e92f51dc06fcd6fad',
@@ -157,10 +170,16 @@ DIGESTS = {
     'generate-code_review_dispatch-t2-json': 'c5f078d30eca161419fb68a5da0e182b777c939b',
     'generate-code_review_dispatch-t3-csv': '9e5e84d89641e00c06edfde08673903a40e2f0c9',
     'generate-code_review_dispatch-t3-json': 'f120eeaedd07fc5be5a0693693cb88f687b38e24',
+    'generate-linked8x3-t2-csv': '0018ace128d2ea71ed4044e074c13a9bc092f750',
+    'generate-linked8x3-t2-json': 'b6c9503ea461e7dd63fbdada92b69afc1499d23f',
+    'generate-linked8x3-t3-csv': '7b85ba8c528cfb70ae0cea67b2ef6914d4f1f1bc',
+    'generate-linked8x3-t3-json': '4a81680156387b4c4cf1888e659ddd281c63954f',
     'generate-manual3x3x3-t2-csv': 'f89e6bacb707d486cd6df60ae1083e91f403bc81',
     'generate-manual3x3x3-t2-json': 'fe7b3ccd37d872eb758576771c3c864c57e110c3',
     'generate-manual3x3x3-t3-csv': 'd9f447b835a44af362900acec3d436a1ca8c54d9',
     'generate-manual3x3x3-t3-json': '94e1d58004366c08d20a302047d494a9c948b1aa',
+    'project-linked8x3': '777385aac53023985dfe78bf67f4b324ad7044ee',
+    'validate-linked8x3': '6f6c11307582cd359c447342be51ea0600a371fa',
 }
 
 

@@ -376,11 +376,20 @@ def test_validity_count_equals_cartesian(shopping):
     assert space.validity.count() == 288
 
 
-def test_encode_decode_round_trip(code_review_space):
-    space = code_review_space
-    for test in space.assignments():
-        bits = space.assignment_bits(test)
-        assert space.decode_bits(bits) == test
+def test_encode_decode_round_trip(code_review_space, models_dir):
+    # each enumerated test's bits are its values' codes on their blocks,
+    # in declaration order and in a permuted block order alike
+    for space in (code_review_space, ModelSpace(load_model(models_dir / "linked8x3.json"))):
+        encoding = space.encoding
+        for test in space.assignments():
+            expected = {}
+            for attr, label in test.items():
+                ai, vi = space.model.resolve(attr, label)
+                expected.update(zip(encoding.blocks[ai], encoding.value_bits(ai, vi)))
+            bits = space.assignment_bits(test)
+            assert bits == expected
+            assert sorted(bits) == list(range(encoding.var_count))
+            assert space.legal.evaluate(bits)
 
 
 # ----------------------------------------------------------------------
@@ -591,6 +600,63 @@ def test_components_come_from_bdd_support():
             space.legal, [kept])
 
 
+def test_components_follow_variables_under_a_permuted_order(models_dir):
+    # `Ai = x -> Ai+4 != y` lays the blocks out A0, A4, A1, A5, ...; each
+    # attribute's component is read from the variables of its block
+    space = ModelSpace(load_model(models_dir / "linked8x3.json"))
+    blocks = space.encoding.blocks
+    assert sorted(range(8), key=lambda ai: blocks[ai]) == [0, 4, 1, 5, 2, 6, 3, 7]
+    assert space._components == [0, 1, 2, 3, 0, 1, 2, 3]
+    for subset in (["A0", "A4"], ["A4", "A1"], ["A1", "A5", "A0"],
+                   ["A7", "A3", "A2"], [f"A{i}" for i in range(8)]):
+        kept = [v for n in subset for v in blocks[space.model.attribute_index(n)]]
+        assert space.marginals([subset]) == space.manager.projections(
+            space.legal, [kept])
+
+
+# ----------------------------------------------------------------------
+# block order
+
+def _iff_document(h):
+    """2h three-valued attributes under `Ai = a <-> Ai+h = b`."""
+    return {"attributes": [{"name": f"A{i}", "values": ["a", "b", "c"]}
+                           for i in range(2 * h)],
+            "constraints": [f"A{i} = a <-> A{i + h} = b" for i in range(h)]}
+
+
+def test_far_linked_model_builds_in_few_nodes():
+    # in declaration order this model takes 12.6M nodes; each linked pair
+    # is adjacent in the order picked, so the legal space stays linear
+    space = ModelSpace(parse_model(_iff_document(20)))
+    assert len(space.manager) < 2000
+    assert space.tuple_count() == 5 ** 20 == 95_367_431_640_625
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in (pathlib.Path(__file__).resolve().parent.parent / "models").glob("*.json")
+    if p.stem != "linked8x3") + ["chain20x5"])
+def test_contiguous_models_keep_declaration_order(name, models_dir):
+    # the chain and every checked-in model but linked8x3, which is there to
+    # take the other path, link only attributes declared next to one another
+    model = (parse_model(oracles.chain_document(20, 5)) if name == "chain20x5"
+             else load_model(models_dir / f"{name}.json"))
+    flat = [v for b in build_encoding(model).blocks for v in b]
+    assert flat == list(range(len(flat)))
+
+
+def test_block_order_kept_only_when_the_span_falls():
+    # a cycle A0-A1-A2-A3-A0: breadth-first from A0 gives A0, A1, A3, A2,
+    # whose summed span is 6, as in declaration order, which stays
+    names = ["A0", "A1", "A2", "A3"]
+    model = Model(tuple(Attribute(n, (Value("x"), Value("y"))) for n in names),
+                  ("A0 = x -> A1 = x", "A1 = x -> A2 = x", "A2 = x -> A3 = x",
+                   "A3 = x -> A0 = y"))
+    assert build_encoding(model).blocks == ((0,), (1,), (2,), (3,))
+    # A0-A3 alone: A0, A3, A1, A2 lowers the span from 3 to 1
+    model = Model(model.attributes, ("A0 = x -> A3 = x", "A1 = y"))
+    assert build_encoding(model).blocks == ((0,), (2,), (3,), (1,))
+
+
 # ----------------------------------------------------------------------
 # enumeration
 
@@ -623,6 +689,26 @@ def test_enumeration_over_empty_space():
 def test_enumeration_limit(shopping_space):
     got = list(shopping_space.assignments(limit=5))
     assert len(got) == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(_marginal_cases(), st.data())
+def test_enumeration_equals_brute_force(case, data):
+    # `_marginal_cases` links attributes in any order, so some of these
+    # models lay their blocks out apart from declaration order
+    model, _ = case
+    try:
+        space = ModelSpace(model)
+    except InfeasibleModelError:
+        assume(False)
+    expected = oracles.legal_tuples(model, oracles.constraint_predicate(model))
+    assert list(space.assignments()) == expected
+    limit = data.draw(st.integers(0, len(expected) + 1))
+    assert list(space.assignments(limit=limit)) == expected[:limit]
+    attr = model.attributes[data.draw(st.integers(0, len(model.attributes) - 1))]
+    label = data.draw(st.sampled_from(attr.labels))
+    assert list(space.assignments(space.project({attr.name: label}))) == [
+        t for t in expected if t[attr.name] == label]
 
 
 def _literal_value_set(space, ai, value_indices):
