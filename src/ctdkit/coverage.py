@@ -11,30 +11,40 @@ Feasibility is decided per attribute subset.  A subset's feasible count is
 the count of its projection of the legal space: the product of the counts
 of its pieces, its attributes in each component that the constraints link
 (`ModelSpace.pieces`).  A piece's excluded tuples are found once per call,
-by evaluating its value tuples on its projection, and only when its count
-shows it excludes one (`_feasibility`).  The counts give `feasible_count`
-(sum) and `generator.lower_bound` (max), and `filter_feasible` decides
-listed requirements the same way.
+as the rows its projection rejects in one `ModelSpace.select` over its
+value tuples, and only when its count shows it excludes one
+(`_feasibility`).  The counts give `feasible_count` (sum) and
+`generator.lower_bound` (max), and `filter_feasible` decides listed
+requirements the same way.
+
+Imported tests are judged a column at a time.  `split_legal` typechecks
+every test, then decides them all in one `select` on the legal space; a
+`Residual` reads which tests hold each value tuple from the ANDs of the
+tests' row sets (`ModelSpace.row_sets`), one bitset of tests per attribute
+value.
 
 A `Residual` is the one set of feasible requirements still uncovered:
 plan generation, coverage analysis and cycle augmentation each build one,
 and the greedy (`generator.grow_tests`) scores its candidates from it and
 takes out what its rows cover.  It is built per t-subset.  A legal test
-holds only feasible value tuples, so a subset's covered tuples are the
-distinct sub-rows of the tests, and when they are as many as its
+holds only feasible value tuples, so a subset's covered tuples are those
+whose AND of row sets is not zero, and when they are as many as its
 projection holds, it leaves nothing.  A subset that no test touches and no
 piece cuts enters whole, without listing its requirements; any other
 enters its value tuples less the covered ones and those a piece excludes,
 and each feasible directive that is not t wide and not covered enters on
-its own.  Coverage credit is granted only by tests inside the legal space;
-imported tests that violate it are listed in the report and ignored.
+its own.  Without tests no row set is built.  Coverage credit is granted
+only by tests inside the legal space; imported tests that violate it are
+listed in the report and ignored.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -81,27 +91,26 @@ class Residual:
         self._live: Counter = Counter()
         self._entries = []  # (attributes, None) whole, or (None, listed)
         self._count = 0  # requirements entered and not covered since
-        columns = {a: list(map(itemgetter(a), tests)) for a in names}
-
-        def held(attrs):  # the distinct sub-rows of the tests
-            return set(zip(*map(columns.__getitem__, attrs)))
-
+        # per attribute, per value index, the tests holding it; none without tests
+        sets = space.row_sets(tests) if tests else {}
         self.total = len(directives)
         for attrs, (count, excluders) in zip(subsets, _feasibility(space, subsets)):
             self.total += count
-            covered = held(attrs)
-            if len(covered) == count:
+            rows = _held(sets, attrs)
+            covered = len(rows) - rows.count(0)
+            if covered == count:
                 continue
             if not covered and not excluders:
                 self._enter_whole(attrs)
                 continue
-            values = itertools.filterfalse(covered.__contains__, itertools.product(
-                *map(labels.__getitem__, attrs)))
+            values = itertools.product(*map(labels.__getitem__, attrs))
+            if covered:
+                values = itertools.compress(values, map(operator.not_, rows))
             if excluders:
                 values = (v for v in values if _admits(excluders, v))
             self._enter(list(map(tuple, map(zip, itertools.repeat(attrs), values))))
-        self._enter([r for r in directives if tuple(map(itemgetter(1), r))
-                     not in held(tuple(map(itemgetter(0), r)))])
+        self._enter([r for r in directives if not sets or not functools.reduce(
+            operator.and_, (sets[a][model.resolve(a, v)[1]] for a, v in r))])
 
     def _enter_whole(self, attrs) -> None:
         """Enter every value tuple of a subset: per attribute, its whole
@@ -284,8 +293,8 @@ def _feasibility(space: ModelSpace, subsets):
     value tuples some legal test holds, and the pieces (`ModelSpace.pieces`)
     that exclude one, as (getter, excluded) pairs for `_admits`.  Each
     distinct piece is projected and counted once, and its value tuples are
-    evaluated once, only when its count shows it excludes one; `subsets` is
-    read twice."""
+    decided once, as the rows of one `select` on its projection, only when
+    its count shows it excludes one; `subsets` is read twice."""
     blocks, var_count = space.encoding.blocks, space.encoding.var_count
     index = space.model.attribute_index
     split = [space.pieces(attrs) for attrs in subsets]
@@ -296,15 +305,31 @@ def _feasibility(space: ModelSpace, subsets):
         labels = [space.model.attribute(a).labels for a in piece]
         excluded = set()
         if count < math.prod(map(len, labels)):
+            # the value tuples, as rows of one `select`
+            values = list(itertools.product(*labels))
+            rows = list(map(dict, map(zip, itertools.repeat(piece), values)))
+            admitted = space.select(fn, space.row_sets(rows, piece), len(rows))
             # keyed as `itemgetter` returns them: one attribute, one label
             key = itemgetter(*range(len(piece)))
-            excluded = {key(v) for v in itertools.product(*labels)
-                        if not fn.evaluate(space.binding_bits(zip(piece, v)))}
+            excluded = set(map(key, itertools.compress(
+                values, map(operator.not_, _flags(admitted, len(values))))))
         decided[piece] = count, excluded
     for attrs, pieces in zip(subsets, split):
         yield (math.prod(decided[p][0] for p in pieces),
                [(itemgetter(*map(attrs.index, p)), decided[p][1])
                 for p in pieces if decided[p][1]])
+
+
+def _held(sets, attrs) -> list[int]:
+    """Per value tuple of `attrs` in product order, the rows holding it:
+    the AND of its values' row sets (`ModelSpace.row_sets`); none when
+    `sets` is empty."""
+    if not sets:
+        return []
+    rows = sets[attrs[0]]
+    for a in attrs[1:]:
+        rows = list(itertools.starmap(operator.and_, itertools.product(rows, sets[a])))
+    return rows
 
 
 def _admits(excluders, values) -> bool:
@@ -379,15 +404,22 @@ class CoverageReport:
 
 
 def split_legal(space: ModelSpace, tests) -> tuple[list[dict[str, str]], list[int]]:
-    """The tests inside the legal space, and the 0-based indices of the rest."""
-    legal: list[dict[str, str]] = []
-    illegal: list[int] = []
-    for i, test in enumerate(tests):
-        if space.contains(test):
-            legal.append(test)
-        else:
-            illegal.append(i)
-    return legal, illegal
+    """The tests inside the legal space, and the 0-based indices of the rest.
+
+    Every test is typechecked in order, so the first bad one raises; then
+    one `ModelSpace.select` on `legal` decides them all."""
+    tests = list(tests)
+    for test in tests:
+        space.model.check_assignment(test, full=True)
+    flags = list(_flags(space.select(space.legal, space.row_sets(tests), len(tests)),
+                        len(tests)))
+    return (list(itertools.compress(tests, flags)),
+            [i for i, legal in enumerate(flags) if not legal])
+
+
+def _flags(rows: int, count: int):
+    """Per row of `count`, in order, whether the bitset `rows` holds it."""
+    return map("1".__eq__, f"{rows:0{count}b}"[::-1][:count])
 
 
 def coverage_of(space: ModelSpace, tests, t: int) -> CoverageReport:

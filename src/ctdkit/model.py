@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Iterator
@@ -242,6 +243,8 @@ def load_model(path) -> Model:
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             document = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{path}: not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: invalid JSON: {exc}") from exc
     return parse_model(document)
@@ -596,14 +599,52 @@ class ModelSpace:
         """Number of value tuples a function admits (legal space by default)."""
         return (fn if fn is not None else self.legal).count()
 
-    def assignment_bits(self, test: dict[str, str]) -> dict[int, int]:
-        """Variable -> bit for a full assignment, typechecked first."""
-        self.model.check_assignment(test, full=True)
-        return self.binding_bits(test.items())
-
     def contains(self, test: dict[str, str]) -> bool:
-        """True when a full assignment satisfies the legal space."""
-        return self.legal.evaluate(self.assignment_bits(test))
+        """True when a full assignment satisfies the legal space: the
+        one-row case of `select`."""
+        self.model.check_assignment(test, full=True)
+        return self.select(self.legal, self.row_sets([test]), 1) == 1
+
+    @cached_property
+    def _chars(self) -> dict[str, dict[str, str]]:
+        """Per attribute name, each label's one-character code: chr(index)."""
+        return {a.name: {label: chr(vi) for label, vi in a._label_index.items()}
+                for a in self.model.attributes}
+
+    def row_sets(self, rows, attrs=None) -> dict[str, list[int]]:
+        """Per attribute of `attrs` (every attribute by default), per value
+        index, the bitset of the `rows` that hold that value: bit i for
+        rows[i].  Each row maps those attributes to one of their labels.
+
+        An attribute's column is read once, into one character per row
+        (last row first), and each value's set is that string translated to
+        `1` at the value's character and `0` at every other, read as a
+        binary number: no per-row big-int OR, and any domain size."""
+        sets = {}
+        for name in self.model.attribute_names if attrs is None else attrs:
+            column = "".join(map(self._chars[name].__getitem__,
+                                 map(operator.itemgetter(name), reversed(rows))))
+            marks = ["0"] * self.model.attribute(name).size
+            sets[name] = []
+            for vi in range(len(marks)):
+                marks[vi] = "1"
+                sets[name].append(int(column.translate(marks) or "0", 2))
+                marks[vi] = "0"
+        return sets
+
+    def select(self, fn: Function, row_sets, count: int) -> int:
+        """The rows of `count` that fn accepts, as a bitset (bit i for row
+        i), given their `row_sets` for every attribute fn depends on.  A
+        variable's column holds the rows whose value's code sets its bit;
+        one engine pass (`BDD.select`) decides every row."""
+        columns = {}
+        for name, sets in row_sets.items():
+            block = self.encoding.blocks[self._attr_index(name)]
+            for k, var in enumerate(block):
+                shift = len(block) - 1 - k
+                columns[var] = reduce(operator.or_, (
+                    rows for code, rows in enumerate(sets) if code >> shift & 1), 0)
+        return self.manager.select(fn, columns, (1 << count) - 1)
 
     def assignments(self, fn: Function | None = None,
                     limit: int | None = None) -> Iterator[dict[str, str]]:

@@ -3,7 +3,8 @@
 Plan CSV: first row is the header (attribute names in declaration order,
 none repeated), one row per test; the csv module double-quotes values containing commas.
 Readers skip a UTF-8 byte-order mark (as spreadsheets save "CSV UTF-8")
-and strip spaces around header names and values.
+and strip spaces around header names and values; a file that is not UTF-8
+text is a PlanFormatError naming it.
 Plan JSON carries the same rows plus coverage metrics and a
 schema_version field.
 
@@ -70,26 +71,39 @@ def plan_csv_text(tests, columns) -> str:
     return buf.getvalue()
 
 
-def read_plan_csv(path) -> tuple[list[str], list[dict[str, str]]]:
-    """Read (columns, rows); labels are not validated against any model."""
+def _csv_rows(path):
+    """The rows of a CSV file, a UTF-8 byte-order mark skipped.  Bytes that
+    are not UTF-8, and a line the csv module rejects (a NUL byte, before
+    Python 3.11), raise PlanFormatError naming the file."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            columns = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise PlanFormatError(f"{path}: empty plan file") from None
-        repeated = sorted({c for c in columns if columns.count(c) > 1})
-        if repeated:
-            raise PlanFormatError(f"{path}: header repeats column(s) {repeated}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns):
-                raise PlanFormatError(
-                    f"{path}: line {line_no} has {len(row)} fields, "
-                    f"header has {len(columns)}")
-            rows.append(dict(zip(columns, (v.strip() for v in row))))
+            yield from reader
+        except UnicodeDecodeError as exc:
+            raise PlanFormatError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise PlanFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def read_plan_csv(path) -> tuple[list[str], list[dict[str, str]]]:
+    """Read (columns, rows); labels are not validated against any model."""
+    reader = _csv_rows(path)
+    header = next(reader, None)
+    if header is None:
+        raise PlanFormatError(f"{path}: empty plan file")
+    columns = [c.strip() for c in header]
+    repeated = sorted({c for c in columns if columns.count(c) > 1})
+    if repeated:
+        raise PlanFormatError(f"{path}: header repeats column(s) {repeated}")
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(columns):
+            raise PlanFormatError(
+                f"{path}: line {line_no} has {len(row)} fields, "
+                f"header has {len(columns)}")
+        rows.append(dict(zip(columns, map(str.strip, row))))
     return columns, rows
 
 
@@ -128,27 +142,25 @@ def plan_json_text(plan: TestPlan, columns, extra: dict | None = None) -> str:
 
 def read_results_csv(path) -> list[tuple[str, bool]]:
     """Read (test reference, passed) pairs from a results file."""
+    reader = _csv_rows(path)
+    header = next(reader, None)
+    if header is None:
+        raise PlanFormatError(f"{path}: empty results file")
+    if [h.strip().lower() for h in header] != ["test", "verdict"]:
+        raise PlanFormatError(
+            f"{path}: results header must be 'test,verdict', got {header}")
     out = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PlanFormatError(f"{path}: empty results file") from None
-        if [h.strip().lower() for h in header] != ["test", "verdict"]:
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise PlanFormatError(f"{path}: line {line_no}: expected 2 fields")
+        ref, verdict = row[0].strip(), row[1].strip().upper()
+        if verdict not in ("PASS", "FAIL"):
             raise PlanFormatError(
-                f"{path}: results header must be 'test,verdict', got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise PlanFormatError(f"{path}: line {line_no}: expected 2 fields")
-            ref, verdict = row[0].strip(), row[1].strip().upper()
-            if verdict not in ("PASS", "FAIL"):
-                raise PlanFormatError(
-                    f"{path}: line {line_no}: verdict must be PASS or FAIL, "
-                    f"got {row[1]!r}")
-            out.append((ref, verdict == "PASS"))
+                f"{path}: line {line_no}: verdict must be PASS or FAIL, "
+                f"got {row[1]!r}")
+        out.append((ref, verdict == "PASS"))
     return out
 
 

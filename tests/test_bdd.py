@@ -474,6 +474,39 @@ def test_table_checks_its_arguments():
             m.table(variables, [True] * 4)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_placed_trees, st.sampled_from([0, 1, 2, 63, 64, 65, 200]),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_select_equals_evaluate_row_by_row(tree, count, seed, sparse):
+    # the function's 4 variables sit at offset 0..4 of 8, so the DAG skips
+    # some; with `sparse`, only the variables it mentions get a column
+    m = BDD(8)
+    f = oracles.tree_fn(tree, m)
+    rng = random.Random(seed)
+    rows = [[rng.randrange(2) for _ in range(8)] for _ in range(count)]
+    everything = (1 << count) - 1
+    columns = [sum(row[var] << i for i, row in enumerate(rows)) for var in range(8)]
+    if sparse:
+        columns = {var: columns[var] for var in f.support()}
+    nodes = len(m)
+    assert m.select(f, columns, everything) == sum(
+        f.evaluate(row) << i for i, row in enumerate(rows))
+    assert m.select(m.true, {}, everything) == everything
+    assert m.select(m.false, columns, everything) == 0
+    assert len(m) == nodes  # builds nothing
+
+
+def test_select_checks_its_arguments():
+    m, other = BDD(3), BDD(3)
+    f = m.var(0) & m.var(2)
+    with pytest.raises(BddError, match="no column for variable 2"):
+        m.select(f, {0: 1}, 1)
+    with pytest.raises(BddError, match="no column for variable 2"):
+        m.select(f, [1, 1], 1)
+    with pytest.raises(BddError):
+        m.select(other.var(0), [1, 1, 1], 1)
+
+
 def test_store_invariants_after_random_operations():
     n = 7
     m = BDD(n)

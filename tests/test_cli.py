@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, and file round trips."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -463,6 +464,56 @@ def test_repeated_plan_column_exits_1(capsys, tmp_path, command):
     assert code == 1
     assert out == ""
     assert "repeats column" in err
+
+
+def _undecodable_inputs(tmp_path, broken, byte=b"\xff"):
+    """manual3x3x3's model, plan and a results file, with `byte` written
+    into the `broken` one."""
+    files = {"model": tmp_path / "model.json", "plan": tmp_path / "plan.csv",
+             "results": tmp_path / "results.csv"}
+    files["model"].write_bytes(pathlib.Path(f"{M}/manual3x3x3.json").read_bytes())
+    files["plan"].write_bytes(pathlib.Path(f"{M}/manual3x3x3_plan9.csv").read_bytes())
+    files["results"].write_bytes(b"test,verdict\n1,PASS\n2,FAIL\n")
+    text = files[broken].read_bytes()
+    cut = text.index(b"\n") + 3  # inside a value of the second line
+    files[broken].write_bytes(text[:cut] + byte + text[cut:])
+    return {name: str(path) for name, path in files.items()}
+
+
+_FILE_COMMANDS = {
+    "validate": ["validate", "{model}"],
+    "analyze": ["analyze", "{model}", "{plan}", "--t", "2"],
+    "augment": ["augment", "{model}", "{plan}", "{results}", "--t", "2", "--n", "3"],
+    "instantiate": ["instantiate", "{model}", "{plan}", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("broken,command", [
+    ("model", "validate"), ("model", "analyze"), ("model", "augment"),
+    ("plan", "analyze"), ("plan", "augment"), ("plan", "instantiate"),
+    ("results", "augment"),
+])
+def test_non_utf8_input_exits_1_naming_the_file(capsys, tmp_path, broken, command):
+    files = _undecodable_inputs(tmp_path, broken)
+    argv = [a.format(**files) for a in _FILE_COMMANDS[command]]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {files[broken]}: not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "augment", "instantiate"])
+def test_nul_byte_in_plan_exits_1(capsys, tmp_path, command):
+    # the csv module rejects the line before Python 3.11; later versions
+    # read the NUL into a label, which the model does not hold
+    files = _undecodable_inputs(tmp_path, "plan", b"\x00")
+    argv = [a.format(**files) for a in _FILE_COMMANDS[command]]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (f"{files['plan']}: line 2: " in err) or ("unknown value" in err)
 
 
 # ----------------------------------------------------------------------

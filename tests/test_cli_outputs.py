@@ -1,9 +1,10 @@
 """CLI output pinned byte for byte: the sha1 of the exit code and stdout of
 `analyze`, `augment`, `count` and `generate` on the checked-in plans and
 their models (`code_review_dispatch_plan19` holds a value its model lacks,
-so its plan commands exit 1), on `code_review` with directives of every
-width, and of `validate`, `count`, `generate` and `project` on
-`linked8x3`, whose constraints link attributes four apart.  A digest changes only with a change to output, which CHANGES.md
+so its plan commands exit 1; `linked8x3_plan14` holds illegal and repeated
+rows), on `code_review` with directives of every width, and of `validate`
+and `project` on `linked8x3`, whose constraints link attributes four
+apart.  A digest changes only with a change to output, which CHANGES.md
 must declare.
 
 To print the digests of the code under test (say, before a change that
@@ -28,7 +29,7 @@ from ctdkit import cli
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 PLANS = {"api8x2": "api8x2_plan7", "code_review": "code_review_plan13",
          "code_review_dispatch": "code_review_dispatch_plan19",
-         "manual3x3x3": "manual3x3x3_plan9"}
+         "manual3x3x3": "manual3x3x3_plan9", "linked8x3": "linked8x3_plan14"}
 # one directive per width, one repeated at t=2, one infeasible
 DIRECTIVES = [
     [("LenCBchain", "0")],
@@ -38,7 +39,7 @@ DIRECTIVES = [
     [("InterestingCB5", "false"), ("InterestingCB4", "false"),
      ("InterestingCB3", "true"), ("LenCBchain", "5")],
 ]
-# a model without a plan; its blocks do not follow declaration order
+# its blocks do not follow declaration order
 LINKED = "linked8x3"
 
 
@@ -60,7 +61,6 @@ def _write_inputs(directory: pathlib.Path) -> dict[str, tuple[str, str, str]]:
             f"{i},{'FAIL' if i % 3 == 0 else 'PASS'}\n" for i in range(1, rows + 1)),
             encoding="utf-8")
         files[name] = (str(model), str(plan_path), str(results))
-    files[LINKED] = (str(MODELS / f"{LINKED}.json"), "", "")
     return files
 
 
@@ -83,11 +83,6 @@ def _commands() -> dict[str, tuple[str, list]]:
         commands[f"analyze-{name}-t2-capped"] = (name, [
             "analyze", "{model}", "{plan}", "--t", "2", "--max-missing", "2"])
     commands[f"validate-{LINKED}"] = (LINKED, ["validate", "{model}"])
-    commands[f"count-{LINKED}"] = (LINKED, ["count", "{model}"])
-    for t in (2, 3):
-        for fmt in ("csv", "json"):
-            commands[f"generate-{LINKED}-t{t}-{fmt}"] = (LINKED, [
-                "generate", "{model}", "--t", str(t), "--format", fmt])
     commands[f"project-{LINKED}"] = (LINKED, [
         "project", "{model}", "--fix", "A0=x", "--limit", "20"])
     return commands
@@ -123,6 +118,11 @@ DIGESTS = {
     'analyze-code_review_dispatch-t2-json': '960afd59ce22e55124cff418eb90c3b1c39651ec',
     'analyze-code_review_dispatch-t3-csv': '960afd59ce22e55124cff418eb90c3b1c39651ec',
     'analyze-code_review_dispatch-t3-json': '960afd59ce22e55124cff418eb90c3b1c39651ec',
+    'analyze-linked8x3-t2-capped': '37c25b778ff843f49a17f2d70cc312c95463a084',
+    'analyze-linked8x3-t2-csv': 'a904290be81f8a8ba31e3e02e6e200b7be4ad6aa',
+    'analyze-linked8x3-t2-json': '8dcd0a9248c6119cda6cd50da23d0f04c0f255a4',
+    'analyze-linked8x3-t3-csv': '535097f1a1d7024edc6c646aaa0dd2430c85de54',
+    'analyze-linked8x3-t3-json': '5883c23fd1fb70561db6debcad7fd9d5730f2498',
     'analyze-manual3x3x3-t2-capped': '34819bc34bab66feb9692b6275b9df77cb6f4ec2',
     'analyze-manual3x3x3-t2-csv': '34819bc34bab66feb9692b6275b9df77cb6f4ec2',
     'analyze-manual3x3x3-t2-json': 'f6a0bc0970c3d7489d7a5f02c99b16a9eadaeaf5',
@@ -144,6 +144,10 @@ DIGESTS = {
     'augment-code_review_dispatch-t2-json': '960afd59ce22e55124cff418eb90c3b1c39651ec',
     'augment-code_review_dispatch-t3-csv': '960afd59ce22e55124cff418eb90c3b1c39651ec',
     'augment-code_review_dispatch-t3-json': '960afd59ce22e55124cff418eb90c3b1c39651ec',
+    'augment-linked8x3-t2-csv': 'c5e90d4c90a30b49ce93cbf6f7e49d54b023c1ae',
+    'augment-linked8x3-t2-json': '3638fb9155f92c177d0480a86132c24d8863f409',
+    'augment-linked8x3-t3-csv': '430b503b6b096e1c919a7644174c74bb8f0db9cc',
+    'augment-linked8x3-t3-json': '4cc6f7cd093bb6aec75ffe73763e672be4191b53',
     'augment-manual3x3x3-t2-csv': '1cf335dee1ad207d425086552febfcc871567a4f',
     'augment-manual3x3x3-t2-json': 'dc897ddfe3bf4f19cf4a503161788f6c9d6fd133',
     'augment-manual3x3x3-t3-csv': 'de41c7b86d80eb31b8723eafc24a7b85c6ec047c',

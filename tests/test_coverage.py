@@ -1,6 +1,7 @@
 """Requirement generation, feasibility filtering, and coverage measurement."""
 
 import itertools
+import re
 import time
 
 import pytest
@@ -158,24 +159,24 @@ def test_filter_feasible_projects_linked_pieces_only(monkeypatch, k, v, t,
                                                       kept_sets, evaluations):
     """The chain links only the pairs its constraints name: the subsets
     need one projection per linked pair and per attribute, and only the
-    value tuples of the linked pairs are evaluated, once per call, by both
-    `filter_feasible` and `Residual`."""
+    value tuples of the linked pairs are evaluated (as rows of `select`),
+    once per call, by both `filter_feasible` and `Residual`."""
     model = parse_model(oracles.chain_document(k, v))
     space = ModelSpace(model)
     reqs = generate_requirements(model, t)
     kept, evaluated = [], []
-    projections, evaluate = BDD.projections, BDD.evaluate
+    projections, select = BDD.projections, BDD.select
 
     def counted_projections(manager, fn, sets):
         kept.extend(sets)
         return projections(manager, fn, sets)
 
-    def counted_evaluate(manager, fn, assignment):
-        evaluated.append(fn)
-        return evaluate(manager, fn, assignment)
+    def counted_select(manager, fn, columns, everything):
+        evaluated.extend([fn] * everything.bit_length())  # one per row
+        return select(manager, fn, columns, everything)
 
     monkeypatch.setattr(BDD, "projections", counted_projections)
-    monkeypatch.setattr(BDD, "evaluate", counted_evaluate)
+    monkeypatch.setattr(BDD, "select", counted_select)
     expected = oracles.feasible_requirements_by_search(model, t)
     for listing in (lambda: filter_feasible(reqs, space).feasible(),
                     lambda: list(Residual(space, t))):
@@ -562,6 +563,67 @@ def test_measure_equals_brute_force(case, data):
     listed = filter_feasible(generate_requirements(model, t), space).feasible()
     empty = Residual(space, t, [])
     assert (empty.total, list(empty)) == (len(feasible), feasible) == (len(listed), listed)
+
+
+WIDE = 300  # values of W: codes past one byte
+
+
+@st.composite
+def _wide_cases(draw):
+    """A model whose attribute W has 300 values, named by its constraints
+    with codes on both sides of 255, next to two small attributes; t; and
+    up to 100 rows that may be illegal, list their attributes in any order
+    and repeat."""
+    small = [f"v{j}" for j in range(draw(st.integers(1, 3)))]
+    wide = st.integers(0, WIDE - 1)
+    attributes = (Attribute("A0", tuple(map(Value, small))),
+                  Attribute("W", tuple(Value(f"w{j}") for j in range(WIDE))),
+                  Attribute("A1", tuple(map(Value, small))))
+    constraints = tuple(draw(st.lists(st.one_of(
+        st.builds(lambda v, j: f"A0 = {v} -> W != w{j}", st.sampled_from(small), wide),
+        st.builds(lambda js, v: "W IN {" + ", ".join(f"w{j}" for j in js) + f"}} -> A1 != {v}",
+                  st.sets(wide, min_size=1, max_size=4), st.sampled_from(small)),
+        st.builds(lambda v, j: f"A1 = {v} -> W = w{j}", st.sampled_from(small), wide)),
+        max_size=3)))
+    model = Model(attributes, constraints)
+    # rows drawn from a few W values, those the constraints name among them
+    named = [int(w) for c in constraints for w in re.findall(r"w(\d+)", c)]
+    values = st.sampled_from(sorted(set(named + draw(st.lists(wide, min_size=1, max_size=4)))))
+    rows = []
+    for _ in range(draw(st.integers(0, 100))):
+        if rows and draw(st.integers(0, 4)) == 0:
+            row = dict(draw(st.sampled_from(rows)))  # a repeated row
+        else:
+            row = {"A0": draw(st.sampled_from(small)), "W": f"w{draw(values)}",
+                   "A1": draw(st.sampled_from(small))}
+        rows.append({n: row[n] for n in draw(st.permutations(list(row)))})
+    return model, draw(st.integers(1, 3)), rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_cases())
+def test_row_sets_split_and_residual_equal_brute_force(case):
+    model, t, rows = case
+    legal = oracles.legal_tuples(model, oracles.constraint_predicate(model))
+    assume(legal)
+    names = model.attribute_names
+    held = {r for test in legal for r in oracles.t_tuples_of(test, names, t)}
+    feasible = [r for r in oracles.requirement_tuples(model, t) if r in held]
+    space = ModelSpace(model)
+    sets = space.row_sets(rows)
+    assert space.row_sets(rows, ["W"]) == {"W": sets["W"]}
+    for a in names:
+        assert sets[a] == [sum(1 << i for i, row in enumerate(rows) if row[a] == label)
+                           for label in model.attribute(a).labels]
+    tests, illegal = split_legal(space, rows)
+    assert tests == [row for row in rows if row in legal]
+    assert illegal == [i for i, row in enumerate(rows) if row not in legal]
+    assert [space.contains(row) for row in rows] == [row in legal for row in rows]
+    residual = Residual(space, t, tests)
+    covered = {r for test in tests for r in oracles.t_tuples_of(test, names, t)}
+    assert residual.total == len(feasible)
+    assert list(residual) == [r for r in feasible if r not in covered]
+    assert len(residual) == len(feasible) - len(covered)
 
 
 def test_measure_at_t1(xyz_drop_a):

@@ -386,7 +386,7 @@ def test_encode_decode_round_trip(code_review_space, models_dir):
             for attr, label in test.items():
                 ai, vi = space.model.resolve(attr, label)
                 expected.update(zip(encoding.blocks[ai], encoding.value_bits(ai, vi)))
-            bits = space.assignment_bits(test)
+            bits = space.binding_bits(test.items())
             assert bits == expected
             assert sorted(bits) == list(range(encoding.var_count))
             assert space.legal.evaluate(bits)
