@@ -211,7 +211,7 @@ def cmd_augment(args) -> int:
         if not v:
             space.model.check_assignment(row, full=True)
     passed = [row for row, v in zip(rows, verdicts) if v]
-    result = cycles.augment_plan(space, args.t, passed, args.n, args.seed)
+    result = cycles.augment_plan(space, args.t, passed, args.n)
     columns = space.model.attribute_names
     if args.format == "json":
         text = plans.plan_json_text(result.plan, columns, {

@@ -17,11 +17,11 @@ value tuples, and only when its count shows it excludes one
 `generator.lower_bound` (max), and `filter_feasible` decides listed
 requirements the same way.
 
-Imported tests are judged a column at a time.  `split_legal` typechecks
-every test, then decides them all in one `select` on the legal space; a
-`Residual` reads which tests hold each value tuple from the ANDs of the
-tests' row sets (`ModelSpace.row_sets`), one bitset of tests per attribute
-value.
+Imported tests are judged a column at a time.  A `Residual` typechecks
+every test, builds their row sets once (`ModelSpace.row_sets`, one bitset
+of tests per attribute value), decides them all in one `select` on the
+legal space, and keeps only the legal tests in each row set; it reads
+which tests hold each value tuple from the ANDs of those row sets.
 
 A `Residual` is the one set of feasible requirements still uncovered:
 plan generation, coverage analysis and cycle augmentation each build one,
@@ -35,7 +35,7 @@ enters its value tuples less the covered ones and those a piece excludes,
 and each feasible directive that is not t wide and not covered enters on
 its own.  Without tests no row set is built.  Coverage credit is granted
 only by tests inside the legal space; imported tests that violate it are
-listed in the report and ignored.
+listed (`Residual.illegal`) and ignored.
 """
 
 from __future__ import annotations
@@ -54,9 +54,11 @@ from .model import Model, ModelSpace
 
 
 class Residual:
-    """The feasible requirements of (space, t) that `tests` (full and
-    legal, as `split_legal` keeps them) leave uncovered, in requirement
-    order, held in the layout the greedy scores from.
+    """The feasible requirements of (space, t) that the legal ones of
+    `tests` leave uncovered, in requirement order, held in the layout the
+    greedy scores from.  Every test is typechecked in order, so the first
+    bad one raises before a bad t; `illegal` lists the 0-based indices of
+    those outside the legal space, which earn no credit.
 
     Each key "requirement less one binding" maps to one packed int with one
     counter field per binding (declaration order, then value index): an
@@ -68,6 +70,9 @@ class Residual:
 
     def __init__(self, space: ModelSpace, t: int, tests=()):
         self._model = model = space.model
+        tests = list(tests)
+        for test in tests:
+            model.check_assignment(test, full=True)
         self._names = names = model.attribute_names
         self._labels = labels = {a.name: a.labels for a in model.attributes}
         subsets = list(_t_subsets(model, t))
@@ -91,8 +96,13 @@ class Residual:
         self._live: Counter = Counter()
         self._entries = []  # (attributes, None) whole, or (None, listed)
         self._count = 0  # requirements entered and not covered since
-        # per attribute, per value index, the tests holding it; none without tests
+        # per attribute, per value index, the legal tests holding it; none
+        # without tests
         sets = space.row_sets(tests) if tests else {}
+        legal = space.select(space.legal, sets, len(tests)) if tests else 0
+        self.illegal = [i for i, ok in enumerate(_flags(legal, len(tests))) if not ok]
+        if self.illegal:
+            sets = {a: [rows & legal for rows in column] for a, column in sets.items()}
         self.total = len(directives)
         for attrs, (count, excluders) in zip(subsets, _feasibility(space, subsets)):
             self.total += count
@@ -273,10 +283,10 @@ def filter_feasible(reqs, space: ModelSpace) -> RequirementList:
     holds its values: decided per attribute subset (`_feasibility`), and
     one by one only where a piece of it excludes a value tuple."""
     reqs = tuple(reqs)
-    known = {(a.name, v) for a in space.model.attributes for v in a.labels}
-    unknown = itertools.filterfalse(known.__contains__,
-                                    itertools.chain.from_iterable(reqs))
-    space.binding_bits(unknown)  # raises UnknownAttributeError or UnknownValueError
+    model = space.model
+    for attr, label in itertools.filterfalse(model._bindings.__contains__,
+                                             itertools.chain.from_iterable(reqs)):
+        model.resolve(attr, label)  # raises UnknownAttributeError or UnknownValueError
     groups: dict[tuple[str, ...], list] = {}  # subset -> its requirements
     for attrs, run in itertools.groupby(reqs, lambda r: tuple(map(itemgetter(0), r))):
         groups.setdefault(attrs, []).extend(run)
@@ -403,20 +413,6 @@ class CoverageReport:
         return "\n".join(lines)
 
 
-def split_legal(space: ModelSpace, tests) -> tuple[list[dict[str, str]], list[int]]:
-    """The tests inside the legal space, and the 0-based indices of the rest.
-
-    Every test is typechecked in order, so the first bad one raises; then
-    one `ModelSpace.select` on `legal` decides them all."""
-    tests = list(tests)
-    for test in tests:
-        space.model.check_assignment(test, full=True)
-    flags = list(_flags(space.select(space.legal, space.row_sets(tests), len(tests)),
-                        len(tests)))
-    return (list(itertools.compress(tests, flags)),
-            [i for i, legal in enumerate(flags) if not legal])
-
-
 def _flags(rows: int, count: int):
     """Per row of `count`, in order, whether the bitset `rows` holds it."""
     return map("1".__eq__, f"{rows:0{count}b}"[::-1][:count])
@@ -424,8 +420,7 @@ def _flags(rows: int, count: int):
 
 def coverage_of(space: ModelSpace, tests, t: int) -> CoverageReport:
     """Measure a test list against the feasible requirements of the space."""
-    # split first: a bad row is reported before a bad t
-    legal, illegal = split_legal(space, tests)
-    residual = Residual(space, t, legal)
+    residual = Residual(space, t, tests)
     missing = list(residual)
-    return CoverageReport(residual.total, residual.total - len(missing), missing, illegal)
+    return CoverageReport(residual.total, residual.total - len(missing), missing,
+                          residual.illegal)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .coverage import Residual, coverage_percent, split_legal
+from .coverage import Residual, coverage_percent
 from .errors import CtdError
 from .generator import grow_tests
 from .model import ModelSpace
@@ -55,19 +55,17 @@ class CycleState:
                                 self.total_feasible)
 
 
-def augment_plan(space: ModelSpace, t: int, passed, n: int,
-                 seed: int = 0, randomize_ties: bool = False) -> AugmentResult:
+def augment_plan(space: ModelSpace, t: int, passed, n: int) -> AugmentResult:
     """Generate at most n new tests covering requirements the passed tests
     leave uncovered.  Illegal passed tests are reported and earn no credit."""
-    # split first: a bad row is reported before a bad n or t
-    legal, illegal = split_legal(space, passed)
+    # the residual first: a bad row is reported before a bad n or t
+    residual = Residual(space, t, passed)
     if n < 1:
         raise CtdError(f"cycle budget must be >= 1, got {n}")
-    residual = Residual(space, t, legal)
     before, total = len(residual), residual.total
-    tests = grow_tests(space, residual, n, seed, randomize_ties)
+    tests = grow_tests(space, residual, n)
     plan = TestPlan(tests, total - len(residual), total, t)
-    return AugmentResult(plan, before, len(residual), illegal)
+    return AugmentResult(plan, before, len(residual), residual.illegal)
 
 
 def run_cycles(space: ModelSpace, t: int, n: int,
@@ -75,9 +73,9 @@ def run_cycles(space: ModelSpace, t: int, n: int,
                max_cycles: int, seed: int = 0) -> CycleState:
     """Iterate augment-and-execute until 100% coverage or max_cycles.
 
-    Every cycle uses the same `seed` and deterministic tie-breaking, so a
-    cycle in which no test passes leaves the residual unchanged and the
-    next cycle regenerates the identical tests.  When the tests that could
+    Ties are broken deterministically (`seed` does not change the tests),
+    so a cycle in which no test passes leaves the residual unchanged and
+    the next cycle regenerates the identical tests.  When the tests that could
     cover some residual requirement fail every time, the loop therefore
     runs to `max_cycles` with no further progress; there is no early stop.
     Callers whose failures are transient rely on those identical retries.
@@ -93,10 +91,10 @@ def run_cycles(space: ModelSpace, t: int, n: int,
     for _ in range(max_cycles):
         if not residual:
             break
-        tests = grow_tests(space, residual.copy(), n, seed)
+        tests = grow_tests(space, residual.copy(), n)
         newly_passed = [test for test in tests if verdict_source(test)]
         passed.extend(newly_passed)
-        # every passed test is generated, hence legal: no split_legal
+        # every passed test is generated, hence legal
         for test in newly_passed:
             residual.cover(test)
         history.append(CycleRecord(n, len(tests), total - len(residual), total))

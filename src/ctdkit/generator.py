@@ -43,17 +43,18 @@ def generate_plan(space: ModelSpace, t: int, budget: int | None = None,
     if budget is not None and budget < 1:
         raise CtdError(f"budget must be >= 1, got {budget}")
     residual = Residual(space, t)
-    tests = grow_tests(space, residual, budget, seed, randomize_ties)
+    tests = grow_tests(space, residual, budget,
+                       random.Random(seed) if randomize_ties else None)
     return TestPlan(tests, residual.total - len(residual), residual.total, t)
 
 
 def grow_tests(space: ModelSpace, residual: Residual, budget: int | None,
-               seed: int = 0, randomize_ties: bool = False) -> list[dict[str, str]]:
+               rng: random.Random | None = None) -> list[dict[str, str]]:
     """Greedy core shared with cycle augmentation: cover the requirements
     of `residual`, emitting at most `budget` tests, less those the backward
-    pass drops.  Returns the tests, and takes what they cover out of
-    `residual`."""
-    rng = random.Random(seed)
+    pass drops.  Ties on both scores go to the lowest value index, or to
+    `rng`'s choice when one is given.  Returns the tests, and takes what
+    they cover out of `residual`."""
     attributes = space.model.attributes
     rows = []  # (test, the requirements it covered first)
     # each row covers its seed, so the iteration reads the next uncovered one
@@ -80,7 +81,7 @@ def grow_tests(space: ModelSpace, residual: Residual, budget: int | None,
                     best, best_key = [(label, candidate)], key
                 elif key == best_key:
                     best.append((label, candidate))
-            label, fn = best[0] if not randomize_ties else rng.choice(best)
+            label, fn = best[0] if rng is None else rng.choice(best)
             partial[attr.name] = label
             before.append((attr.name, label))
         rows.append((partial, residual.cover(partial)))

@@ -475,8 +475,6 @@ class ModelSpace:
         if legal.is_false:
             raise InfeasibleModelError("constraints leave no legal test")
         self.legal = legal
-        # (attr, label) -> its block code as ((var, bit), ...), filled on use
-        self._codes: dict[tuple[str, str], tuple[tuple[int, int], ...]] = {}
 
     def redundant_constraints(self) -> list[int]:
         """Indices of the constraints whose removal leaves `legal` unchanged,
@@ -518,25 +516,17 @@ class ModelSpace:
             raise UnknownAttributeError(attr)
         return ai
 
-    def binding_bits(self, bindings) -> dict[int, int]:
-        """Variable -> bit for the block codes of (attr, value) bindings."""
-        bits: dict[int, int] = {}
-        for attr, label in bindings:
-            code = self._codes.get((attr, label))
-            if code is None:
-                ai, vi = self.model.resolve(attr, label)
-                code = self._codes[attr, label] = tuple(zip(
-                    self.encoding.blocks[ai], self.encoding.value_bits(ai, vi)))
-            bits.update(code)
-        return bits
-
     def cofactor(self, fn: Function, bindings) -> Function:
         """fn with the bound attributes' blocks fixed to the values' codes.
 
         False exactly when fn has no test holding those values, without
         building the conjunction.
         """
-        return self.manager.cofactor(fn, self.binding_bits(bindings))
+        bits: dict[int, int] = {}
+        for attr, label in bindings:
+            ai, vi = self.model.resolve(attr, label)
+            bits.update(zip(self.encoding.blocks[ai], self.encoding.value_bits(ai, vi)))
+        return self.manager.cofactor(fn, bits)
 
     def value_cofactors(self, fn: Function, attr: str) -> list[Function]:
         """fn cofactored on each value of one attribute, in value order.
@@ -573,19 +563,15 @@ class ModelSpace:
         return [tuple(names[ai] for ai in piece) for _, piece in itertools.groupby(
                     sorted(map(self._attr_index, attrs), key=key), key)]
 
-    def marginals(self, subsets) -> list[Function]:
+    def marginals(self, pieces) -> list[Function]:
         """The legal space projected onto the blocks of each attribute
-        subset (every other variable quantified away), in order: the AND
-        of the projections of its `pieces`.  One engine call projects every
-        distinct piece, so they share what they quantify alike.  `coverage`
-        passes pieces, so it gets each piece's projection alone."""
-        blocks, index = self.encoding.blocks, self.model.attribute_index
-        split = [self.pieces(attrs) for attrs in subsets]
-        distinct = list(dict.fromkeys(itertools.chain.from_iterable(split)))
-        projected = dict(zip(distinct, self.manager.projections(
-            self.legal, [[v for a in p for v in blocks[index(a)]] for p in distinct])))
-        return [reduce(Function.__and__, map(projected.__getitem__, pieces),
-                       self.manager.true) for pieces in split]
+        subset (every other variable quantified away), in order.  One
+        engine call projects them all, so they share what they quantify
+        alike.  `coverage` passes `pieces`, whose projections AND to the
+        projection of the subset they split."""
+        blocks = self.encoding.blocks
+        return self.manager.projections(self.legal, [
+            [v for a in piece for v in blocks[self._attr_index(a)]] for piece in pieces])
 
     def project(self, partial: dict[str, str]) -> Function:
         """Legal combinations consistent with the fixed attribute values."""

@@ -28,7 +28,7 @@ from ctdkit import (
 )
 from ctdkit.bdd import BDD
 from ctdkit import coverage
-from ctdkit.coverage import Residual, feasible_count, split_legal
+from ctdkit.coverage import Residual, feasible_count
 from ctdkit.model import Attribute, Value
 
 
@@ -252,6 +252,35 @@ def test_coverage_of_rejects_partial_assignment(xyz):
         coverage_of(ModelSpace(xyz), [{"X": "a"}], 2)
 
 
+def test_a_bad_row_is_reported_before_a_bad_t_or_n(xyz):
+    space = ModelSpace(xyz)
+    good = [{"X": "a", "Y": "d", "Z": "e"}]
+    rows = good + [{"X": "a", "Y": "d", "Z": "nope"}]
+    with pytest.raises(UnknownValueError):
+        coverage_of(space, rows, 99)
+    with pytest.raises(UnknownValueError):
+        augment_plan(space, 2, rows, n=0)
+    # without the bad row, t and n are what raise
+    with pytest.raises(CtdError, match="t=99"):
+        coverage_of(space, good, 99)
+    with pytest.raises(CtdError, match="budget"):
+        augment_plan(space, 2, good, n=0)
+
+
+def test_imported_rows_are_read_once(api8x2_space, models_dir, monkeypatch):
+    # one `row_sets` over every attribute per call; any other call reads a
+    # piece's value tuples
+    _, rows = read_plan_csv(models_dir / "api8x2_plan7.csv")
+    read = []
+    row_sets = ModelSpace.row_sets
+    monkeypatch.setattr(ModelSpace, "row_sets", lambda space, rows, attrs=None: (
+        read.append(attrs is None), row_sets(space, rows, attrs))[1])
+    coverage_of(api8x2_space, rows, 2)
+    assert read.count(True) == 1
+    augment_plan(api8x2_space, 2, rows, n=1)
+    assert read.count(True) == 2
+
+
 def test_seven_row_plan_covers_all_112_pairs(api8x2, api8x2_space, models_dir):
     _, rows = read_plan_csv(models_dir / "api8x2_plan7.csv")
     report = coverage_of(api8x2_space, rows, 2)
@@ -465,8 +494,8 @@ def test_residual_equals_brute_force(case, data):
     legal, feasible = _brute_force(model, t)
     assume(legal)
     space = ModelSpace(model)
-    tests, _ = split_legal(space, rows)
-    residual = Residual(space, t, tests)
+    residual = Residual(space, t, rows)
+    tests = [row for row in rows if row in legal]
     assert residual.total == len(feasible)
     left = [r for r in feasible if r not in _held(feasible, tests)]
     _check_residual(residual, left)
@@ -554,11 +583,10 @@ def test_measure_equals_brute_force(case, data):
     space = ModelSpace(model)
     rows = _draw_rows(data.draw, model, partial=False)
     rows += rows[:data.draw(st.integers(0, 2))]  # repeated rows
-    tests, illegal = split_legal(space, rows)
-    assert illegal == [i for i, row in enumerate(rows) if row not in legal]
-    residual = Residual(space, t, tests)
+    residual = Residual(space, t, rows)
+    assert residual.illegal == [i for i, row in enumerate(rows) if row not in legal]
     assert residual.total == len(feasible)
-    covered = _held(feasible, tests)
+    covered = _held(feasible, [row for row in rows if row in legal])
     assert list(residual) == [r for r in feasible if r not in covered]
     listed = filter_feasible(generate_requirements(model, t), space).feasible()
     empty = Residual(space, t, [])
@@ -615,12 +643,11 @@ def test_row_sets_split_and_residual_equal_brute_force(case):
     for a in names:
         assert sets[a] == [sum(1 << i for i, row in enumerate(rows) if row[a] == label)
                            for label in model.attribute(a).labels]
-    tests, illegal = split_legal(space, rows)
-    assert tests == [row for row in rows if row in legal]
-    assert illegal == [i for i, row in enumerate(rows) if row not in legal]
     assert [space.contains(row) for row in rows] == [row in legal for row in rows]
-    residual = Residual(space, t, tests)
-    covered = {r for test in tests for r in oracles.t_tuples_of(test, names, t)}
+    residual = Residual(space, t, rows)
+    assert residual.illegal == [i for i, row in enumerate(rows) if row not in legal]
+    covered = {r for test in rows if test in legal
+               for r in oracles.t_tuples_of(test, names, t)}
     assert residual.total == len(feasible)
     assert list(residual) == [r for r in feasible if r not in covered]
     assert len(residual) == len(feasible) - len(covered)

@@ -201,7 +201,7 @@ def test_greedy_plans_against_brute_force(case):
         assert all(test in legal for test in tests)
         assert _held(everything, tests) == feasible
         assert _each_row_needed(tests, feasible)
-    new = augment_plan(space, t, passed, 2, seed=seed).plan.tests
+    new = augment_plan(space, t, passed, 2).plan.tests
     covered = set(_held(feasible, [p for p in passed if p in legal]))
     assert new == oracles.reference_greedy(model, t, legal, budget=2, seed=seed,
                                            already_covered=covered)

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import operator
 import pathlib
 import random
 
@@ -386,10 +387,9 @@ def test_encode_decode_round_trip(code_review_space, models_dir):
             for attr, label in test.items():
                 ai, vi = space.model.resolve(attr, label)
                 expected.update(zip(encoding.blocks[ai], encoding.value_bits(ai, vi)))
-            bits = space.binding_bits(test.items())
-            assert bits == expected
-            assert sorted(bits) == list(range(encoding.var_count))
-            assert space.legal.evaluate(bits)
+            assert sorted(expected) == list(range(encoding.var_count))
+            assert space.legal.evaluate(expected)
+            assert space.cofactor(space.legal, test.items()).is_true
 
 
 # ----------------------------------------------------------------------
@@ -572,6 +572,12 @@ def _marginal_cases(draw):
     return Model(attributes, tuple(constraints)), subsets
 
 
+def _factored(space, subset):
+    """The AND of the projections of a subset's pieces: what `coverage`
+    counts a subset's feasible tuples from."""
+    return functools.reduce(operator.and_, space.marginals(space.pieces(subset)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_marginal_cases())
 def test_marginals_equal_full_projections(case):
@@ -583,6 +589,7 @@ def test_marginals_equal_full_projections(case):
     blocks, index = space.encoding.blocks, model.attribute_index
     kept = [[v for n in subset for v in blocks[index(n)]] for subset in subsets]
     expected = space.manager.projections(space.legal, kept)
+    assert [_factored(space, subset) for subset in subsets] == expected
     assert space.marginals(subsets) == expected
 
 
@@ -596,7 +603,7 @@ def test_components_come_from_bdd_support():
     blocks = space.encoding.blocks
     for subset in (["A", "B"], ["B", "C"], ["A", "B", "C", "D"]):
         kept = [v for n in subset for v in blocks[space.model.attribute_index(n)]]
-        assert space.marginals([subset]) == space.manager.projections(
+        assert [_factored(space, subset)] == space.manager.projections(
             space.legal, [kept])
 
 
@@ -610,7 +617,7 @@ def test_components_follow_variables_under_a_permuted_order(models_dir):
     for subset in (["A0", "A4"], ["A4", "A1"], ["A1", "A5", "A0"],
                    ["A7", "A3", "A2"], [f"A{i}" for i in range(8)]):
         kept = [v for n in subset for v in blocks[space.model.attribute_index(n)]]
-        assert space.marginals([subset]) == space.manager.projections(
+        assert [_factored(space, subset)] == space.manager.projections(
             space.legal, [kept])
 
 
