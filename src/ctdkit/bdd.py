@@ -7,28 +7,30 @@ so two semantically equal functions built in the same manager always have
 the same rootid.  `Function` is a thin handle (manager, root) with the
 usual operator overloads.
 
-The general operation is the ternary `ite` (if-then-else), which recurses
-on the lowest-ordered variable present in its operands and is memoized in
-an unbounded per-manager cache.  Conjunction and disjunction, which every
-product and every `exists` builds, have their own two-operand kernels
-that share that cache under the ite triple they stand for: `(f, g, false)`
-for `f & g` and `(f, true, g)` for `f | g`, with `f < g`.  `exists`
-memoizes outside that cache, by node and kept-variable mask, within one
-call or one group of `projections`; `_intersects` decides whether `f & g`
-is satisfiable without building it.  `cofactor` fixes the variables of a
-cube (a `{var: bit}` dict) in one pass, walking straight down while the
-root tests a bound variable, and memoizes within the call, so `_cache`
-holds only ite, AND and OR entries; `restrict` is a one-variable cube.
-`cofactors` splits f over a block of variables into one cofactor per bit
-pattern, following edges where the block is at the top of f; `table`, its
-dual, builds a function over a block from one truth value per pattern.
-`select` decides which of many rows f accepts in one bottom-up pass over
-its reachable nodes, with one bitset of rows per variable.
+The manager keeps only its nodes.  Every kernel memoizes in a dict that
+lives for one call of its public entry point, so no table outlives the
+operation that filled it; hash-consing still makes equal results the same
+node across calls.  The general operation is the ternary `ite`
+(if-then-else), which recurses on the lowest-ordered variable present in
+its operands.  Conjunction and disjunction, which every product and every
+`exists` builds, have their own two-operand kernels, memoized under the
+ite triple they stand for: `(f, g, false)` for `f & g` and `(f, true, g)`
+for `f | g`, with `f < g`.  `exists` memoizes by node and kept-variable
+mask and hands the same memo to the ORs it builds; `projections` keeps one
+memo for all its sets.  `_intersects` decides whether `f & g` is
+satisfiable without building it.  `cofactor` fixes the variables of a cube
+(a `{var: bit}` dict) in one pass, walking straight down while the root
+tests a bound variable; `restrict` is a one-variable cube.  `cofactors`
+splits f over a block of variables into one cofactor per bit pattern,
+following edges where the block is at the top of f; `table`, its dual,
+builds a function over a block from one truth value per pattern.
 Negation is `ite(f, false, true)`; there are no complemented edges.
-Counting, enumeration and `select` walk an explicit stack, so their depth
-is not bounded by the interpreter's recursion limit; `ite`, the AND/OR
-kernels, `cofactor` and `exists` still recurse, one frame per variable
-level.
+`count`, `support`, `select` and `dump` make one bottom-up pass over f's
+reachable nodes in ascending id (`_reachable`); `select` decides which of
+many rows f accepts, with one bitset of rows per variable.  Those walks
+and enumeration use an explicit stack, so their depth is not bounded by
+the interpreter's recursion limit; `ite`, the AND/OR kernels, `cofactor`
+and `exists` still recurse, one frame per variable level.
 
 A manager and its handles are confined to one thread of control at a time;
 distinct managers are independent.
@@ -60,9 +62,6 @@ class BDD:
             (var_count, TRUE, TRUE),
         ]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._cache: dict[tuple, int] = {}
-        # per-node satisfying-assignment weights (append-only store keeps it valid)
-        self._counts: dict[int, int] = {FALSE: 0, TRUE: 1}
 
     # ------------------------------------------------------------------
     # construction
@@ -127,9 +126,9 @@ class BDD:
 
     def ite(self, f: "Function", g: "Function", h: "Function") -> "Function":
         self._check_same_manager(f, g, h)
-        return Function(self, self._ite(f.root, g.root, h.root))
+        return Function(self, self._ite(f.root, g.root, h.root, {}))
 
-    def _ite(self, f: int, g: int, h: int) -> int:
+    def _ite(self, f: int, g: int, h: int, memo: dict) -> int:
         if f == TRUE:
             return g
         if f == FALSE:
@@ -139,7 +138,7 @@ class BDD:
         if g == TRUE and h == FALSE:
             return f
         key = (f, g, h)
-        found = self._cache.get(key)
+        found = memo.get(key)
         if found is not None:
             return found
         # terminals sit at level var_count, below every v, so they cofactor
@@ -154,15 +153,16 @@ class BDD:
             g0 = g1 = g
         if hv != v:
             h0 = h1 = h
-        result = self._node(v, self._ite(f0, g0, h0), self._ite(f1, g1, h1))
-        self._cache[key] = result
+        result = self._node(v, self._ite(f0, g0, h0, memo), self._ite(f1, g1, h1, memo))
+        memo[key] = result
         return result
 
     # AND and OR are the two ite triples every product and every quantifier
     # builds.  Their kernels order the operands (they commute), skip the
-    # third operand, and share `_cache` under the triple they stand for.
+    # third operand, and memoize under the triple they stand for, so `_or`
+    # can share a memo with the `_exists` that calls it.
 
-    def _and(self, f: int, g: int) -> int:
+    def _and(self, f: int, g: int, memo: dict) -> int:
         if f > g:
             f, g = g, f
         if f == FALSE or f == g:
@@ -170,21 +170,21 @@ class BDD:
         if f == TRUE:
             return g
         key = (f, g, FALSE)
-        found = self._cache.get(key)
+        found = memo.get(key)
         if found is not None:
             return found
         fv, f0, f1 = self._nodes[f]
         gv, g0, g1 = self._nodes[g]
         if fv == gv:
-            result = self._node(fv, self._and(f0, g0), self._and(f1, g1))
+            result = self._node(fv, self._and(f0, g0, memo), self._and(f1, g1, memo))
         elif fv < gv:
-            result = self._node(fv, self._and(f0, g), self._and(f1, g))
+            result = self._node(fv, self._and(f0, g, memo), self._and(f1, g, memo))
         else:
-            result = self._node(gv, self._and(f, g0), self._and(f, g1))
-        self._cache[key] = result
+            result = self._node(gv, self._and(f, g0, memo), self._and(f, g1, memo))
+        memo[key] = result
         return result
 
-    def _or(self, f: int, g: int) -> int:
+    def _or(self, f: int, g: int, memo: dict) -> int:
         if f > g:
             f, g = g, f
         if f == FALSE or f == g:
@@ -192,18 +192,18 @@ class BDD:
         if f == TRUE:
             return TRUE
         key = (f, TRUE, g)
-        found = self._cache.get(key)
+        found = memo.get(key)
         if found is not None:
             return found
         fv, f0, f1 = self._nodes[f]
         gv, g0, g1 = self._nodes[g]
         if fv == gv:
-            result = self._node(fv, self._or(f0, g0), self._or(f1, g1))
+            result = self._node(fv, self._or(f0, g0, memo), self._or(f1, g1, memo))
         elif fv < gv:
-            result = self._node(fv, self._or(f0, g), self._or(f1, g))
+            result = self._node(fv, self._or(f0, g, memo), self._or(f1, g, memo))
         else:
-            result = self._node(gv, self._or(f, g0), self._or(f, g1))
-        self._cache[key] = result
+            result = self._node(gv, self._or(f, g0, memo), self._or(f, g1, memo))
+        memo[key] = result
         return result
 
     def _intersects(self, f: int, g: int) -> bool:
@@ -310,18 +310,12 @@ class BDD:
 
     def projections(self, f: "Function", kept_sets) -> list["Function"]:
         """f with every variable outside each set quantified away, one
-        result per set, in order.  Sets with the same deepest variable share
-        one memo, dropped when that variable changes (no later set can hit
-        it), so each reuses what the others quantified below it."""
+        result per set, in order.  All sets share one memo for the call: a
+        node's entry is keyed by the kept variables at or below it, so each
+        set reuses what the others quantified alike below it."""
         self._check_same_manager(f)
-        masks = [self._mask(kept) for kept in kept_sets]
-        out = [f] * len(masks)
-        deepest = -1
-        for i in sorted(range(len(masks)), key=lambda i: masks[i].bit_length()):
-            if masks[i].bit_length() != deepest:
-                deepest, memo = masks[i].bit_length(), {}
-            out[i] = Function(self, self._exists(f.root, masks[i], memo))
-        return out
+        masks, memo = [self._mask(kept) for kept in kept_sets], {}
+        return [Function(self, self._exists(f.root, mask, memo)) for mask in masks]
 
     def _mask(self, variables: Iterable[int]) -> int:
         mask = 0
@@ -333,7 +327,7 @@ class BDD:
     def _exists(self, root: int, kept: int, memo: dict) -> int:
         # `kept` has bit v set for each kept variable.  A node's result
         # depends only on the kept variables at or below it, the memo key;
-        # in `_cache` every mask's entries would stay for good.
+        # the ORs built here memoize in the same dict under their triples.
         node_var, low, high = self._nodes[root]
         below = kept >> node_var
         if below == self._all_vars >> node_var:
@@ -349,7 +343,7 @@ class BDD:
                                 self._exists(high, kept, memo))
         else:
             result = self._or(self._exists(low, kept, memo),
-                              self._exists(high, kept, memo))
+                              self._exists(high, kept, memo), memo)
         memo[key] = result
         return result
 
@@ -373,22 +367,15 @@ class BDD:
         """Which of many rows f accepts, as a bitset (bit i for row i).
 
         `columns[var]` is the bitset of the rows that set `var` (a mapping
-        or a sequence), and `everything` that of all rows.  One pass over
-        f's reachable nodes in ascending id, a child's id being below its
-        parent's: each node accepts the rows its high child accepts where
-        its variable is set and those its low child accepts elsewhere, one
-        machine word per 64 rows (Bryant 1986).  Variables skipped by the
-        DAG need no column.
+        or a sequence), and `everything` that of all rows.  Bottom-up over
+        `_reachable`: each node accepts the rows its high child accepts
+        where its variable is set and those its low child accepts
+        elsewhere, one machine word per 64 rows (Bryant 1986).  Variables
+        skipped by the DAG need no column.
         """
         self._check_same_manager(f)
-        nodes, todo, reached = self._nodes, [f.root], set()
-        while todo:
-            root = todo.pop()
-            if root > TRUE and root not in reached:
-                reached.add(root)
-                todo += nodes[root][1:]
-        rows = {FALSE: 0, TRUE: everything}
-        for root in sorted(reached):
+        nodes, rows = self._nodes, {FALSE: 0, TRUE: everything}
+        for root in self._reachable(f.root):
             var, low, high = nodes[root]
             try:
                 on = columns[var]
@@ -408,9 +395,13 @@ class BDD:
         """Number of satisfying assignments over a 2**nvars space."""
         self._check_same_manager(f)
         n = self._check_nvars(f, nvars)
-        # weight(u) counts assignments of vars var(u)..var_count-1
-        total = (1 << self._var_of(f.root)) * self._weight(f.root)
-        return total >> (self.var_count - n)
+        # weight[u] counts assignments of vars var(u)..var_count-1
+        nodes, weight = self._nodes, {FALSE: 0, TRUE: 1}
+        for root in self._reachable(f.root):
+            var, low, high = nodes[root]
+            weight[root] = ((weight[low] << (nodes[low][0] - var - 1))
+                            + (weight[high] << (nodes[high][0] - var - 1)))
+        return weight[f.root] << self._var_of(f.root) >> (self.var_count - n)
 
     def _check_nvars(self, f: "Function", nvars: int | None) -> int:
         if nvars is None:
@@ -423,25 +414,16 @@ class BDD:
             raise BddError(f"nvars={nvars} exceeds manager variable count")
         return nvars
 
-    def _weight(self, root: int) -> int:
-        # post-order over an explicit stack, so depth is not bounded by
-        # Python's recursion limit
-        counts = self._counts
-        todo = [root]
+    def _reachable(self, root: int) -> list[int]:
+        """The internal nodes reachable from root, in ascending id: children
+        come first, since the store is append-only."""
+        nodes, todo, reached = self._nodes, [root], set()
         while todo:
-            node = todo[-1]
-            if node in counts:
-                todo.pop()
-                continue
-            var, low, high = self._nodes[node]
-            missing = [c for c in (low, high) if c not in counts]
-            if missing:
-                todo += missing
-                continue
-            todo.pop()
-            counts[node] = ((counts[low] << (self._var_of(low) - var - 1))
-                            + (counts[high] << (self._var_of(high) - var - 1)))
-        return counts[root]
+            node = todo.pop()
+            if node > TRUE and node not in reached:
+                reached.add(node)
+                todo += nodes[node][1:]
+        return sorted(reached)
 
     def satisfying(self, f: "Function", nvars: int | None = None) -> Iterator[tuple[int, ...]]:
         """Yield satisfying assignments as 0/1 tuples, lexicographically."""
@@ -477,19 +459,7 @@ class BDD:
     def support(self, f: "Function") -> set[int]:
         """Variables the DAG of f actually mentions."""
         self._check_same_manager(f)
-        seen: set[int] = set()
-        todo = [f.root]
-        visited: set[int] = set()
-        while todo:
-            root = todo.pop()
-            if root <= TRUE or root in visited:
-                continue
-            visited.add(root)
-            var, low, high = self._nodes[root]
-            seen.add(var)
-            todo.append(low)
-            todo.append(high)
-        return seen
+        return {self._nodes[root][0] for root in self._reachable(f.root)}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -498,23 +468,14 @@ class BDD:
     # debug export
 
     def dump(self, f: "Function") -> str:
-        """Adjacency listing of f's DAG: one `id var low high` line per node."""
+        """Adjacency listing of f's DAG: one `id var low high` line per node,
+        in ascending id.  A function that is not constant reaches both
+        terminals."""
         self._check_same_manager(f)
-        lines = []
-        visited: set[int] = set()
-        todo = [f.root]
-        while todo:
-            root = todo.pop()
-            if root in visited:
-                continue
-            visited.add(root)
-            if root <= TRUE:
-                lines.append(f"{root} const {root}")
-                continue
-            var, low, high = self._nodes[root]
-            lines.append(f"{root} x{var} {low} {high}")
-            todo.extend((low, high))
-        lines.sort(key=lambda s: int(s.split()[0]))
+        terminals = [f.root] if f.root <= TRUE else [FALSE, TRUE]
+        lines = [f"{root} const {root}" for root in terminals]
+        lines += ["%d x%d %d %d" % (root, *self._nodes[root])
+                  for root in self._reachable(f.root)]
         return "\n".join(lines)
 
 
@@ -557,11 +518,11 @@ class Function:
 
     def __and__(self, other: "Function") -> "Function":
         self.manager._check_same_manager(other)
-        return Function(self.manager, self.manager._and(self.root, other.root))
+        return Function(self.manager, self.manager._and(self.root, other.root, {}))
 
     def __or__(self, other: "Function") -> "Function":
         self.manager._check_same_manager(other)
-        return Function(self.manager, self.manager._or(self.root, other.root))
+        return Function(self.manager, self.manager._or(self.root, other.root, {}))
 
     def implies(self, other: "Function") -> "Function":
         return self.manager.ite(self, other, self.manager.true)

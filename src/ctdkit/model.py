@@ -234,7 +234,7 @@ def _parse_directive(raw) -> tuple[tuple[str, str], ...]:
                 "each directive binding must be an object {attr, value}")
         if not isinstance(b["attr"], str) or not isinstance(b["value"], str):
             raise ModelFormatError("directive 'attr' and 'value' must be strings")
-        bindings.append((b["attr"], b["value"]))
+        bindings.append((b["attr"].strip(), b["value"].strip()))
     return tuple(bindings)
 
 
@@ -640,9 +640,11 @@ class ModelSpace:
         A depth-first walk over an explicit stack that splits the function
         over each attribute's values in declaration order
         (`value_cofactors`) and enters only the branches left non-false,
-        whatever the block order."""
+        whatever the block order.  A node reached again at the same depth
+        is split once per walk."""
         names, attributes = self.model.attribute_names, self.model.attributes
         todo = [((), fn if fn is not None else self.legal)]  # (labels, cofactor)
+        split: dict[tuple[int, int], list[Function]] = {}  # (root, depth) -> cofactors
         emitted = 0
         while todo and (limit is None or emitted < limit):
             labels, branch = todo.pop()
@@ -653,6 +655,8 @@ class ModelSpace:
                 yield dict(zip(names, labels))
                 emitted += 1
                 continue
-            todo += reversed([
-                (labels + (label,), cofactor) for label, cofactor in zip(
-                    attributes[depth].labels, self.value_cofactors(branch, names[depth]))])
+            key = (branch.root, depth)
+            if key not in split:
+                split[key] = self.value_cofactors(branch, names[depth])
+            todo += reversed([(labels + (label,), cofactor) for label, cofactor
+                              in zip(attributes[depth].labels, split[key])])

@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from ctdkit import BDD, BddError
 
+# what a manager holds between calls: its nodes, nothing memoized
+MANAGER_STATE = {"var_count", "_all_vars", "_nodes", "_unique"}
+
 
 def test_terminals_evaluate_constantly():
     m = BDD(3)
@@ -316,7 +319,7 @@ _trees = st.recursive(
 @given(st.lists(_trees, min_size=2, max_size=5))
 def test_and_or_kernels_agree_with_ite(trees):
     # all functions share one manager, so the kernels and ite also meet
-    # each other's entries in the computed table
+    # each other's nodes in the unique table
     m = BDD(_N)
     fns = [oracles.tree_fn(t, m) for t in trees]
     for tf, f in zip(trees, fns):
@@ -379,7 +382,7 @@ _placed_trees = st.builds(
 def test_cofactors_equal_nested_restricts(tree, variables):
     m = BDD(8)
     f = oracles.tree_fn(tree, m)
-    support, nodes, cached = f.support(), len(m), len(m._cache)
+    support, nodes = f.support(), len(m)
     split = m.cofactors(f, variables)
     assert len(split) == 2 ** len(variables)
     for pattern, g in enumerate(split):
@@ -390,7 +393,7 @@ def test_cofactors_equal_nested_restricts(tree, variables):
     if variables == sorted(variables) and all(
             v in variables for v in support if v <= max(variables, default=-1)):
         assert len(m) == nodes  # a block at the top is split along edges
-    assert len(m._cache) == cached  # memos live for one call
+    assert set(vars(m)) == MANAGER_STATE  # memos live for one call
 
 
 @settings(max_examples=200, deadline=None)
@@ -398,9 +401,8 @@ def test_cofactors_equal_nested_restricts(tree, variables):
 def test_cube_cofactor_equals_sequential_restricts(tree, cube):
     m = BDD(8)
     f = oracles.tree_fn(tree, m)
-    cached = len(m._cache)
     g = m.cofactor(f, cube)
-    assert len(m._cache) == cached
+    assert set(vars(m)) == MANAGER_STATE
     expected = f
     for var, bit in cube.items():
         expected = expected.restrict(var, bit)
@@ -548,3 +550,28 @@ def test_dump_lists_reachable_nodes():
     assert "0 const 0" in lines
     assert "1 const 1" in lines
     assert any(line.startswith(f"{f.root} x0 ") for line in lines)
+    ids = [int(line.split()[0]) for line in lines]
+    assert ids == sorted(ids) and len(ids) == 4
+    assert m.true.dump() == "1 const 1"
+    assert m.false.dump() == "0 const 0"
+
+
+def test_manager_keeps_only_its_nodes():
+    # &, |, ~ and ite build f, implies and iff build g
+    x = [("var", i) for i in range(6)]
+    tree = ("or", ("or", ("and", x[0], x[3]), ("and", x[1], ("not", x[4]))),
+            ("ite", x[2], x[5], x[0]))
+    m = BDD(6)
+    f = oracles.tree_fn(tree, m)
+    g = oracles.tree_fn(("iff", ("implies", tree, x[1]), ("or", x[2], x[3])), m)
+    f.exists([1, 2])
+    m.projections(g, [[0], [1, 4], [2, 3, 5]])
+    m.cofactor(f, {0: 1, 4: 0})
+    m.cofactors(g, [1, 2])
+    assert f.count() == oracles.table_count(oracles.tree_table(tree, 6))
+    f.support()
+    m.select(g, [0b01, 0b10, 0b11, 0, 0b01, 0b10], 0b11)
+    assert set(vars(m)) == MANAGER_STATE
+    # a count after the store grew reads the new nodes as well
+    h = oracles.tree_fn(("and", tree, x[5]), m)
+    assert h.count() == oracles.table_count(oracles.tree_table(("and", tree, x[5]), 6))

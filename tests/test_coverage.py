@@ -141,12 +141,14 @@ def test_filter_feasible_leaves_few_bdd_nodes():
     reqs = filter_feasible(generate_requirements(space.model, 2), space)
     assert len(reqs.feasible()) == 4740
     assert len(space.manager) < 20_000
-    assert len(space.manager._cache) < 2 * len(space.manager)
+    state = {"var_count", "_all_vars", "_nodes", "_unique"}
+    assert set(vars(space.manager)) == state  # no memo outlives its call
     # the per-subset counts read the same projections: nothing is added
-    sizes = len(space.manager), len(space.manager._cache)
+    nodes = len(space.manager)
     assert feasible_count(space, 2) == 4740
     assert lower_bound(space, 2) == 25
-    assert (len(space.manager), len(space.manager._cache)) == sizes
+    assert len(space.manager) == nodes
+    assert set(vars(space.manager)) == state
 
 
 @pytest.mark.parametrize("k,v,t,kept_sets,evaluations", [

@@ -85,9 +85,12 @@ def test_parse_rejects_bad_directives():
 
 
 def test_labels_and_names_are_trimmed():
-    m = parse_model({"attributes": [{"name": " A ", "values": [" x "]}]})
+    m = parse_model({"attributes": [{"name": " A ", "values": [" x "]}],
+                     "directives": [[{"attr": "A ", "value": " x"}]]})
     assert m.attributes[0].name == "A"
     assert m.attributes[0].values[0].label == "x"
+    assert m.directives == ((("A", "x"),),)
+    assert validate_model(m).ok
 
 
 # ----------------------------------------------------------------------
