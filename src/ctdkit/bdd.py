@@ -10,27 +10,28 @@ usual operator overloads.
 The manager keeps only its nodes.  Every kernel memoizes in a dict that
 lives for one call of its public entry point, so no table outlives the
 operation that filled it; hash-consing still makes equal results the same
-node across calls.  The general operation is the ternary `ite`
-(if-then-else), which recurses on the lowest-ordered variable present in
-its operands.  Conjunction and disjunction, which every product and every
-`exists` builds, have their own two-operand kernels, memoized under the
-ite triple they stand for: `(f, g, false)` for `f & g` and `(f, true, g)`
-for `f | g`, with `f < g`.  `exists` memoizes by node and kept-variable
-mask and hands the same memo to the ORs it builds; `projections` keeps one
-memo for all its sets.  `_intersects` decides whether `f & g` is
-satisfiable without building it.  `cofactor` fixes the variables of a cube
+node across calls.  Every two-operand operator goes through one kernel,
+`_apply` (Bryant 1986): it takes the operator as a 4-bit truth table
+(`AND`, `OR`, `IMPLIES`, `IFF`, `LESS`), recurses on the lowest-ordered
+variable of its operands, and memoizes under `(op, f, g)`, with the
+operands of a symmetric operator in order.  `&`, `|`, `implies`, `iff`
+and negation (`IFF` with false) are one call each; there are no
+complemented edges.  `ite(f, g, h)` is derived: `(f & g) | (~f & h)`.
+`exists` is the one-set case of `projections`, which memoizes by node and
+kept-variable mask in one dict for all its sets and hands it to the ORs it
+builds.  `_intersects` decides whether `f & g` is satisfiable without
+building it.  `cofactor` fixes the variables of a cube
 (a `{var: bit}` dict) in one pass, walking straight down while the root
 tests a bound variable; `restrict` is a one-variable cube.  `cofactors`
 splits f over a block of variables into one cofactor per bit pattern,
 following edges where the block is at the top of f; `table`, its dual,
 builds a function over a block from one truth value per pattern.
-Negation is `ite(f, false, true)`; there are no complemented edges.
 `count`, `support`, `select` and `dump` make one bottom-up pass over f's
 reachable nodes in ascending id (`_reachable`); `select` decides which of
 many rows f accepts, with one bitset of rows per variable.  Those walks
 and enumeration use an explicit stack, so their depth is not bounded by
-the interpreter's recursion limit; `ite`, the AND/OR kernels, `cofactor`
-and `exists` still recurse, one frame per variable level.
+the interpreter's recursion limit; `_apply`, `cofactor` and `exists`
+still recurse, one frame per variable level.
 
 A manager and its handles are confined to one thread of control at a time;
 distinct managers are independent.
@@ -45,6 +46,14 @@ from .errors import BddError
 # terminal root ids, shared by every manager
 FALSE = 0
 TRUE = 1
+
+# two-operand truth tables for `BDD._apply`: bit 2a+b holds op(a, b)
+AND = 0b1000
+OR = 0b1110
+IMPLIES = 0b1011
+IFF = 0b1001
+LESS = 0b0010  # not a, and b
+_SYMMETRIC = (AND, OR, IFF)
 
 
 class BDD:
@@ -122,88 +131,57 @@ class BDD:
         return self._nodes[root][0]
 
     # ------------------------------------------------------------------
-    # ite and friends
+    # apply
 
     def ite(self, f: "Function", g: "Function", h: "Function") -> "Function":
+        """If f then g else h: `(f & g) | (~f & h)`, three applies sharing
+        one memo."""
         self._check_same_manager(f, g, h)
-        return Function(self, self._ite(f.root, g.root, h.root, {}))
+        memo = {}
+        return Function(self, self._apply(
+            OR, self._apply(AND, f.root, g.root, memo),
+            self._apply(LESS, f.root, h.root, memo), memo))
 
-    def _ite(self, f: int, g: int, h: int, memo: dict) -> int:
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        if g == TRUE and h == FALSE:
-            return f
-        key = (f, g, h)
+    def _apply(self, op: int, f: int, g: int, memo: dict) -> int:
+        """op(f, g) for a two-operand truth table `op` (Bryant 1986): recurse
+        on the lowest variable of f and g, memoized under `(op, f, g)`."""
+        if f > g and op in _SYMMETRIC:
+            f, g = g, f  # commuting operands share memo entries
+        if f <= TRUE:
+            if g <= TRUE:
+                return op >> 2 * f + g & 1
+            # op(f, 0) and op(f, 1): a constant, g, or ~g, which recurses
+            row = op >> 2 * f & 3
+            if row == 2:
+                return g
+            if row != 1:
+                return row & 1
+        elif g <= TRUE:
+            column = op >> g & 1 | op >> g + 1 & 2  # op(0, g) and op(1, g)
+            if column == 2:
+                return f
+            if column != 1:
+                return column & 1
+        elif f == g:
+            diagonal = op & 1 | op >> 2 & 2  # op(0, 0) and op(1, 1)
+            if diagonal == 2:
+                return f
+            if diagonal != 1:
+                return diagonal & 1
+        key = (op, f, g)
         found = memo.get(key)
         if found is not None:
             return found
-        # terminals sit at level var_count, below every v, so they cofactor
-        # to themselves
+        # terminals sit at level var_count, below every variable, so they
+        # cofactor to themselves
         fv, f0, f1 = self._nodes[f]
         gv, g0, g1 = self._nodes[g]
-        hv, h0, h1 = self._nodes[h]
-        v = min(fv, gv, hv)
-        if fv != v:
-            f0 = f1 = f
-        if gv != v:
+        if fv < gv:
             g0 = g1 = g
-        if hv != v:
-            h0 = h1 = h
-        result = self._node(v, self._ite(f0, g0, h0, memo), self._ite(f1, g1, h1, memo))
-        memo[key] = result
-        return result
-
-    # AND and OR are the two ite triples every product and every quantifier
-    # builds.  Their kernels order the operands (they commute), skip the
-    # third operand, and memoize under the triple they stand for, so `_or`
-    # can share a memo with the `_exists` that calls it.
-
-    def _and(self, f: int, g: int, memo: dict) -> int:
-        if f > g:
-            f, g = g, f
-        if f == FALSE or f == g:
-            return f
-        if f == TRUE:
-            return g
-        key = (f, g, FALSE)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        fv, f0, f1 = self._nodes[f]
-        gv, g0, g1 = self._nodes[g]
-        if fv == gv:
-            result = self._node(fv, self._and(f0, g0, memo), self._and(f1, g1, memo))
-        elif fv < gv:
-            result = self._node(fv, self._and(f0, g, memo), self._and(f1, g, memo))
-        else:
-            result = self._node(gv, self._and(f, g0, memo), self._and(f, g1, memo))
-        memo[key] = result
-        return result
-
-    def _or(self, f: int, g: int, memo: dict) -> int:
-        if f > g:
-            f, g = g, f
-        if f == FALSE or f == g:
-            return g
-        if f == TRUE:
-            return TRUE
-        key = (f, TRUE, g)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        fv, f0, f1 = self._nodes[f]
-        gv, g0, g1 = self._nodes[g]
-        if fv == gv:
-            result = self._node(fv, self._or(f0, g0, memo), self._or(f1, g1, memo))
-        elif fv < gv:
-            result = self._node(fv, self._or(f0, g, memo), self._or(f1, g, memo))
-        else:
-            result = self._node(gv, self._or(f, g0, memo), self._or(f, g1, memo))
-        memo[key] = result
+        elif gv < fv:
+            fv, f0, f1 = gv, f, f
+        result = memo[key] = self._node(
+            fv, self._apply(op, f0, g0, memo), self._apply(op, f1, g1, memo))
         return result
 
     def _intersects(self, f: int, g: int) -> bool:
@@ -303,18 +281,21 @@ class BDD:
         return found
 
     def exists(self, f: "Function", variables: Iterable[int]) -> "Function":
-        """Existential quantification over `variables`."""
-        self._check_same_manager(f)
-        kept = self._all_vars & ~self._mask(variables)
-        return Function(self, self._exists(f.root, kept, {}))
+        """Existential quantification over `variables`: the one-set case of
+        `projections`."""
+        return self._project(f, [self._all_vars & ~self._mask(variables)])[0]
 
     def projections(self, f: "Function", kept_sets) -> list["Function"]:
         """f with every variable outside each set quantified away, one
         result per set, in order.  All sets share one memo for the call: a
         node's entry is keyed by the kept variables at or below it, so each
         set reuses what the others quantified alike below it."""
+        return self._project(f, [self._mask(kept) for kept in kept_sets])
+
+    def _project(self, f: "Function", masks: list[int]) -> list["Function"]:
+        # one result per mask of kept variables, all from one memo
         self._check_same_manager(f)
-        masks, memo = [self._mask(kept) for kept in kept_sets], {}
+        memo = {}
         return [Function(self, self._exists(f.root, mask, memo)) for mask in masks]
 
     def _mask(self, variables: Iterable[int]) -> int:
@@ -327,7 +308,8 @@ class BDD:
     def _exists(self, root: int, kept: int, memo: dict) -> int:
         # `kept` has bit v set for each kept variable.  A node's result
         # depends only on the kept variables at or below it, the memo key;
-        # the ORs built here memoize in the same dict under their triples.
+        # the ORs built here memoize in the same dict under the apply
+        # kernel's `(op, f, g)` triples, which no pair key can equal.
         node_var, low, high = self._nodes[root]
         below = kept >> node_var
         if below == self._all_vars >> node_var:
@@ -342,8 +324,8 @@ class BDD:
             result = self._node(node_var, self._exists(low, kept, memo),
                                 self._exists(high, kept, memo))
         else:
-            result = self._or(self._exists(low, kept, memo),
-                              self._exists(high, kept, memo), memo)
+            result = self._apply(OR, self._exists(low, kept, memo),
+                                 self._exists(high, kept, memo), memo)
         memo[key] = result
         return result
 
@@ -513,22 +495,24 @@ class Function:
     def is_true(self) -> bool:
         return self.root == TRUE
 
+    def _apply(self, op: int, other: "Function") -> "Function":
+        self.manager._check_same_manager(other)
+        return Function(self.manager, self.manager._apply(op, self.root, other.root, {}))
+
     def __invert__(self) -> "Function":
-        return self.manager.ite(self, self.manager.false, self.manager.true)
+        return self._apply(IFF, self.manager.false)
 
     def __and__(self, other: "Function") -> "Function":
-        self.manager._check_same_manager(other)
-        return Function(self.manager, self.manager._and(self.root, other.root, {}))
+        return self._apply(AND, other)
 
     def __or__(self, other: "Function") -> "Function":
-        self.manager._check_same_manager(other)
-        return Function(self.manager, self.manager._or(self.root, other.root, {}))
+        return self._apply(OR, other)
 
     def implies(self, other: "Function") -> "Function":
-        return self.manager.ite(self, other, self.manager.true)
+        return self._apply(IMPLIES, other)
 
     def iff(self, other: "Function") -> "Function":
-        return self.manager.ite(self, other, ~other)
+        return self._apply(IFF, other)
 
     def intersects(self, other: "Function") -> bool:
         """True when `self & other` is satisfiable; builds no nodes."""

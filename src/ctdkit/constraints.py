@@ -256,9 +256,18 @@ class _Parser:
 
 
 def parse(source: str) -> Expr:
-    """Parse one constraint expression; raises LexicalError/ConstraintSyntaxError."""
+    """Parse one constraint expression; raises LexicalError/ConstraintSyntaxError.
+
+    The parser recurses once per nesting level, so an expression nested
+    past the interpreter's recursion limit is a syntax error at the token
+    where the limit was reached."""
     parser = _Parser(tokenize(source))
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        position = parser.tok.position
+        raise ConstraintSyntaxError(
+            f"expression nested too deeply at position {position}", position) from None
     if parser.tok.kind != "END":
         parser.fail("end of input")
     return node

@@ -380,7 +380,8 @@ def _checked_space(model: Model
     """Validation errors of a model, and its legal space when there are none.
 
     Structure, constraint parse and typecheck, and directive errors are all
-    collected; an empty legal space is reported as an error instead of
+    collected; an empty legal space, or one too large to compile within the
+    interpreter's recursion limit, is reported as an error instead of
     raised.  The space is built once, and it parses the constraints itself,
     so they are parsed again only to list the errors of a model it rejects.
     No warnings are computed.
@@ -422,6 +423,10 @@ def _checked_space(model: Model
         except InfeasibleModelError:
             report.errors.append(
                 "constraints leave no legal test (the legal space is empty)")
+            return report, None
+        except RecursionError:
+            report.errors.append("model is too large to compile within the "
+                                 "interpreter's recursion limit")
             return report, None
         except ConstraintError:
             pass  # listed below, with every other constraint that fails

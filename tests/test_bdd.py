@@ -317,27 +317,37 @@ _trees = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_trees, min_size=2, max_size=5))
-def test_and_or_kernels_agree_with_ite(trees):
-    # all functions share one manager, so the kernels and ite also meet
-    # each other's nodes in the unique table
+def test_operators_agree_with_truth_tables(trees):
+    # all functions share one manager, so each operator also meets the
+    # others' nodes in the unique table; `table` builds the expected roots
+    # from the oracle's truth tables without calling any operator
     m = BDD(_N)
     fns = [oracles.tree_fn(t, m) for t in trees]
-    for tf, f in zip(trees, fns):
-        for tg, g in zip(trees, fns):
-            conj = f & g
-            assert conj.root == (g & f).root == m.ite(f, g, m.false).root
-            assert (f | g).root == m.ite(f, m.true, g).root
-            table = oracles.tree_table(("and", tf, tg), _N)
-            assert conj.count() == oracles.table_count(table)
+    tables = [oracles.tree_table(t, _N) for t in trees]
+    mask = oracles.table_mask(_N)
+
+    def expected(table):
+        return m.table(range(_N), [table >> i & 1 for i in range(1 << _N)]).root
+
+    for f, tf in zip(fns, tables):
+        assert (~f).root == expected(mask ^ tf)
+        # every ordered pair, so each operator sees both operand orders
+        for g, tg in zip(fns, tables):
+            assert (f & g).root == expected(tf & tg)
+            assert (f | g).root == expected(tf | tg)
+            assert f.implies(g).root == expected(mask ^ tf | tg)
+            assert f.iff(g).root == expected(mask ^ (tf ^ tg))
+            for h, th in zip(fns, tables):
+                assert m.ite(f, g, h).root == expected(tf & tg | (mask ^ tf) & th)
             nodes = len(m)
-            assert f.intersects(g) == (not conj.is_false)
-            assert len(m) == nodes  # the test builds nothing
+            assert f.intersects(g) == bool(tf & tg)
+            assert len(m) == nodes  # intersects builds nothing
 
 
 @settings(max_examples=150, deadline=None)
 @given(_trees, st.lists(st.sets(st.integers(0, _N - 1)), min_size=1, max_size=8))
 def test_projections_agree_with_exists_and_truth_table(tree, kept_sets):
-    # sets with the same deepest variable share one memo inside `projections`
+    # all sets share one memo inside `projections`, and `exists` is its one-set case
     m = BDD(_N)
     f = oracles.tree_fn(tree, m)
     rows = oracles.table_sat_rows(oracles.tree_table(tree, _N), _N)

@@ -108,6 +108,38 @@ def test_infeasible_model_is_rejected_with_the_validate_error(capsys, tmp_path,
                    "1 error(s)\n")
 
 
+_TOO_DEEP = {
+    # the parser recurses at every parenthesis and every NOT
+    "parentheses": ([{"name": "A", "values": ["a", "b"]}],
+                    "(" * 400 + "A = a" + ")" * 400,
+                    "constraint 1: expression nested too deeply at position "),
+    "negations": ([{"name": "A", "values": ["a", "b"]}],
+                  "NOT " * 1200 + "A = a",
+                  "constraint 1: expression nested too deeply at position "),
+    # the conjunction parses flat, but the engine recurses once per variable
+    "attributes": ([{"name": f"A{i}", "values": ["a", "b"]} for i in range(1200)],
+                   " AND ".join(f"A{i} = a" for i in range(1200)),
+                   "model is too large to compile within the interpreter's "
+                   "recursion limit"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "count"])
+@pytest.mark.parametrize("shape", sorted(_TOO_DEEP))
+def test_model_past_the_recursion_limit_is_a_validation_error(capsys, tmp_path,
+                                                              shape, command):
+    attributes, constraint, message = _TOO_DEEP[shape]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"attributes": attributes,
+                                "constraints": [constraint]}))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    *errors, last = (out + err).splitlines()
+    assert last == "1 error(s)"
+    assert all(line.startswith("error: ") for line in errors)
+    assert errors[-1].startswith("error: " + message)
+
+
 # ----------------------------------------------------------------------
 # count
 
