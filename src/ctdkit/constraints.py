@@ -23,8 +23,10 @@ TRUE is a keyword elsewhere.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING, Union
 
 from .errors import ConstraintSyntaxError, LexicalError
@@ -92,6 +94,48 @@ Expr = Union[Equals, NotEquals, In, Not, And, Or, Implies, Iff, BoolLit]
 KEYWORDS = {"AND", "OR", "NOT", "IN", "TRUE", "FALSE"}
 
 
+def _children(e: Expr) -> tuple:
+    """Operands of a node, left to right; none for an atom."""
+    kind = type(e)
+    if kind is Equals or kind is NotEquals or kind is In or kind is BoolLit:
+        return ()
+    if kind is And or kind is Or:
+        return e.children
+    if kind is Implies or kind is Iff:
+        return (e.lhs, e.rhs)
+    if kind is Not:
+        return (e.child,)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _references(e: Expr):
+    """The attribute references of an expression, left to right."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        children = _children(e)
+        if children:
+            stack.extend(reversed(children))
+        elif not isinstance(e, BoolLit):
+            yield e
+
+
+def _fold(e: Expr, combine):
+    """The root's value, where a node's value is combine(node, its operands,
+    their values), computed operands first."""
+    nodes, stack = [], [e]
+    while stack:  # parents first, last operand first
+        e = stack.pop()
+        children = _children(e)
+        nodes.append((e, children))
+        stack.extend(children)
+    values = []
+    for e, children in reversed(nodes):  # operands first, left to right
+        cut = len(values) - len(children)
+        values[cut:] = [combine(e, children, values[cut:])]
+    return values[0]
+
+
 # ----------------------------------------------------------------------
 # lexer
 
@@ -149,6 +193,16 @@ def tokenize(source: str) -> list[Token]:
 # ----------------------------------------------------------------------
 # parser
 
+# binding strength, loosest first, for the parser and the printer; atoms bind at 5
+_PRECEDENCE = {Iff: 0, Implies: 1, Or: 2, And: 3, Not: 4}
+# the operand that holds a node of its parent's level without parentheses:
+# "<->" is left-associative and "->" right-associative; AND and OR have none,
+# since a run of either is one node
+_SAME_LEVEL_OPERAND = {Not: 0, Iff: 0, Implies: 1}
+_INFIX = {Iff: "<->", Implies: "->", Or: "OR", And: "AND"}
+_INFIX_NODE = {"DARROW": Iff, "ARROW": Implies, "OR": Or, "AND": And}  # by token
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -177,48 +231,42 @@ class _Parser:
         return None
 
     def expr(self) -> Expr:
-        return self.iff()
+        """Operator-precedence parse (shunting-yard) over a stack of operands
+        and one of the operators not yet applied, as [node class, operand
+        count]; an open parenthesis is [None, 0].  Nothing recurses."""
+        operands, pending, depth = [], [], 0
 
-    def iff(self) -> Expr:
-        node = self.impl()
-        while self.tok.kind == "DARROW":
-            self.advance()
-            node = Iff(node, self.impl())
-        return node
+        def apply(threshold: int) -> None:
+            # the pending operators binding at least threshold, back to "("
+            while pending and _PRECEDENCE.get(pending[-1][0], -1) >= threshold:
+                node, n = pending.pop()
+                operands[-n:] = [node(tuple(operands[-n:])) if node in (And, Or)
+                                 else node(*operands[-n:])]
 
-    def impl(self) -> Expr:
-        node = self.or_()
-        if self.tok.kind == "ARROW":
+        while True:
+            while self.keyword() == "NOT" or self.tok.kind == "LPAREN":
+                paren = self.advance().kind == "LPAREN"
+                pending.append([None, 0] if paren else [Not, 1])
+                depth += paren
+            operands.append(self.atom())
+            while depth and self.tok.kind == "RPAREN":
+                apply(0)
+                pending.pop()
+                depth -= 1
+                self.advance()
+            node = _INFIX_NODE.get(self.keyword() or self.tok.kind)
+            if node is None:
+                if depth:
+                    self.fail("')'")
+                apply(0)
+                return operands[0]
+            level = _PRECEDENCE[node]
+            apply(level if _SAME_LEVEL_OPERAND.get(node) == 0 else level + 1)
+            if node in (And, Or) and pending and pending[-1][0] is node:
+                pending[-1][1] += 1
+            else:
+                pending.append([node, 2])
             self.advance()
-            node = Implies(node, self.impl())
-        return node
-
-    def or_(self) -> Expr:
-        children = [self.and_()]
-        while self.keyword() == "OR":
-            self.advance()
-            children.append(self.and_())
-        return children[0] if len(children) == 1 else Or(tuple(children))
-
-    def and_(self) -> Expr:
-        children = [self.unary()]
-        while self.keyword() == "AND":
-            self.advance()
-            children.append(self.unary())
-        return children[0] if len(children) == 1 else And(tuple(children))
-
-    def unary(self) -> Expr:
-        if self.keyword() == "NOT":
-            self.advance()
-            return Not(self.unary())
-        if self.tok.kind == "LPAREN":
-            self.advance()
-            node = self.expr()
-            if self.tok.kind != "RPAREN":
-                self.fail("')'")
-            self.advance()
-            return node
-        return self.atom()
 
     def atom(self) -> Expr:
         kw = self.keyword()
@@ -256,18 +304,10 @@ class _Parser:
 
 
 def parse(source: str) -> Expr:
-    """Parse one constraint expression; raises LexicalError/ConstraintSyntaxError.
-
-    The parser recurses once per nesting level, so an expression nested
-    past the interpreter's recursion limit is a syntax error at the token
-    where the limit was reached."""
+    """Parse one constraint expression, nested to any depth; raises
+    LexicalError/ConstraintSyntaxError."""
     parser = _Parser(tokenize(source))
-    try:
-        node = parser.expr()
-    except RecursionError:
-        position = parser.tok.position
-        raise ConstraintSyntaxError(
-            f"expression nested too deeply at position {position}", position) from None
+    node = parser.expr()
     if parser.tok.kind != "END":
         parser.fail("end of input")
     return node
@@ -278,12 +318,6 @@ def parse(source: str) -> Expr:
 
 _BARE_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*\Z")
 
-_PRECEDENCE = {Iff: 0, Implies: 1, Or: 2, And: 3, Not: 4}
-
-
-def _prec(e: Expr) -> int:
-    return _PRECEDENCE.get(type(e), 5)
-
 
 def _quote(label: str) -> str:
     return label if _BARE_RE.match(label) else f'"{label}"'
@@ -291,97 +325,62 @@ def _quote(label: str) -> str:
 
 def format_expr(e: Expr) -> str:
     """Render an AST back to source; parse(format_expr(e)) == e."""
-    return _fmt(e, 0)
+    def combine(e, children, texts):
+        if isinstance(e, Equals):
+            return f"{e.attr} = {_quote(e.value)}"
+        if isinstance(e, NotEquals):
+            return f"{e.attr} != {_quote(e.value)}"
+        if isinstance(e, In):
+            return f"{e.attr} IN {{{', '.join(map(_quote, e.values))}}}"
+        if isinstance(e, BoolLit):
+            return "TRUE" if e.value else "FALSE"
+        level = _PRECEDENCE[type(e)] + 1
+        same = _SAME_LEVEL_OPERAND.get(type(e))
+        texts = [f"({text})" if _PRECEDENCE.get(type(child), 5) < level - (i == same)
+                 else text for i, (child, text) in enumerate(zip(children, texts))]
+        if isinstance(e, Not):
+            return f"NOT {texts[0]}"
+        return f" {_INFIX[type(e)]} ".join(texts)
 
-
-def _fmt(e: Expr, min_prec: int) -> str:
-    if isinstance(e, Equals):
-        text = f"{e.attr} = {_quote(e.value)}"
-    elif isinstance(e, NotEquals):
-        text = f"{e.attr} != {_quote(e.value)}"
-    elif isinstance(e, In):
-        inner = ", ".join(_quote(v) for v in e.values)
-        text = f"{e.attr} IN {{{inner}}}"
-    elif isinstance(e, BoolLit):
-        text = "TRUE" if e.value else "FALSE"
-    elif isinstance(e, Not):
-        text = f"NOT {_fmt(e.child, 4)}"
-    elif isinstance(e, And):
-        text = " AND ".join(_fmt(c, 4) for c in e.children)
-    elif isinstance(e, Or):
-        text = " OR ".join(_fmt(c, 3) for c in e.children)
-    elif isinstance(e, Implies):
-        text = f"{_fmt(e.lhs, 2)} -> {_fmt(e.rhs, 1)}"
-    elif isinstance(e, Iff):
-        text = f"{_fmt(e.lhs, 0)} <-> {_fmt(e.rhs, 1)}"
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if _prec(e) < min_prec:
-        return f"({text})"
-    return text
+    return _fold(e, combine)
 
 
 # ----------------------------------------------------------------------
 # typecheck and compile
 
 def typecheck(e: Expr, model: "Model") -> Expr:
-    """Resolve every attribute/value reference; returns the checked AST."""
-    if isinstance(e, (Equals, NotEquals, In)):
-        for value in (e.values if isinstance(e, In) else (e.value,)):
-            model.resolve(e.attr, value)
-    elif isinstance(e, Not):
-        typecheck(e.child, model)
-    elif isinstance(e, (And, Or)):
-        for child in e.children:
-            typecheck(child, model)
-    elif isinstance(e, (Implies, Iff)):
-        typecheck(e.lhs, model)
-        typecheck(e.rhs, model)
-    elif not isinstance(e, BoolLit):
-        raise TypeError(f"not an expression node: {e!r}")
+    """Resolve every attribute/value reference, leftmost first; returns the AST."""
+    for ref in _references(e):
+        for value in (ref.values if isinstance(ref, In) else (ref.value,)):
+            model.resolve(ref.attr, value)
     return e
 
 
 def attributes_of(e: Expr) -> set[str]:
     """Names of the attributes an expression mentions, whether or not it
     depends on them."""
-    if isinstance(e, (Equals, NotEquals, In)):
-        return {e.attr}
-    if isinstance(e, Not):
-        return attributes_of(e.child)
-    if isinstance(e, (And, Or)):
-        return set().union(*map(attributes_of, e.children))
-    if isinstance(e, (Implies, Iff)):
-        return attributes_of(e.lhs) | attributes_of(e.rhs)
-    return set()
+    return {ref.attr for ref in _references(e)}
 
 
 def compile_expr(e: Expr, model: "Model", encoding: "Encoding",
                  manager: "BDD") -> "Function":
     """Compile a typechecked AST to a function over the encoding's variables."""
-    if isinstance(e, (Equals, NotEquals, In)):
-        labels = e.values if isinstance(e, In) else (e.value,)
-        codes = [model.resolve(e.attr, value)[1] for value in labels]
-        fn = encoding.value_set(manager, model.attribute_index(e.attr), codes)
-        return ~fn if isinstance(e, NotEquals) else fn  # true on unused codes too
-    if isinstance(e, Not):
-        return ~compile_expr(e.child, model, encoding, manager)
-    if isinstance(e, And):
-        result = manager.true
-        for child in e.children:
-            result = result & compile_expr(child, model, encoding, manager)
-        return result
-    if isinstance(e, Or):
-        result = manager.false
-        for child in e.children:
-            result = result | compile_expr(child, model, encoding, manager)
-        return result
-    if isinstance(e, Implies):
-        return compile_expr(e.lhs, model, encoding, manager).implies(
-            compile_expr(e.rhs, model, encoding, manager))
-    if isinstance(e, Iff):
-        return compile_expr(e.lhs, model, encoding, manager).iff(
-            compile_expr(e.rhs, model, encoding, manager))
-    if isinstance(e, BoolLit):
-        return manager.const(e.value)
-    raise TypeError(f"not an expression node: {e!r}")
+    def combine(e, children, fns):
+        if isinstance(e, (Equals, NotEquals, In)):
+            labels = e.values if isinstance(e, In) else (e.value,)
+            codes = [model.resolve(e.attr, value)[1] for value in labels]
+            fn = encoding.value_set(manager, model.attribute_index(e.attr), codes)
+            return ~fn if isinstance(e, NotEquals) else fn  # true on unused codes too
+        if isinstance(e, BoolLit):
+            return manager.const(e.value)
+        if isinstance(e, Not):
+            return ~fns[0]
+        if isinstance(e, Implies):
+            return fns[0].implies(fns[1])
+        if isinstance(e, Iff):
+            return fns[0].iff(fns[1])
+        if isinstance(e, And):
+            return reduce(operator.and_, fns, manager.true)
+        return reduce(operator.or_, fns, manager.false)
+
+    return _fold(e, combine)

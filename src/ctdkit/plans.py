@@ -112,8 +112,8 @@ def check_plan_columns(columns, model: Model) -> None:
     missing = [c for c in expected if c not in columns]
     extra = [c for c in columns if c not in expected]
     if missing or extra:
-        raise PlanFormatError(
-            f"plan columns {columns} do not match model attributes {expected}")
+        raise PlanFormatError(f"plan columns do not match model attributes: "
+                              f"missing {missing}, unknown {extra}")
 
 
 def plan_to_json(plan: TestPlan, columns, extra: dict | None = None) -> dict:

@@ -319,3 +319,37 @@ def chain_document(k, v):
         "constraints": [f"{names[i]} = v0 -> {names[i + 1]} != v1"
                         for i in range(0, k - 1, 2)],
     }
+
+
+def deep_documents():
+    """Model documents over twelve binary attributes A0..A11 (values a, b),
+    each with one constraint nested far past the interpreter's recursion
+    limit, and their legal-test counts from truth tables folded in a loop."""
+    n, mask = 12, table_mask(12)
+    is_a = [mask ^ var_table(i, n) for i in range(n)]
+    # 2,000 "<->" terms, every fifth negated: A0..A7 occur an odd number of
+    # times, so the chain is a parity over them
+    terms = [(i % n, i % 5 == 0) for i in range(2000)]
+    truth = [is_a[attr] ^ (mask if negated else 0) for attr, negated in terms]
+    iff = truth[0]
+    for table in truth[1:]:
+        iff = mask ^ iff ^ table
+    # 2,000 "->" terms: antecedents that hold together on A0..A10, and a
+    # consequent on A11, so the chain excludes exactly one test
+    implied = is_a[11]
+    for i in reversed(range(1999)):
+        implied = (mask ^ is_a[i % 11]) | implied
+    nots = is_a[0]
+    for _ in range(1201):
+        nots ^= mask
+    sources = {
+        "parentheses": ("(" * 1000 + "A0 = a" + ")" * 1000, is_a[0]),
+        "negations": ("NOT " * 1201 + "A0 = a", nots),
+        "iff": (" <-> ".join(f"A{attr} {'!=' if negated else '='} a"
+                            for attr, negated in terms), iff),
+        "implies": (" -> ".join([f"A{i % 11} = a" for i in range(1999)] + ["A11 = a"]),
+                    implied),
+    }
+    attributes = [{"name": f"A{i}", "values": ["a", "b"]} for i in range(n)]
+    return {shape: ({"attributes": attributes, "constraints": [source]}, table_count(table))
+            for shape, (source, table) in sources.items()}

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+import oracles
 from ctdkit import Model, constraints, load_model, row_hash
 from ctdkit.cli import main
 
@@ -55,19 +56,12 @@ def test_validate_infeasible_model(capsys, tmp_path):
 
 
 def _top_level_compiles(monkeypatch):
-    """Source text of every constraint compiled from here on, in order;
-    the calls compile_expr makes on subexpressions are not counted."""
-    real = constraints.compile_expr
-    compiled, depth = [], [0]
+    """Source text of every constraint compiled from here on, in order."""
+    real, compiled = constraints.compile_expr, []
 
     def counting(expr, *args):
-        if depth[0] == 0:
-            compiled.append(constraints.format_expr(expr))
-        depth[0] += 1
-        try:
-            return real(expr, *args)
-        finally:
-            depth[0] -= 1
+        compiled.append(constraints.format_expr(expr))
+        return real(expr, *args)
 
     monkeypatch.setattr(constraints, "compile_expr", counting)
     return compiled
@@ -109,13 +103,6 @@ def test_infeasible_model_is_rejected_with_the_validate_error(capsys, tmp_path,
 
 
 _TOO_DEEP = {
-    # the parser recurses at every parenthesis and every NOT
-    "parentheses": ([{"name": "A", "values": ["a", "b"]}],
-                    "(" * 400 + "A = a" + ")" * 400,
-                    "constraint 1: expression nested too deeply at position "),
-    "negations": ([{"name": "A", "values": ["a", "b"]}],
-                  "NOT " * 1200 + "A = a",
-                  "constraint 1: expression nested too deeply at position "),
     # the conjunction parses flat, but the engine recurses once per variable
     "attributes": ([{"name": f"A{i}", "values": ["a", "b"]} for i in range(1200)],
                    " AND ".join(f"A{i} = a" for i in range(1200)),
@@ -138,6 +125,19 @@ def test_model_past_the_recursion_limit_is_a_validation_error(capsys, tmp_path,
     assert last == "1 error(s)"
     assert all(line.startswith("error: ") for line in errors)
     assert errors[-1].startswith("error: " + message)
+
+
+@pytest.mark.parametrize("shape", sorted(oracles.deep_documents()))
+def test_constraint_nested_past_the_recursion_limit_validates_and_counts(
+        capsys, tmp_path, shape):
+    document, legal = oracles.deep_documents()[shape]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out.splitlines()[-1], err) == (0, "OK", "")
+    code, out, _ = run(capsys, "count", str(path))
+    assert code == 0
+    assert f"legal: {legal}\n" in out
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from ctdkit import (
     UnknownAttributeError,
     UnknownValueError,
     build_encoding,
+    parse_model,
 )
 from ctdkit.constraints import (
     And,
@@ -26,6 +27,7 @@ from ctdkit.constraints import (
     Not,
     NotEquals,
     Or,
+    attributes_of,
     compile_expr,
     format_expr,
     parse,
@@ -123,6 +125,41 @@ def test_parse_rejects_trailing_junk():
         parse("")
 
 
+_ATOM = "attribute name, TRUE/FALSE, NOT or '('"
+
+# source: (what the parser expected, what it found, position)
+_SYNTAX_ERRORS = {
+    "": (_ATOM, "end of input", 0),
+    "()": (_ATOM, "')'", 1),
+    "A = x)": ("end of input", "')'", 5),
+    "(A = x": ("')'", "end of input", 6),
+    "(A=x B=y)": ("')'", "'B'", 5),
+    "((A=x) OR B=y": ("')'", "end of input", 13),
+    "NOT": (_ATOM, "end of input", 3),
+    "NOT )": (_ATOM, "')'", 4),
+    "A = x NOT B = y": ("end of input", "'NOT'", 6),
+    "A = x (B = y)": ("end of input", "'('", 6),
+    'A = x "AND" B = y': ("end of input", "'AND'", 6),
+    "TRUE = x": ("end of input", "'='", 5),
+    "A": ("'=', '!=' or IN after attribute name", "end of input", 1),
+    "A IN {}": ("value label", "'}'", 6),
+    "A IN {x,}": ("value label", "'}'", 8),
+    "A = x -> ": (_ATOM, "end of input", 9),
+    "A=x <-> <-> B=y": (_ATOM, "'<->'", 8),
+    "A = x AND OR B = y": (_ATOM, "'OR'", 10),
+    "and = x": (_ATOM, "'and'", 0),
+}
+
+
+@pytest.mark.parametrize("source", sorted(_SYNTAX_ERRORS))
+def test_syntax_error_message_and_position(source):
+    expected, found, position = _SYNTAX_ERRORS[source]
+    with pytest.raises(ConstraintSyntaxError) as err:
+        parse(source)
+    assert str(err.value) == f"expected {expected}, found {found} at position {position}"
+    assert err.value.position == position
+
+
 def _random_expr(rng, depth):
     attrs = ("A", "B2", "C_c")
     values = ("x", "y", "value1", "true", "No Such Product", "2-5 days")
@@ -153,6 +190,47 @@ def test_print_parse_round_trip():
     for _ in range(400):
         expr = _random_expr(rng, 4)
         assert parse(format_expr(expr)) == expr
+
+
+def _parenthesised(e):
+    """Source of e with every operand of every operator in parentheses."""
+    if isinstance(e, Not):
+        return f"NOT ({_parenthesised(e.child)})"
+    if isinstance(e, (And, Or, Implies, Iff)):
+        operands = e.children if isinstance(e, (And, Or)) else (e.lhs, e.rhs)
+        operator = {And: "AND", Or: "OR", Implies: "->", Iff: "<->"}[type(e)]
+        return f" {operator} ".join(f"({_parenthesised(x)})" for x in operands)
+    return format_expr(e)
+
+
+def test_fully_parenthesised_parse_round_trip():
+    rng = random.Random(41)  # the ASTs of test_print_parse_round_trip
+    for _ in range(400):
+        expr = _random_expr(rng, 4)
+        assert parse(_parenthesised(expr)) == expr
+
+
+@pytest.mark.parametrize("shape", sorted(oracles.deep_documents()))
+def test_walks_over_a_constraint_nested_past_the_recursion_limit(shape):
+    # deep ASTs are compared as text: dataclass equality recurses
+    document, _ = oracles.deep_documents()[shape]
+    model = parse_model(document)
+    source = document["constraints"][0]
+    expr = parse(source)
+    assert format_expr(expr) == ("A0 = a" if shape == "parentheses" else source)
+    assert typecheck(expr, model) is expr
+    assert attributes_of(expr) == ({"A0"} if shape in ("parentheses", "negations")
+                                   else set(model.attribute_names))
+
+
+def test_typecheck_reports_the_leftmost_bad_reference_at_any_depth():
+    document, _ = oracles.deep_documents()["implies"]
+    model = parse_model(document)
+    terms = document["constraints"][0].split(" -> ")
+    terms[1500], terms[1200] = "A3 = z", "Nope = a"
+    with pytest.raises(UnknownAttributeError) as err:
+        typecheck(parse(" -> ".join(terms)), model)
+    assert err.value.attribute == "Nope"
 
 
 def test_typecheck_resolves(shopping):

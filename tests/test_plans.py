@@ -66,10 +66,15 @@ def test_read_plan_csv_rejects_column_repeated_after_stripping(tmp_path):
 
 def test_check_plan_columns(shopping):
     check_plan_columns(list(shopping.attribute_names), shopping)
-    with pytest.raises(PlanFormatError):
+    with pytest.raises(PlanFormatError) as err:
         check_plan_columns(["Availability", "Payment"], shopping)
-    with pytest.raises(PlanFormatError):
-        check_plan_columns(list(shopping.attribute_names) + ["Extra"], shopping)
+    assert str(err.value) == (
+        "plan columns do not match model attributes: missing "
+        "['Carrier', 'DeliverySchedule', 'ExportControl'], unknown []")
+    with pytest.raises(PlanFormatError) as err:
+        check_plan_columns(["Extra"] + list(shopping.attribute_names)[1:], shopping)
+    assert str(err.value) == ("plan columns do not match model attributes: "
+                              "missing ['Availability'], unknown ['Extra']")
 
 
 def test_plan_json_shape():
