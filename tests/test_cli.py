@@ -102,12 +102,21 @@ def test_infeasible_model_is_rejected_with_the_validate_error(capsys, tmp_path,
                    "1 error(s)\n")
 
 
+_WIDE_ATTRIBUTES = [{"name": f"A{i}", "values": ["a", "b"]} for i in range(1200)]
+_WIDE_CONJUNCTION = " AND ".join(f"A{i} = a" for i in range(1200))
+_ENGINE_TOO_DEEP = ("model is too large to compile within the interpreter's "
+                    "recursion limit")
 _TOO_DEEP = {
     # the conjunction parses flat, but the engine recurses once per variable
-    "attributes": ([{"name": f"A{i}", "values": ["a", "b"]} for i in range(1200)],
-                   " AND ".join(f"A{i} = a" for i in range(1200)),
-                   "model is too large to compile within the interpreter's "
-                   "recursion limit"),
+    "attributes": (_WIDE_ATTRIBUTES, _WIDE_CONJUNCTION, _ENGINE_TOO_DEEP),
+    # deep nesting parses (see the test below), so the one error is still
+    # the engine's, reported once, whatever wraps the conjunction
+    "parentheses": (_WIDE_ATTRIBUTES,
+                    "(" * 400 + _WIDE_CONJUNCTION + ")" * 400,
+                    _ENGINE_TOO_DEEP),
+    "negations": (_WIDE_ATTRIBUTES,
+                  "NOT " * 1200 + "(" + _WIDE_CONJUNCTION + ")",
+                  _ENGINE_TOO_DEEP),
 }
 
 
