@@ -1,5 +1,9 @@
 """Constraint expression language: lexer, parser, typechecker, compiler.
 
+The lexer turns a constraint into (kind, text, position) tuples, one per
+token, and classifies each keyword there, once; the parser compares kinds
+only (see `tokenize`).
+
 Grammar (keywords case-insensitive, identifiers and value labels
 case-sensitive):
 
@@ -139,54 +143,34 @@ def _fold(e: Expr, combine):
 # ----------------------------------------------------------------------
 # lexer
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # WORD STRING EQ NEQ ARROW DARROW LPAREN RPAREN LBRACE RBRACE COMMA END
-    text: str
-    position: int
+_WORD = r"[A-Za-z0-9_][A-Za-z0-9_.\-]*"  # a bare word, for the lexer and the printer
+
+# one match per token, leading whitespace skipped: a symbol, a quoted
+# string, a bare word or any other character.  Only trailing whitespace is
+# left out of every match, so finditer skips nothing else.
+_TOKEN_RE = re.compile(rf'\s*(?:(<->|->|!=|[=(){{}},])|"([^"]*)"|({_WORD})|(\S))')
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<darrow><->)
-  | (?P<arrow>->)
-  | (?P<neq>!=)
-  | (?P<eq>=)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<lbrace>\{)
-  | (?P<rbrace>\})
-  | (?P<comma>,)
-  | (?P<string>"[^"]*")
-  | (?P<word>[A-Za-z0-9_][A-Za-z0-9_.\-]*)
-    """,
-    re.VERBOSE,
-)
-
-_KIND = {
-    "darrow": "DARROW", "arrow": "ARROW", "neq": "NEQ", "eq": "EQ",
-    "lparen": "LPAREN", "rparen": "RPAREN", "lbrace": "LBRACE",
-    "rbrace": "RBRACE", "comma": "COMMA", "string": "STRING", "word": "WORD",
-}
-
-
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str) -> list[tuple[str, str, int]]:
+    """The tokens of a constraint, each a (kind, text, position) tuple,
+    ending with ("END", "", len(source)).  A symbol's kind is its text, a
+    bare word's is its upper-cased keyword or WORD, and a quoted string's
+    is STRING, with the quotes dropped from its text and the opening quote
+    as its position.  Keywords are classified here, once."""
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise LexicalError(
-                f"unexpected character {source[pos]!r} at position {pos}", pos)
-        group = m.lastgroup
-        if group != "ws":
-            text = m.group()
-            if group == "string":
-                text = text[1:-1]
-            tokens.append(Token(_KIND[group], text, pos))
-        pos = m.end()
-    tokens.append(Token("END", "", len(source)))
+    for m in _TOKEN_RE.finditer(source):
+        symbol, string, word, other = m.groups()
+        if symbol:
+            tokens.append((symbol, symbol, m.start(1)))
+        elif word:
+            kind = word.upper()
+            tokens.append((kind if kind in KEYWORDS else "WORD", word, m.start(3)))
+        elif other:
+            pos = m.start(4)
+            raise LexicalError(f"unexpected character {other!r} at position {pos}", pos)
+        else:
+            tokens.append(("STRING", string, m.start(2) - 1))
+    tokens.append(("END", "", len(source)))
     return tokens
 
 
@@ -200,35 +184,26 @@ _PRECEDENCE = {Iff: 0, Implies: 1, Or: 2, And: 3, Not: 4}
 # since a run of either is one node
 _SAME_LEVEL_OPERAND = {Not: 0, Iff: 0, Implies: 1}
 _INFIX = {Iff: "<->", Implies: "->", Or: "OR", And: "AND"}
-_INFIX_NODE = {"DARROW": Iff, "ARROW": Implies, "OR": Or, "AND": And}  # by token
+_INFIX_NODE = {kind: node for node, kind in _INFIX.items()}  # by token kind
+_LABEL_KINDS = {"WORD", "STRING", *KEYWORDS}  # in value position, keywords too
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
+    def __init__(self, tokens: list[tuple[str, str, int]]):
+        self.tokens = iter(tokens)
+        self.kind, self.text, self.position = next(self.tokens)
 
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def advance(self) -> str:
+        """The current token's text; moves on to the next token."""
+        text = self.text
+        self.kind, self.text, self.position = next(self.tokens)
+        return text
 
     def fail(self, expected: str):
-        tok = self.tok
-        shown = "end of input" if tok.kind == "END" else repr(tok.text)
+        shown = "end of input" if self.kind == "END" else repr(self.text)
         raise ConstraintSyntaxError(
-            f"expected {expected}, found {shown} at position {tok.position}",
-            tok.position)
-
-    def keyword(self) -> str | None:
-        """Keyword name if the current token is a bare keyword word."""
-        if self.tok.kind == "WORD" and self.tok.text.upper() in KEYWORDS:
-            return self.tok.text.upper()
-        return None
+            f"expected {expected}, found {shown} at position {self.position}",
+            self.position)
 
     def expr(self) -> Expr:
         """Operator-precedence parse (shunting-yard) over a stack of operands
@@ -244,17 +219,18 @@ class _Parser:
                                  else node(*operands[-n:])]
 
         while True:
-            while self.keyword() == "NOT" or self.tok.kind == "LPAREN":
-                paren = self.advance().kind == "LPAREN"
+            while self.kind == "NOT" or self.kind == "(":
+                paren = self.kind == "("
                 pending.append([None, 0] if paren else [Not, 1])
                 depth += paren
+                self.advance()
             operands.append(self.atom())
-            while depth and self.tok.kind == "RPAREN":
+            while depth and self.kind == ")":
                 apply(0)
                 pending.pop()
                 depth -= 1
                 self.advance()
-            node = _INFIX_NODE.get(self.keyword() or self.tok.kind)
+            node = _INFIX_NODE.get(self.kind)
             if node is None:
                 if depth:
                     self.fail("')'")
@@ -269,37 +245,37 @@ class _Parser:
             self.advance()
 
     def atom(self) -> Expr:
-        kw = self.keyword()
-        if kw in ("TRUE", "FALSE"):
+        kind = self.kind
+        if kind == "TRUE" or kind == "FALSE":
             self.advance()
-            return BoolLit(kw == "TRUE")
-        if self.tok.kind != "WORD" or kw is not None:
+            return BoolLit(kind == "TRUE")
+        if kind != "WORD":
             self.fail("attribute name, TRUE/FALSE, NOT or '('")
-        attr = self.advance().text
-        if self.tok.kind == "EQ":
+        attr = self.advance()
+        if self.kind == "=":
             self.advance()
             return Equals(attr, self.value())
-        if self.tok.kind == "NEQ":
+        if self.kind == "!=":
             self.advance()
             return NotEquals(attr, self.value())
-        if self.keyword() == "IN":
+        if self.kind == "IN":
             self.advance()
-            if self.tok.kind != "LBRACE":
+            if self.kind != "{":
                 self.fail("'{'")
             self.advance()
             values = [self.value()]
-            while self.tok.kind == "COMMA":
+            while self.kind == ",":
                 self.advance()
                 values.append(self.value())
-            if self.tok.kind != "RBRACE":
+            if self.kind != "}":
                 self.fail("'}' or ','")
             self.advance()
             return In(attr, tuple(values))
         self.fail("'=', '!=' or IN after attribute name")
 
     def value(self) -> str:
-        if self.tok.kind in ("WORD", "STRING"):
-            return self.advance().text
+        if self.kind in _LABEL_KINDS:
+            return self.advance()
         self.fail("value label")
 
 
@@ -308,7 +284,7 @@ def parse(source: str) -> Expr:
     LexicalError/ConstraintSyntaxError."""
     parser = _Parser(tokenize(source))
     node = parser.expr()
-    if parser.tok.kind != "END":
+    if parser.kind != "END":
         parser.fail("end of input")
     return node
 
@@ -316,11 +292,11 @@ def parse(source: str) -> Expr:
 # ----------------------------------------------------------------------
 # printer (inverse of parse up to whitespace)
 
-_BARE_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*\Z")
+_BARE_RE = re.compile(_WORD)
 
 
 def _quote(label: str) -> str:
-    return label if _BARE_RE.match(label) else f'"{label}"'
+    return label if _BARE_RE.fullmatch(label) else f'"{label}"'
 
 
 def format_expr(e: Expr) -> str:

@@ -102,6 +102,13 @@ class Model:
     def attribute_index(self, name: str) -> int | None:
         return self._name_index.get(name)
 
+    def index(self, name: str) -> int:
+        """The index of a declared attribute; raises UnknownAttributeError."""
+        i = self._name_index.get(name)
+        if i is None:
+            raise UnknownAttributeError(name)
+        return i
+
     @cached_property
     def _name_index(self) -> dict[str, int]:
         # the first of duplicated names wins; validation reports the rest
@@ -118,19 +125,14 @@ class Model:
 
     def resolve(self, attr: str, label: str) -> tuple[int, int]:
         """The indices of an attribute and of one of its values."""
-        ai = self.attribute_index(attr)
-        if ai is None:
-            raise UnknownAttributeError(attr)
+        ai = self.index(attr)
         vi = self.attributes[ai].index_of(label)
         if vi is None:
             raise UnknownValueError(attr, label)
         return ai, vi
 
     def attribute(self, name: str) -> Attribute:
-        i = self.attribute_index(name)
-        if i is None:
-            raise UnknownAttributeError(name)
-        return self.attributes[i]
+        return self.attributes[self.index(name)]
 
     def cartesian_count(self) -> int:
         """Size of the full Cartesian product, ignoring constraints."""
@@ -515,12 +517,6 @@ class ModelSpace:
         """Valid-but-excluded combinations."""
         return self.validity & ~self.legal
 
-    def _attr_index(self, attr: str) -> int:
-        ai = self.model.attribute_index(attr)
-        if ai is None:
-            raise UnknownAttributeError(attr)
-        return ai
-
     def cofactor(self, fn: Function, bindings) -> Function:
         """fn with the bound attributes' blocks fixed to the values' codes.
 
@@ -539,7 +535,7 @@ class ModelSpace:
         One engine call splits fn over the attribute's block; a value's
         index is its code, so its cofactor is the one for that bit pattern.
         """
-        ai = self._attr_index(attr)
+        ai = self.model.index(attr)
         cofactors = self.manager.cofactors(fn, self.encoding.blocks[ai])
         return cofactors[:self.model.attributes[ai].size]
 
@@ -566,7 +562,7 @@ class ModelSpace:
         a subset's projection is the AND of those of its pieces."""
         key, names = self._components.__getitem__, self.model.attribute_names
         return [tuple(names[ai] for ai in piece) for _, piece in itertools.groupby(
-                    sorted(map(self._attr_index, attrs), key=key), key)]
+                    sorted(map(self.model.index, attrs), key=key), key)]
 
     def marginals(self, pieces) -> list[Function]:
         """The legal space projected onto the blocks of each attribute
@@ -576,7 +572,7 @@ class ModelSpace:
         projection of the subset they split."""
         blocks = self.encoding.blocks
         return self.manager.projections(self.legal, [
-            [v for a in piece for v in blocks[self._attr_index(a)]] for piece in pieces])
+            [v for a in piece for v in blocks[self.model.index(a)]] for piece in pieces])
 
     def project(self, partial: dict[str, str]) -> Function:
         """Legal combinations consistent with the fixed attribute values."""
@@ -630,7 +626,7 @@ class ModelSpace:
         one engine pass (`BDD.select`) decides every row."""
         columns = {}
         for name, sets in row_sets.items():
-            block = self.encoding.blocks[self._attr_index(name)]
+            block = self.encoding.blocks[self.model.index(name)]
             for k, var in enumerate(block):
                 shift = len(block) - 1 - k
                 columns[var] = reduce(operator.or_, (

@@ -31,6 +31,7 @@ from ctdkit.constraints import (
     compile_expr,
     format_expr,
     parse,
+    tokenize,
     typecheck,
 )
 from ctdkit.model import Attribute, Value
@@ -71,6 +72,36 @@ def test_syntax_and_lexical_errors_are_distinct():
     assert not issubclass(ConstraintSyntaxError, LexicalError)
 
 
+# source: (the character the lexer rejects, its position)
+_LEXICAL_ERRORS = {
+    "A =\t#": ("#", 4),
+    "A = x\n AND $": ("$", 11),
+    "A ! x": ("!", 2),
+    "A = x - B = y": ("-", 6),
+    "A = x <- B = y": ("<", 6),
+    'A = "x': ('"', 4),
+    'A = x AND B = "y': ('"', 14),
+    "A = \u00e9": ("\u00e9", 4),
+    "A = x AND B = y \u2192": ("\u2192", 16),
+}
+
+
+@pytest.mark.parametrize("source", sorted(_LEXICAL_ERRORS))
+def test_lexical_error_message_and_position(source):
+    char, position = _LEXICAL_ERRORS[source]
+    with pytest.raises(LexicalError) as err:
+        parse(source)
+    assert str(err.value) == f"unexpected character {char!r} at position {position}"
+    assert err.value.position == position
+
+
+def test_tokens_are_kind_text_position_tuples():
+    assert tokenize('A IN {"b c", and}\u00a0') == [
+        ("WORD", "A", 0), ("IN", "IN", 2), ("{", "{", 5), ("STRING", "b c", 6),
+        (",", ",", 11), ("AND", "and", 13), ("}", "}", 16), ("END", "", 18)]
+    assert parse("A =\tx\nAND\u00a0B = y") == And((Equals("A", "x"), Equals("B", "y")))
+
+
 def test_precedence_or_binds_looser_than_and():
     ast = parse("A=x OR B=y AND C=z")
     assert ast == Or((Equals("A", "x"),
@@ -107,6 +138,16 @@ def test_keywords_case_insensitive_labels_case_sensitive():
     assert parse("false") == BoolLit(False)
     # 'true' in value position is a plain label
     assert parse("WriteAction = true") == Equals("WriteAction", "true")
+    assert parse("nOt A = x") == Not(Equals("A", "x"))
+    assert parse("A In {x, y}") == In("A", ("x", "y"))
+    assert parse("tRuE") == BoolLit(True)
+    assert parse("A = x oR B = y aNd C = z") == Or((
+        Equals("A", "x"), And((Equals("B", "y"), Equals("C", "z")))))
+    # so is any keyword, in any case
+    assert parse("A = AND") == Equals("A", "AND")
+    assert parse("A != nOt") == NotEquals("A", "nOt")
+    assert parse("A IN {and, Or, NOT}") == In("A", ("and", "Or", "NOT"))
+    assert parse("A IN {TRUE, false, in}") == In("A", ("TRUE", "false", "in"))
 
 
 def test_quoted_labels_allow_spaces():
@@ -148,6 +189,8 @@ _SYNTAX_ERRORS = {
     "A=x <-> <-> B=y": (_ATOM, "'<->'", 8),
     "A = x AND OR B = y": (_ATOM, "'OR'", 10),
     "and = x": (_ATOM, "'and'", 0),
+    '"A" = x': (_ATOM, "'A'", 0),
+    'A = x AND "B" IN {y}': (_ATOM, "'B'", 10),
 }
 
 

@@ -15,6 +15,7 @@ from ctdkit import (
     Model,
     ModelFormatError,
     ModelSpace,
+    UnknownAttributeError,
     UnknownValueError,
     build_encoding,
     constraints,
@@ -293,6 +294,9 @@ def test_duplicated_names_and_labels_resolve_to_the_first():
     assert model.attribute_index("A") == 0
     assert model.attribute_index("B") == 1
     assert model.attribute_index("C") is None
+    assert model.index("A") == 0
+    with pytest.raises(UnknownAttributeError):
+        model.index("C")
     assert model.attributes[0].index_of("x") == 0
     assert model.attributes[0].index_of("y") == 1
     assert model.attributes[0].index_of("z") is None
