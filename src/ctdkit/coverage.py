@@ -40,6 +40,7 @@ listed (`Residual.illegal`) and ignored.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import functools
 import itertools
@@ -80,13 +81,16 @@ class Residual:
         self._t = t
         sparse = list(dict.fromkeys(tuple(map(itemgetter(0), r)) for r in directives))
         # per attribute, each directive subset holding it, less that attribute
-        self._less_one = {a: [tuple(b for b in s if b != a) for s in sparse if a in s]
-                          for a in names}
+        less_one = {a: [tuple(b for b in s if b != a) for s in sparse if a in s]
+                    for a in names}
         self._sparse_keys = list(dict.fromkeys(
-            itertools.chain.from_iterable(self._less_one.values())))
-        # one counter field per binding, wide enough that a step's total (one
-        # entry per key of a requirement holding the attribute) carries into
-        # no neighbour
+            itertools.chain.from_iterable(less_one.values())))
+        # per attribute, the directive keys over it
+        self._sparse_over = {a: [k for k in self._sparse_keys if a in k] for a in names}
+        # one counter field per binding, wide enough that a row's running
+        # total carries into no neighbour: an attribute's field is set only
+        # under keys without it, one per t-1 of the other attributes and one
+        # per directive subset holding it, and a row holds each key once
         self._width = (math.comb(len(names) - 1, t - 1) + len(sparse)).bit_length()
         self._ones = (1 << self._width) - 1
         self._bindings = [(a, v) for a in names for v in labels[a]]
@@ -175,21 +179,48 @@ class Residual:
         keys = itertools.combinations(bound, self._t - 1)
         if not sparse:
             return keys
-        value = dict(bound)
-        return itertools.chain(keys, (tuple((a, value[a]) for a in s) for s in sparse
-                                      if all(a in value for a in s)))
+        return itertools.chain(keys, _sparse_within(dict(bound), sparse))
 
     def _row(self, test):
         """A test's bindings in declaration order, and their field mask."""
         row = [(a, test[a]) for a in self._names if a in test]
         return row, sum(1 << self._offset[b] for b in row)
 
-    def scores(self, bound, attribute) -> list[tuple[int, int]]:
+    def start(self) -> int:
+        """The running total of a row that binds nothing: the entry under
+        the empty key, which t=1 and width-1 directives have."""
+        return self._index.get((), 0)
+
+    def extend(self, total: int, bound, binding) -> int:
+        """The running total of a row after `binding` joins it: `total`, that
+        of the row binding as `bound` does (bindings in declaration order,
+        none of `binding`'s attribute), plus the entries of the keys it
+        completes: each t-1 of the row's bindings that holds it, put
+        together in declaration order without a sort, and each directive
+        key over its attribute whose other attributes `bound` binds."""
+        get, k = self._index.get, self._t - 2  # k: the other bindings per key
+        if k == 0:  # t=2: the binding alone; at t=1 only `start`'s key
+            total += get((binding,), 0)
+        elif k > 0:
+            offset = self._offset
+            cut = bisect.bisect(bound, offset[binding], key=offset.__getitem__)
+            lower, upper = bound[:cut], bound[cut:]
+            total += sum(map(get, [lo + (binding,) + hi for i in range(k + 1)
+                                   for lo in itertools.combinations(lower, i)
+                                   for hi in itertools.combinations(upper, k - i)],
+                             itertools.repeat(0)))
+        sparse = self._sparse_over[binding[0]]
+        if sparse:
+            value = dict(bound)
+            value[binding[0]] = binding[1]
+            total += sum(map(get, _sparse_within(value, sparse), itertools.repeat(0)))
+        return total
+
+    def scores(self, total: int, attribute) -> list[tuple[int, int]]:
         """Per value of `attribute`, in value-index order: how many
-        uncovered requirements binding it and `bound` (bindings in
-        declaration order) would complete, and how many hold it."""
-        total = sum(map(self._index.get, self._keys_within(bound, self._less_one[attribute]),
-                        itertools.repeat(0)))
+        uncovered requirements binding it would complete with the row whose
+        running total (`start`, `extend`) is `total`, and how many hold it.
+        `attribute` is one the row leaves unbound."""
         return [(total >> self._offset[attribute, v] & self._ones, self._live[attribute, v])
                 for v in self._labels[attribute]]
 
@@ -221,6 +252,12 @@ class Residual:
         row, mask = self._row(test)
         for key in self._keys_within(row, self._sparse_keys):
             held[key] = held.get(key, 0) | mask
+
+
+def _sparse_within(value: dict, sparse):
+    """Each directive key over `sparse` (attribute tuples) whose attributes
+    `value` binds, with their values."""
+    return (tuple((a, value[a]) for a in s) for s in sparse if all(a in value for a in s))
 
 
 class RequirementList(list):

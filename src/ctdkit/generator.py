@@ -6,20 +6,23 @@ space cofactored on its values, then bind the remaining attributes one at
 a time in declaration order.  A candidate value is viable iff cofactoring
 the running function on it leaves it non-false, i.e. some legal test
 extends the partial assignment.  One engine call per attribute gives every
-value's cofactor (`ModelSpace.value_cofactors`).  When the blocks follow
-declaration order, the attribute's block is at the top of the running
-function, so splitting it follows edges and builds no nodes; under a
-permuted block order (`model.build_encoding`) a block below the top is
-cofactored, which builds nodes but binds the same values, so plans do not
-depend on the order.  Among viable values, the one completing the most
-uncovered requirements wins (`Residual.scores`: one packed sum in C per
-step).  Ties go to the value held by the most uncovered requirements
-(AETG's value-selection rule), then to the lowest value index, or to a
-seeded random choice among the values tied on both when randomized
-tie-breaking is enabled.  Each emitted row takes what it covers out of the
-residual (`Residual.cover`).  Every emitted test is legal by construction
-and covers at least one new requirement, so the loop covers the whole
-residual unless a budget cuts it short.
+value's cofactor (`ModelSpace.value_cofactors`), and one greedy call makes
+each split once: rows that reach the same running function reuse it.  When
+the blocks follow declaration order, the attribute's block is at the top of
+the running function, so splitting it follows edges and builds no nodes;
+under a permuted block order (`model.build_encoding`) a block below the top
+is cofactored, which builds nodes but binds the same values, so plans do
+not depend on the order.  Among viable values, the one completing the most
+uncovered requirements wins.  Each row keeps a running total, the sum of
+the residual's packed entries under every key inside the row; a binding
+adds only the keys it completes (`Residual.extend`), and a value's score is
+its field of the total (`Residual.scores`).  Ties go to the value held by
+the most uncovered requirements (AETG's value-selection rule), then to the
+lowest value index, or to a seeded random choice among the values tied on
+both when randomized tie-breaking is enabled.  Each emitted row takes what
+it covers out of the residual (`Residual.cover`).  Every emitted test is
+legal by construction and covers at least one new requirement, so the loop
+covers the whole residual unless a budget cuts it short.
 
 A last pass walks the rows backwards and drops each one whose newly
 covered requirements the rows kept after it all hold: the rows before it
@@ -54,8 +57,14 @@ def grow_tests(space: ModelSpace, residual: Residual, budget: int | None,
     of `residual`, emitting at most `budget` tests, less those the backward
     pass drops.  Ties on both scores go to the lowest value index, or to
     `rng`'s choice when one is given.  Returns the tests, and takes what
-    they cover out of `residual`."""
+    they cover out of `residual`.
+
+    Each row's scores come from its running total: the seed's bindings
+    start it, and each value chosen extends it by the keys it completes.
+    The engine splits each (running function, attribute) once per call;
+    the splits are kept until the call returns."""
     attributes = space.model.attributes
+    split = {}  # (root, attribute) -> its value cofactors, for this call
     rows = []  # (test, the requirements it covered first)
     # each row covers its seed, so the iteration reads the next uncovered one
     for first in residual:
@@ -64,17 +73,22 @@ def grow_tests(space: ModelSpace, residual: Residual, budget: int | None,
         after = list(first)  # seed bindings not yet passed
         partial = dict(after)
         fn = space.cofactor(space.legal, after)
+        total = residual.start()
+        for i, binding in enumerate(first):
+            total = residual.extend(total, first[:i], binding)
         before = []  # bindings of the attributes passed, in declaration order
         for attr in attributes:
             if after and after[0][0] == attr.name:
                 before.append(after.pop(0))
                 continue
+            if (fn.root, attr.name) not in split:
+                split[fn.root, attr.name] = space.value_cofactors(fn, attr.name)
             best = []  # tied (label, cofactor) candidates at best_key
             best_key = (-1, -1)
             # ties go to the binding more uncovered requirements hold
             for label, key, candidate in zip(
-                    attr.labels, residual.scores(before + after, attr.name),
-                    space.value_cofactors(fn, attr.name)):
+                    attr.labels, residual.scores(total, attr.name),
+                    split[fn.root, attr.name]):
                 if candidate.is_false:
                     continue
                 if key > best_key:
@@ -83,6 +97,7 @@ def grow_tests(space: ModelSpace, residual: Residual, budget: int | None,
                     best.append((label, candidate))
             label, fn = best[0] if rng is None else rng.choice(best)
             partial[attr.name] = label
+            total = residual.extend(total, before + after, (attr.name, label))
             before.append((attr.name, label))
         rows.append((partial, residual.cover(partial)))
     # drop each row whose first-covered requirements the kept later rows hold

@@ -514,18 +514,24 @@ def test_residual_equals_brute_force(case, data):
     for test in tests + more:
         kept.cover(test)
     _check_residual(residual, left)
-    # per value of an attribute, the requirements it would complete with a
-    # partial assignment of the others, and those it holds
+    # a row's running total, built one binding at a time in any order,
+    # scores each value of every attribute the row leaves unbound: the
+    # requirements it would complete with the row, and those it holds
     names = model.attribute_names
-    attr = data.draw(st.sampled_from(names))
-    bound = [(a, data.draw(st.sampled_from(model.attribute(a).labels)))
-             for a in names if a != attr and data.draw(st.booleans())]
-    expected = []
-    for label in model.attribute(attr).labels:
-        holding = [r for r in left if (attr, label) in r]
-        assignment = dict(bound, **{attr: label})
-        expected.append((len(_held(holding, [assignment])), len(holding)))
-    assert residual.scores(bound, attr) == expected
+    row, total = [], residual.start()  # row: its bindings in declaration order
+    for attr in data.draw(st.permutations(names)):
+        for other in names:
+            if other in dict(row):
+                continue
+            expected = []
+            for label in model.attribute(other).labels:
+                holding = [r for r in left if (other, label) in r]
+                assignment = dict(row, **{other: label})
+                expected.append((len(_held(holding, [assignment])), len(holding)))
+            assert residual.scores(total, other) == expected
+        binding = (attr, data.draw(st.sampled_from(model.attribute(attr).labels)))
+        total = residual.extend(total, row, binding)
+        row = sorted(row + [binding], key=lambda b: names.index(b[0]))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 """Greedy plan construction: completeness, legality, size, determinism, budget."""
 
+import json
 import tracemalloc
 
 import pytest
@@ -165,6 +166,27 @@ def test_candidates_add_few_nodes(k, v, t, most):
     space = ModelSpace(parse_model(oracles.chain_document(k, v)))
     generate_plan(space, t)
     assert len(space.manager) <= most
+
+
+@pytest.mark.parametrize("document, t, nodes", [
+    (oracles.chain_document(20, 5), 2, 1731), (oracles.chain_document(20, 5), 3, 6645),
+    ("linked8x3", 2, 319), ("linked8x3", 3, 513)])
+def test_each_split_made_once(monkeypatch, models_dir, document, t, nodes):
+    # one greedy call splits each (root, attribute) once, and reusing the
+    # splits builds no node more or less than making them again did
+    if isinstance(document, str):
+        document = json.loads((models_dir / f"{document}.json").read_text())
+    space = ModelSpace(parse_model(document))
+    splits, value_cofactors = [], ModelSpace.value_cofactors
+
+    def spy(self, fn, attr):
+        splits.append((fn.root, attr))
+        return value_cofactors(self, fn, attr)
+
+    monkeypatch.setattr(ModelSpace, "value_cofactors", spy)
+    generate_plan(space, t)
+    assert splits and len(splits) == len(set(splits))
+    assert len(space.manager) == nodes
 
 
 @st.composite
