@@ -15,6 +15,7 @@ from .coverage import (
     coverage_of,
     filter_feasible,
     generate_requirements,
+    lower_bound,
 )
 from .cycles import AugmentResult, CycleRecord, CycleState, augment_plan, run_cycles
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
     UnknownAttributeError,
     UnknownValueError,
 )
-from .generator import generate_plan, lower_bound
+from .generator import generate_plan
 from .instantiate import (
     ConcretePlan,
     FreeAttribute,

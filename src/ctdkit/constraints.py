@@ -345,7 +345,7 @@ def compile_expr(e: Expr, model: "Model", encoding: "Encoding",
         if isinstance(e, (Equals, NotEquals, In)):
             labels = e.values if isinstance(e, In) else (e.value,)
             codes = [model.resolve(e.attr, value)[1] for value in labels]
-            fn = encoding.value_set(manager, model.attribute_index(e.attr), codes)
+            fn = encoding.value_set(manager, model.index(e.attr), codes)
             return ~fn if isinstance(e, NotEquals) else fn  # true on unused codes too
         if isinstance(e, BoolLit):
             return manager.const(e.value)

@@ -14,7 +14,7 @@ of its pieces, its attributes in each component that the constraints link
 as the rows its projection rejects in one `ModelSpace.select` over its
 value tuples, and only when its count shows it excludes one
 (`_feasibility`).  The counts give `feasible_count` (sum) and
-`generator.lower_bound` (max), and `filter_feasible` decides listed
+`lower_bound` (max), and `filter_feasible` decides listed
 requirements the same way.
 
 Imported tests are judged a column at a time.  A `Residual` typechecks
@@ -40,7 +40,6 @@ listed (`Residual.illegal`) and ignored.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import functools
 import itertools
@@ -67,7 +66,7 @@ class Residual:
     it is held once under each of its keys.  Every t-subset has keys, so
     those inside a row are the combinations of its bindings; a directive
     subset's are looked up one by one.  `_live` counts the uncovered
-    requirements per binding."""
+    requirements per binding.  Rows come in as {attribute: label} dicts."""
 
     def __init__(self, space: ModelSpace, t: int, tests=()):
         self._model = model = space.model
@@ -75,6 +74,7 @@ class Residual:
         for test in tests:
             model.check_assignment(test, full=True)
         self._names = names = model.attribute_names
+        self._position = {a: i for i, a in enumerate(names)}
         self._labels = labels = {a.name: a.labels for a in model.attributes}
         subsets = list(_t_subsets(model, t))
         directives = filter_feasible(_directives(model, t), space).feasible()
@@ -173,13 +173,13 @@ class Residual:
         other._index, other._live = dict(self._index), Counter(self._live)
         return other
 
-    def _keys_within(self, bound, sparse):
+    def _keys_within(self, bound):
         """Each key that binds as `bound` does (bindings in declaration
-        order): every t-1 of them, and each directive key over `sparse`."""
+        order): every t-1 of them, and each directive key they hold."""
         keys = itertools.combinations(bound, self._t - 1)
-        if not sparse:
+        if not self._sparse_keys:
             return keys
-        return itertools.chain(keys, _sparse_within(dict(bound), sparse))
+        return itertools.chain(keys, _sparse_within(dict(bound), self._sparse_keys))
 
     def _row(self, test):
         """A test's bindings in declaration order, and their field mask."""
@@ -191,28 +191,28 @@ class Residual:
         the empty key, which t=1 and width-1 directives have."""
         return self._index.get((), 0)
 
-    def extend(self, total: int, bound, binding) -> int:
+    def extend(self, total: int, row: dict, binding) -> int:
         """The running total of a row after `binding` joins it: `total`, that
-        of the row binding as `bound` does (bindings in declaration order,
-        none of `binding`'s attribute), plus the entries of the keys it
-        completes: each t-1 of the row's bindings that holds it, put
-        together in declaration order without a sort, and each directive
-        key over its attribute whose other attributes `bound` binds."""
+        of `row` (in any order, without `binding`'s attribute), plus the
+        entries of the keys it completes: each t-1 of the row's bindings
+        that holds it, its bindings before and after it listed apart in
+        declaration order so no key needs a sort, and each directive key
+        over its attribute whose other attributes `row` binds."""
         get, k = self._index.get, self._t - 2  # k: the other bindings per key
+        attribute = binding[0]
         if k == 0:  # t=2: the binding alone; at t=1 only `start`'s key
             total += get((binding,), 0)
         elif k > 0:
-            offset = self._offset
-            cut = bisect.bisect(bound, offset[binding], key=offset.__getitem__)
-            lower, upper = bound[:cut], bound[cut:]
+            names, at = self._names, self._position[attribute]
+            lower = [(a, row[a]) for a in names[:at] if a in row]
+            upper = [(a, row[a]) for a in names[at + 1:] if a in row]
             total += sum(map(get, [lo + (binding,) + hi for i in range(k + 1)
                                    for lo in itertools.combinations(lower, i)
                                    for hi in itertools.combinations(upper, k - i)],
                              itertools.repeat(0)))
-        sparse = self._sparse_over[binding[0]]
+        sparse = self._sparse_over[attribute]
         if sparse:
-            value = dict(bound)
-            value[binding[0]] = binding[1]
+            value = {**row, attribute: binding[1]}
             total += sum(map(get, _sparse_within(value, sparse), itertools.repeat(0)))
         return total
 
@@ -231,7 +231,7 @@ class Residual:
         the key that lacks its last binding."""
         row, mask = self._row(test)
         index, done, covered = self._index, {}, 0
-        for key in self._keys_within(row, self._sparse_keys):
+        for key in self._keys_within(row):
             bits = index.get(key, 0) & mask
             if bits:
                 index[key] ^= bits
@@ -246,12 +246,22 @@ class Residual:
         self._count -= sum(map(int.bit_count, done.values()))
         return done
 
-    def hold(self, held: dict, test) -> None:
-        """Add what `test` holds to `held`, a {key: bits} map like those
-        `cover` returns."""
-        row, mask = self._row(test)
-        for key in self._keys_within(row, self._sparse_keys):
-            held[key] = held.get(key, 0) | mask
+    def prune(self, rows) -> list[dict[str, str]]:
+        """The tests of `rows`, (test, what `cover` returned) pairs in cover
+        order, less each whose first-covered requirements the tests kept
+        after it all hold, walking backwards: the tests before it hold the
+        rest of its requirements, so the kept tests cover exactly what all
+        did, and each holds a requirement no other holds.  `held` gathers
+        what the kept tests hold, as {key: bits} like `cover`'s maps."""
+        kept, held = [], {}
+        for test, done in reversed(rows):
+            if any(bits & ~held.get(key, 0) for key, bits in done.items()):
+                kept.append(test)
+                row, mask = self._row(test)
+                for key in self._keys_within(row):
+                    held[key] = held.get(key, 0) | mask
+        kept.reverse()
+        return kept
 
 
 def _sparse_within(value: dict, sparse):
@@ -343,7 +353,7 @@ def _feasibility(space: ModelSpace, subsets):
     decided once, as the rows of one `select` on its projection, only when
     its count shows it excludes one; `subsets` is read twice."""
     blocks, var_count = space.encoding.blocks, space.encoding.var_count
-    index = space.model.attribute_index
+    index = space.model.index
     split = [space.pieces(attrs) for attrs in subsets]
     distinct = list(dict.fromkeys(itertools.chain.from_iterable(split)))
     decided = {}  # piece -> (count, excluded value tuples)
@@ -396,6 +406,12 @@ def feasible_count(space: ModelSpace, t: int) -> int:
     checked one by one."""
     total = sum(_subset_counts(space, t))
     return total + len(filter_feasible(_directives(space.model, t), space).feasible())
+
+
+def lower_bound(space: ModelSpace, t: int) -> int:
+    """Plan-size floor: the largest of `_subset_counts` (the value tuples
+    sharing one attribute subset each need their own test)."""
+    return max(_subset_counts(space, t))
 
 
 def coverage_percent(covered: int, total: int) -> float:

@@ -22,19 +22,15 @@ lowest value index, or to a seeded random choice among the values tied on
 both when randomized tie-breaking is enabled.  Each emitted row takes what
 it covers out of the residual (`Residual.cover`).  Every emitted test is
 legal by construction and covers at least one new requirement, so the loop
-covers the whole residual unless a budget cuts it short.
-
-A last pass walks the rows backwards and drops each one whose newly
-covered requirements the rows kept after it all hold: the rows before it
-hold the rest of its requirements, so the plan covers exactly what it did,
-and every row left holds a requirement no other row holds.
+covers the whole residual unless a budget cuts it short.  A last pass
+drops the rows whose requirements the others hold (`Residual.prune`).
 """
 
 from __future__ import annotations
 
 import random
 
-from .coverage import Residual, _subset_counts
+from .coverage import Residual
 from .errors import CtdError
 from .model import ModelSpace
 from .plans import TestPlan
@@ -54,13 +50,14 @@ def generate_plan(space: ModelSpace, t: int, budget: int | None = None,
 def grow_tests(space: ModelSpace, residual: Residual, budget: int | None,
                rng: random.Random | None = None) -> list[dict[str, str]]:
     """Greedy core shared with cycle augmentation: cover the requirements
-    of `residual`, emitting at most `budget` tests, less those the backward
-    pass drops.  Ties on both scores go to the lowest value index, or to
-    `rng`'s choice when one is given.  Returns the tests, and takes what
-    they cover out of `residual`.
+    of `residual`, emitting at most `budget` tests, less those
+    `Residual.prune` drops.  Ties on both scores go to the lowest value
+    index, or to `rng`'s choice when one is given.  Returns the tests, and
+    takes what they cover out of `residual`.
 
-    Each row's scores come from its running total: the seed's bindings
-    start it, and each value chosen extends it by the keys it completes.
+    Each row is one dict, `partial`, and its scores come from its running
+    total: the seed's bindings start both, one at a time, and each value
+    chosen extends the total by the keys it completes, then joins the row.
     The engine splits each (running function, attribute) once per call;
     the splits are kept until the call returns."""
     attributes = space.model.attributes
@@ -70,16 +67,13 @@ def grow_tests(space: ModelSpace, residual: Residual, budget: int | None,
     for first in residual:
         if budget is not None and len(rows) == budget:
             break
-        after = list(first)  # seed bindings not yet passed
-        partial = dict(after)
-        fn = space.cofactor(space.legal, after)
-        total = residual.start()
-        for i, binding in enumerate(first):
-            total = residual.extend(total, first[:i], binding)
-        before = []  # bindings of the attributes passed, in declaration order
+        fn = space.cofactor(space.legal, first)
+        partial, total = {}, residual.start()
+        for attribute, label in first:
+            total = residual.extend(total, partial, (attribute, label))
+            partial[attribute] = label
         for attr in attributes:
-            if after and after[0][0] == attr.name:
-                before.append(after.pop(0))
+            if attr.name in partial:
                 continue
             if (fn.root, attr.name) not in split:
                 split[fn.root, attr.name] = space.value_cofactors(fn, attr.name)
@@ -96,21 +90,7 @@ def grow_tests(space: ModelSpace, residual: Residual, budget: int | None,
                 elif key == best_key:
                     best.append((label, candidate))
             label, fn = best[0] if rng is None else rng.choice(best)
+            total = residual.extend(total, partial, (attr.name, label))
             partial[attr.name] = label
-            total = residual.extend(total, before + after, (attr.name, label))
-            before.append((attr.name, label))
         rows.append((partial, residual.cover(partial)))
-    # drop each row whose first-covered requirements the kept later rows hold
-    tests, later = [], {}
-    for test, done in reversed(rows):
-        if any(bits & ~later.get(key, 0) for key, bits in done.items()):
-            tests.append(test)
-            residual.hold(later, test)
-    tests.reverse()
-    return tests
-
-
-def lower_bound(space: ModelSpace, t: int) -> int:
-    """Plan-size floor: the largest count of feasible value tuples sharing
-    one attribute subset (each needs its own test)."""
-    return max(_subset_counts(space, t))
+    return residual.prune(rows)

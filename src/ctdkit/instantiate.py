@@ -71,14 +71,11 @@ def randomize_free(model: Model, plan: ConcretePlan, free, seed: int) -> Concret
     """Append seeded random columns for attributes kept out of the model."""
     names = [fa.name for fa in free]
     for fa in free:
-        if model.attribute_index(fa.name) is not None:
+        if fa.name in model.attribute_names:
             raise CtdError(
                 f"free attribute {fa.name!r} collides with a model attribute")
         if names.count(fa.name) > 1:
             raise CtdError(f"free attribute {fa.name!r} is given twice")
-    if not free:
-        return ConcretePlan(list(plan.columns), [dict(r) for r in plan.rows],
-                            plan.seed)
     rng = random.Random(seed)
     rows = []
     for row in plan.rows:

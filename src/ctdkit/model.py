@@ -99,9 +99,6 @@ class Model:
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
-    def attribute_index(self, name: str) -> int | None:
-        return self._name_index.get(name)
-
     def index(self, name: str) -> int:
         """The index of a declared attribute; raises UnknownAttributeError."""
         i = self._name_index.get(name)
@@ -287,7 +284,7 @@ def build_encoding(model: Model,
     if asts is None:
         asts = [constraints.typecheck(constraints.parse(source), model)
                 for source in model.constraints]
-    index = model.attribute_index
+    index = model.index
     links = [sorted({index(name) for name in constraints.attributes_of(ast)})
              for ast in asts]
     blocks: list[tuple[int, ...]] = [()] * len(model.attributes)
@@ -411,11 +408,12 @@ def _checked_space(model: Model
         if len(set(names)) != len(names):
             directive_errors.append(f"directive {j + 1}: repeated attribute")
         for attr, value in directive:
-            ai = model.attribute_index(attr)
-            if ai is None:
+            try:
+                model.resolve(attr, value)
+            except UnknownAttributeError:
                 directive_errors.append(
                     f"directive {j + 1}: unknown attribute {attr!r}")
-            elif model.attributes[ai].index_of(value) is None:
+            except UnknownValueError:
                 directive_errors.append(
                     f"directive {j + 1}: unknown value {value!r} for {attr!r}")
 
@@ -458,12 +456,12 @@ class ModelSpace:
         self.encoding = build_encoding(model, asts)
         self.manager = BDD(self.encoding.var_count)
         true = self.manager.true
-        # validity: each block with unused codes holds a code below its
-        # domain size
-        blocks = [self.encoding.value_set(self.manager, ai, range(attr.size))
-                  for ai, attr in enumerate(model.attributes)
-                  if attr.size < 1 << len(self.encoding.blocks[ai])]
-        self.validity = reduce(Function.__and__, reversed(blocks), true)
+        # validity's blocks: each block with unused codes holds a code
+        # below its domain size
+        blocks = self._blocks = [
+            self.encoding.value_set(self.manager, ai, range(attr.size))
+            for ai, attr in enumerate(model.attributes)
+            if attr.size < 1 << len(self.encoding.blocks[ai])]
         self.constraint_fns = [
             constraints.compile_expr(ast, model, self.encoding, self.manager)
             for ast in asts]
@@ -500,7 +498,7 @@ class ModelSpace:
         order; each test walks the two diagrams together and stops at the
         first common satisfying path, without building their conjunction.
         """
-        offset = len(self._conjuncts) - len(self.constraint_fns)
+        offset = len(self._blocks)
         redundant = []
         above = self.manager.true
         for k in reversed(range(len(self._schedule))):
@@ -511,6 +509,12 @@ class ModelSpace:
                 redundant.append(i - offset)
             above = fn & above
         return sorted(redundant)
+
+    @cached_property
+    def validity(self) -> Function:
+        """The AND of validity's blocks, built on first use: `legal`
+        conjoins the blocks themselves."""
+        return reduce(Function.__and__, reversed(self._blocks), self.manager.true)
 
     @property
     def illegal(self) -> Function:

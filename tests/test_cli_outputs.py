@@ -2,8 +2,9 @@
 `analyze`, `augment`, `count` and `generate` on the checked-in plans and
 their models (`code_review_dispatch_plan19` holds a value its model lacks,
 so its plan commands exit 1; `linked8x3_plan14` holds illegal and repeated
-rows), on `code_review` with directives of every width, and of `validate`
-and `project` on `linked8x3`, whose constraints link attributes four
+rows), on `code_review` with directives of every width, of `generate
+--budget` on `code_review` and `linked8x3` (plans the budget cuts short),
+and of `validate` and `project` on `linked8x3`, whose constraints link attributes four
 apart.  A digest changes only with a change to output, which CHANGES.md
 must declare.
 
@@ -82,6 +83,12 @@ def _commands() -> dict[str, tuple[str, list]]:
                     "--n", "3", "--seed", "1", "--format", fmt])
         commands[f"analyze-{name}-t2-capped"] = (name, [
             "analyze", "{model}", "{plan}", "--t", "2", "--max-missing", "2"])
+    # budget-cut plans: the redundant-row pass runs on a partial cover
+    for name, t, budget in (("code_review", 2, 5), (LINKED, 3, 10)):
+        for fmt in ("csv", "json"):
+            commands[f"generate-{name}-t{t}-budget{budget}-{fmt}"] = (name, [
+                "generate", "{model}", "--t", str(t), "--budget", str(budget),
+                "--format", fmt])
     commands[f"validate-{LINKED}"] = (LINKED, ["validate", "{model}"])
     commands[f"project-{LINKED}"] = (LINKED, [
         "project", "{model}", "--fix", "A0=x", "--limit", "20"])
@@ -162,6 +169,8 @@ DIGESTS = {
     'generate-api8x2-t2-json': 'ffd000d08fd155e396abc99e92f51dc06fcd6fad',
     'generate-api8x2-t3-csv': 'c90fc4104694f09741a07d6455cc6835bd88bc3d',
     'generate-api8x2-t3-json': '6d4c40c0fa80497d58165bb7fb949af00bad75da',
+    'generate-code_review-t2-budget5-csv': '31b9ca11fca6168819524ec9c1244313e475f253',
+    'generate-code_review-t2-budget5-json': 'd67f07d7993e7faf97e4e6f949626b257ca8cf56',
     'generate-code_review-t2-csv': 'b982914a63e61a80404183881f4f5e645d2ce5f1',
     'generate-code_review-t2-json': '07e83194753acf81b1edb023a5fa2bbecb799f79',
     'generate-code_review-t3-csv': '034b20d8b0f98d9ee9002306b2a33eb482daf34a',
@@ -176,6 +185,8 @@ DIGESTS = {
     'generate-code_review_dispatch-t3-json': 'f120eeaedd07fc5be5a0693693cb88f687b38e24',
     'generate-linked8x3-t2-csv': '0018ace128d2ea71ed4044e074c13a9bc092f750',
     'generate-linked8x3-t2-json': 'b6c9503ea461e7dd63fbdada92b69afc1499d23f',
+    'generate-linked8x3-t3-budget10-csv': '7b6cc179759ef2aa4f89abf307bb4d6c5158c947',
+    'generate-linked8x3-t3-budget10-json': 'a14bd88bb2e300b60beb390d56b825532ab39368',
     'generate-linked8x3-t3-csv': '7b85ba8c528cfb70ae0cea67b2ef6914d4f1f1bc',
     'generate-linked8x3-t3-json': '4a81680156387b4c4cf1888e659ddd281c63954f',
     'generate-manual3x3x3-t2-csv': 'f89e6bacb707d486cd6df60ae1083e91f403bc81',

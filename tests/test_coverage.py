@@ -518,10 +518,10 @@ def test_residual_equals_brute_force(case, data):
     # scores each value of every attribute the row leaves unbound: the
     # requirements it would complete with the row, and those it holds
     names = model.attribute_names
-    row, total = [], residual.start()  # row: its bindings in declaration order
+    row, total = {}, residual.start()  # row: its bindings in draw order
     for attr in data.draw(st.permutations(names)):
         for other in names:
-            if other in dict(row):
+            if other in row:
                 continue
             expected = []
             for label in model.attribute(other).labels:
@@ -529,9 +529,9 @@ def test_residual_equals_brute_force(case, data):
                 assignment = dict(row, **{other: label})
                 expected.append((len(_held(holding, [assignment])), len(holding)))
             assert residual.scores(total, other) == expected
-        binding = (attr, data.draw(st.sampled_from(model.attribute(attr).labels)))
-        total = residual.extend(total, row, binding)
-        row = sorted(row + [binding], key=lambda b: names.index(b[0]))
+        label = data.draw(st.sampled_from(model.attribute(attr).labels))
+        total = residual.extend(total, row, (attr, label))
+        row[attr] = label
 
 
 @settings(max_examples=100, deadline=None)

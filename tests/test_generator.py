@@ -169,8 +169,8 @@ def test_candidates_add_few_nodes(k, v, t, most):
 
 
 @pytest.mark.parametrize("document, t, nodes", [
-    (oracles.chain_document(20, 5), 2, 1731), (oracles.chain_document(20, 5), 3, 6645),
-    ("linked8x3", 2, 319), ("linked8x3", 3, 513)])
+    (oracles.chain_document(20, 5), 2, 1677), (oracles.chain_document(20, 5), 3, 6591),
+    ("linked8x3", 2, 301), ("linked8x3", 3, 495)])
 def test_each_split_made_once(monkeypatch, models_dir, document, t, nodes):
     # one greedy call splits each (root, attribute) once, and reusing the
     # splits builds no node more or less than making them again did

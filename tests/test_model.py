@@ -291,10 +291,8 @@ def test_duplicated_names_and_labels_resolve_to_the_first():
     model = Model((Attribute("A", (Value("x"), Value("y"), Value("x"))),
                    Attribute("B", (Value("x"),)),
                    Attribute("A", (Value("y"),))))
-    assert model.attribute_index("A") == 0
-    assert model.attribute_index("B") == 1
-    assert model.attribute_index("C") is None
     assert model.index("A") == 0
+    assert model.index("B") == 1
     with pytest.raises(UnknownAttributeError):
         model.index("C")
     assert model.attributes[0].index_of("x") == 0
@@ -593,7 +591,7 @@ def test_marginals_equal_full_projections(case):
         space = ModelSpace(model)
     except InfeasibleModelError:
         assume(False)
-    blocks, index = space.encoding.blocks, model.attribute_index
+    blocks, index = space.encoding.blocks, model.index
     kept = [[v for n in subset for v in blocks[index(n)]] for subset in subsets]
     expected = space.manager.projections(space.legal, kept)
     assert [_factored(space, subset) for subset in subsets] == expected
@@ -609,7 +607,7 @@ def test_components_come_from_bdd_support():
     assert space._components == [0, 1, 1, 3]
     blocks = space.encoding.blocks
     for subset in (["A", "B"], ["B", "C"], ["A", "B", "C", "D"]):
-        kept = [v for n in subset for v in blocks[space.model.attribute_index(n)]]
+        kept = [v for n in subset for v in blocks[space.model.index(n)]]
         assert [_factored(space, subset)] == space.manager.projections(
             space.legal, [kept])
 
@@ -623,7 +621,7 @@ def test_components_follow_variables_under_a_permuted_order(models_dir):
     assert space._components == [0, 1, 2, 3, 0, 1, 2, 3]
     for subset in (["A0", "A4"], ["A4", "A1"], ["A1", "A5", "A0"],
                    ["A7", "A3", "A2"], [f"A{i}" for i in range(8)]):
-        kept = [v for n in subset for v in blocks[space.model.attribute_index(n)]]
+        kept = [v for n in subset for v in blocks[space.model.index(n)]]
         assert [_factored(space, subset)] == space.manager.projections(
             space.legal, [kept])
 
