@@ -138,6 +138,18 @@ def _load_valid(path) -> ModelSpace:
     return space
 
 
+def _write_plan(args, space, plan, extra: dict, summary: str) -> None:
+    """Write a plan (with `extra` as its JSON fields), then the summary: to
+    stderr, or to stdout when the plan goes to -o."""
+    columns = space.model.attribute_names
+    if args.format == "json":
+        text = plans.plan_json_text(plan, columns, extra)
+    else:
+        text = plans.plan_csv_text(plan.tests, columns)
+    _emit(text, args.output)
+    print(summary, file=sys.stderr if args.output is None else sys.stdout)
+
+
 def _emit(text: str, output) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -172,15 +184,9 @@ def cmd_generate(args) -> int:
     space = _load_valid(args.model)
     plan = generator.generate_plan(space, args.t, args.budget, args.seed,
                                    args.randomize_ties)
-    columns = space.model.attribute_names
-    if args.format == "json":
-        text = plans.plan_json_text(plan, columns, {"seed": args.seed})
-    else:
-        text = plans.plan_csv_text(plan.tests, columns)
-    _emit(text, args.output)
-    summary = (f"tests={len(plan)} coverage={plan.percent:.2f}% "
-               f"partial={'true' if plan.partial else 'false'}")
-    print(summary, file=sys.stderr if args.output is None else sys.stdout)
+    _write_plan(args, space, plan, {"seed": args.seed},
+                f"tests={len(plan)} coverage={plan.percent:.2f}% "
+                f"partial={'true' if plan.partial else 'false'}")
     return EXIT_OK
 
 
@@ -209,23 +215,19 @@ def cmd_augment(args) -> int:
     # augment_plan typechecks the passed rows; the rest are checked here
     for row, v in zip(rows, verdicts):
         if not v:
-            space.model.check_assignment(row, full=True)
-    passed = [row for row, v in zip(rows, verdicts) if v]
-    result = cycles.augment_plan(space, args.t, passed, args.n)
-    columns = space.model.attribute_names
-    if args.format == "json":
-        text = plans.plan_json_text(result.plan, columns, {
-            "seed": args.seed,
-            "residual_before": result.residual_before,
-            "residual_after": result.residual_after,
-        })
-    else:
-        text = plans.plan_csv_text(result.plan.tests, columns)
-    _emit(text, args.output)
-    summary = (f"new={len(result.plan)} residual_before={result.residual_before} "
-               f"residual_after={result.residual_after} "
-               f"coverage={result.plan.percent:.2f}%")
-    print(summary, file=sys.stderr if args.output is None else sys.stdout)
+            space.model.check_assignment(row)
+    passed = [i for i, v in enumerate(verdicts) if v]  # the plan rows that passed
+    result = cycles.augment_plan(space, args.t, [rows[i] for i in passed], args.n)
+    illegal = [passed[k] for k in result.illegal_passed]
+    before, after = result.residual_before, result.residual_after
+    summary = (f"new={len(result.plan)} residual_before={before} "
+               f"residual_after={after} coverage={result.plan.percent:.2f}%")
+    if illegal:
+        summary += ("\nillegal passed tests excluded from credit (rows): "
+                    + ", ".join(str(i + 1) for i in illegal))
+    extra = {"seed": args.seed, "residual_before": before,
+             "residual_after": after, "illegal_passed": illegal}
+    _write_plan(args, space, result.plan, extra, summary)
     return EXIT_OK
 
 

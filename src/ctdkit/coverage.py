@@ -72,7 +72,7 @@ class Residual:
         self._model = model = space.model
         tests = list(tests)
         for test in tests:
-            model.check_assignment(test, full=True)
+            model.check_assignment(test)
         self._names = names = model.attribute_names
         self._position = {a: i for i, a in enumerate(names)}
         self._labels = labels = {a.name: a.labels for a in model.attributes}

@@ -40,15 +40,15 @@ class ConstraintSyntaxError(ConstraintError):
 class UnknownAttributeError(ConstraintError):
     """Expression references an attribute the model does not declare."""
 
-    def __init__(self, attribute, position=None):
-        super().__init__(f"unknown attribute {attribute!r}", position)
+    def __init__(self, attribute):
+        super().__init__(f"unknown attribute {attribute!r}")
         self.attribute = attribute
 
 
 class UnknownValueError(ConstraintError):
     """Expression references a value outside the attribute's domain."""
 
-    def __init__(self, attribute, value, position=None):
-        super().__init__(f"unknown value {value!r} for attribute {attribute!r}", position)
+    def __init__(self, attribute, value):
+        super().__init__(f"unknown value {value!r} for attribute {attribute!r}")
         self.attribute = attribute
         self.value = value

@@ -55,7 +55,7 @@ def instantiate(model: Model, tests, seed: int) -> ConcretePlan:
     rng = random.Random(seed)
     rows = []
     for test in tests:
-        model.check_assignment(test, full=True)
+        model.check_assignment(test)
         row = {}
         for attr in model.attributes:
             value = attr.values[attr.index_of(test[attr.name])]

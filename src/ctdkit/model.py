@@ -138,19 +138,19 @@ class Model:
             n *= a.size
         return n
 
-    def check_assignment(self, assignment: dict[str, str], full: bool = False) -> None:
-        """Typecheck a (partial) assignment of value labels to attributes."""
+    def check_assignment(self, assignment: dict[str, str]) -> None:
+        """Typecheck a full test: UnknownAttributeError or UnknownValueError
+        at its first bad binding, then CtdError at an unbound attribute."""
         # the common case in one C-level subset test; anything else goes
-        # through the loop for its error
-        if assignment.items() <= self._bindings and (
-                not full or len(assignment) == len(self.attributes)):
+        # through the loops for its error
+        if (assignment.items() <= self._bindings
+                and len(assignment) == len(self.attributes)):
             return
         for name, label in assignment.items():
             self.resolve(name, label)
-        if full:
-            for a in self.attributes:
-                if a.name not in assignment:
-                    raise CtdError(f"assignment does not bind attribute {a.name!r}")
+        for a in self.attributes:
+            if a.name not in assignment:
+                raise CtdError(f"assignment does not bind attribute {a.name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -274,16 +274,9 @@ class Encoding:
         return manager.table(block, [code in chosen for code in range(1 << len(block))])
 
 
-def build_encoding(model: Model,
-                   asts: list[constraints.Expr] | None = None) -> Encoding:
-    """Assign disjoint variable blocks in an order picked from the
-    constraints alone; deterministic.
-
-    `asts` are the model's typechecked constraints, parsed here when not
-    given.  The blocks follow `_block_order`."""
-    if asts is None:
-        asts = [constraints.typecheck(constraints.parse(source), model)
-                for source in model.constraints]
+def build_encoding(model: Model, asts: list[constraints.Expr]) -> Encoding:
+    """Assign disjoint variable blocks in the order `_block_order` picks from
+    `asts` (the model's typechecked constraints) alone; deterministic."""
     index = model.index
     links = [sorted({index(name) for name in constraints.attributes_of(ast)})
              for ast in asts]
@@ -361,9 +354,10 @@ def validate_model(model: Model) -> ValidationReport:
     A constraint that removes no legal test draws an "eliminates nothing"
     warning.  The check runs on the model's one `ModelSpace` and costs a
     linear number of conjunctions and intersection tests
-    (`ModelSpace.redundant_constraints`).
-    Only this function computes warnings; the command line's other
-    commands build the space once and skip them.
+    (`ModelSpace.redundant_constraints`).  A directive that no legal test
+    holds, which coverage never counts, draws a "can never be covered"
+    warning.  Only this function computes warnings; the command line's
+    other commands build the space once and skip them.
     """
     report, space = _checked_space(model)
     if space is not None:
@@ -371,6 +365,11 @@ def validate_model(model: Model) -> ValidationReport:
             report.warnings.append(
                 f"constraint {i + 1} eliminates nothing: "
                 f"{model.constraints[i]!r}")
+        for j, directive in enumerate(model.directives):
+            if space.cofactor(space.legal, directive).is_false:
+                report.warnings.append(
+                    f"directive {j + 1} can never be covered: no legal test "
+                    f"holds {', '.join(f'{a}={v}' for a, v in directive)}")
     return report
 
 
@@ -593,7 +592,7 @@ class ModelSpace:
     def contains(self, test: dict[str, str]) -> bool:
         """True when a full assignment satisfies the legal space: the
         one-row case of `select`."""
-        self.model.check_assignment(test, full=True)
+        self.model.check_assignment(test)
         return self.select(self.legal, self.row_sets([test]), 1) == 1
 
     @cached_property

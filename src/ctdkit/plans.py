@@ -116,7 +116,8 @@ def check_plan_columns(columns, model: Model) -> None:
                               f"missing {missing}, unknown {extra}")
 
 
-def plan_to_json(plan: TestPlan, columns, extra: dict | None = None) -> dict:
+def plan_json_text(plan: TestPlan, columns, extra: dict) -> str:
+    """The plan as JSON: its rows and coverage, then the fields of `extra`."""
     document = {
         "schema_version": 1,
         "columns": list(columns),
@@ -127,14 +128,9 @@ def plan_to_json(plan: TestPlan, columns, extra: dict | None = None) -> dict:
         "total_feasible": plan.total_feasible,
         "percent": round(plan.percent, 4),
         "partial": plan.partial,
+        **extra,
     }
-    if extra:
-        document.update(extra)
-    return document
-
-
-def plan_json_text(plan: TestPlan, columns, extra: dict | None = None) -> str:
-    return json.dumps(plan_to_json(plan, columns, extra), indent=2) + "\n"
+    return json.dumps(document, indent=2) + "\n"
 
 
 # ----------------------------------------------------------------------

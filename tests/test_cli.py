@@ -297,15 +297,15 @@ def test_plan_rows_are_typechecked_once(capsys, tmp_path, monkeypatch, command):
     checked = []
     real = Model.check_assignment
 
-    def counting(self, assignment, full=False):
-        checked.append(full)
-        return real(self, assignment, full)
+    def counting(self, assignment):
+        checked.append(assignment)
+        return real(self, assignment)
 
     monkeypatch.setattr(Model, "check_assignment", counting)
     code, _, _ = run(capsys, command[0], f"{M}/code_review.json",
                      f"{M}/code_review_plan13.csv", *command[1:])
     assert code == 0
-    assert checked == [True] * 13
+    assert len(checked) == 13
 
 
 def test_analyze_thirteen_row_table(capsys):
@@ -379,6 +379,42 @@ def test_augment_partial_pass_shrinks_residual(capsys, tmp_path):
     assert int(summary["residual_before"]) < 112
     assert int(summary["residual_after"]) < int(summary["residual_before"])
     assert summary["residual_after"] == "0"
+
+
+# linked8x3_plan14's rows 4, 5, 10, 11 and 13 are illegal; None is no verdict
+@pytest.mark.parametrize("verdicts", [
+    [None, None, None, True] + [None] * 10,
+    [True] * 14,
+    [i % 3 != 2 for i in range(14)],
+    [False, None, True, False, True, None, True, True, None, True, False, True,
+     True, None],
+    [True, True, True, False, False, True, True, True, True, False, False, True,
+     False, True],
+])
+def test_augment_reports_the_illegal_rows_that_passed(capsys, tmp_path, verdicts):
+    model, plan = f"{M}/linked8x3.json", f"{M}/linked8x3_plan14.csv"
+    results = tmp_path / "results.csv"
+    results.write_text("test,verdict\n" + "".join(
+        f"{i + 1},{'PASS' if v else 'FAIL'}\n"
+        for i, v in enumerate(verdicts) if v is not None))
+    _, out, _ = run(capsys, "analyze", model, plan, "--t", "2", "--format", "json")
+    expected = [i for i in json.loads(out)["illegal_tests"] if verdicts[i]]
+    args = ["augment", model, plan, str(results), "--t", "2", "--n", "3"]
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    document = json.loads(out)
+    assert document["illegal_passed"] == expected
+    code, out, err = run(capsys, *args)
+    assert code == 0
+    # CSV output is the plan alone; the rows go on a second summary line
+    assert out.splitlines()[1:] == [",".join(r) for r in document["tests"]]
+    lines = err.splitlines()
+    assert lines[0].startswith("new=3 ")
+    assert lines[1:] == ([f"illegal passed tests excluded from credit (rows): "
+                          + ", ".join(str(i + 1) for i in expected)]
+                         if expected else [])
+    code, out, _ = run(capsys, *args, "-o", str(tmp_path / "new.csv"))
+    assert (code, out) == (0, err)  # with -o, the summary goes to stdout
 
 
 def test_augment_rejects_a_bad_row_that_failed(capsys, tmp_path):

@@ -136,29 +136,29 @@ DIGESTS = {
     'analyze-manual3x3x3-t3-csv': '2600b05aef45cf2609ff8a13249049b406faf77c',
     'analyze-manual3x3x3-t3-json': '9c6e6f169daf7b074e65ff5ef48d92e90c4c2ccf',
     'augment-api8x2-t2-csv': 'fcd3d9fef839384c4a9ae1f0ba0c7abdebcaae99',
-    'augment-api8x2-t2-json': 'fabf08a99c48951a94014427e8f00a0e151cfdcb',
+    'augment-api8x2-t2-json': '28bc3f326e99e37533028f1d2b88697ea2b1698e',
     'augment-api8x2-t3-csv': '8578947687820ac4167a48b6361802fb5b53b24f',
-    'augment-api8x2-t3-json': 'cb5dc596eb73eb10ef7a19e6b507775fa3d3725c',
+    'augment-api8x2-t3-json': 'd5325173fae8b8f131578b4d284b49ae288eefb8',
     'augment-code_review-t2-csv': '1a348ad4b13cc2a0cdd005e5583e9b5b6d38d5e2',
-    'augment-code_review-t2-json': '3a3c5d749750809fe35ea9f7344252933652473c',
+    'augment-code_review-t2-json': '36f180b08c98d12308a55c2128384efdaeb2a9dd',
     'augment-code_review-t3-csv': '03eee5b441ea27aa508d090d979112176ac7e935',
-    'augment-code_review-t3-json': '5e7fa8fb06f899cb95978d00456eaff1d9c49a32',
+    'augment-code_review-t3-json': 'dabd868a63bd8def8f5b2d55886c9cbe2592440b',
     'augment-code_review_directed-t2-csv': '1a348ad4b13cc2a0cdd005e5583e9b5b6d38d5e2',
-    'augment-code_review_directed-t2-json': 'df780f9cd7e67019b1dadb121a0056929ec71668',
+    'augment-code_review_directed-t2-json': '3fd8b0981f9742182e367fbc968cbabfe7a10f17',
     'augment-code_review_directed-t3-csv': '03eee5b441ea27aa508d090d979112176ac7e935',
-    'augment-code_review_directed-t3-json': '2391aac9baa9e7c538312195e129aae8e59fff17',
+    'augment-code_review_directed-t3-json': 'db216bf3143635b79b145c9be2005a858dce1fd2',
     'augment-code_review_dispatch-t2-csv': '960afd59ce22e55124cff418eb90c3b1c39651ec',
     'augment-code_review_dispatch-t2-json': '960afd59ce22e55124cff418eb90c3b1c39651ec',
     'augment-code_review_dispatch-t3-csv': '960afd59ce22e55124cff418eb90c3b1c39651ec',
     'augment-code_review_dispatch-t3-json': '960afd59ce22e55124cff418eb90c3b1c39651ec',
     'augment-linked8x3-t2-csv': 'c5e90d4c90a30b49ce93cbf6f7e49d54b023c1ae',
-    'augment-linked8x3-t2-json': '3638fb9155f92c177d0480a86132c24d8863f409',
+    'augment-linked8x3-t2-json': 'a880a1f874b87df88fc4670ce6c6423d4c3d82c8',
     'augment-linked8x3-t3-csv': '430b503b6b096e1c919a7644174c74bb8f0db9cc',
-    'augment-linked8x3-t3-json': '4cc6f7cd093bb6aec75ffe73763e672be4191b53',
+    'augment-linked8x3-t3-json': 'efb8db5a202b13cf7c686f4c41dd0b369d602314',
     'augment-manual3x3x3-t2-csv': '1cf335dee1ad207d425086552febfcc871567a4f',
-    'augment-manual3x3x3-t2-json': 'dc897ddfe3bf4f19cf4a503161788f6c9d6fd133',
+    'augment-manual3x3x3-t2-json': 'c4046868882f1aa024af1f5bba16d92c60c24770',
     'augment-manual3x3x3-t3-csv': 'de41c7b86d80eb31b8723eafc24a7b85c6ec047c',
-    'augment-manual3x3x3-t3-json': 'c19a483e77a502a4b692c8cc1cb282d4beb28160',
+    'augment-manual3x3x3-t3-json': '2d922aa24106185a5e842678b00690941bbfee9a',
     'count-api8x2': '4f5908c2f34cbe324c3ca3f1c7c3a85f3c3d44c8',
     'count-code_review': '39ce095672d1f3292f8ef24c0457bb53481a20d7',
     'count-code_review_directed': '3cbd3a17bc7b794108e482e739af1a1e1a623594',

@@ -315,7 +315,7 @@ def _valid_expr(rng, depth):
 
 def test_compile_agrees_with_direct_evaluation():
     rng = random.Random(43)
-    encoding = build_encoding(_SMALL)
+    encoding = build_encoding(_SMALL, [])
     manager = BDD(encoding.var_count)
     names = [a.name for a in _SMALL.attributes]
     tuples = list(oracles.all_tuples(_SMALL))
@@ -333,7 +333,7 @@ def test_compile_agrees_with_direct_evaluation():
 
 def test_compile_is_a_homomorphism():
     rng = random.Random(47)
-    encoding = build_encoding(_SMALL)
+    encoding = build_encoding(_SMALL, [])
     manager = BDD(encoding.var_count)
     for _ in range(60):
         a = _valid_expr(rng, 2)

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from ctdkit import (
+    CtdError,
     InfeasibleModelError,
     Model,
     ModelFormatError,
@@ -19,6 +20,7 @@ from ctdkit import (
     UnknownValueError,
     build_encoding,
     constraints,
+    generate_plan,
     load_model,
     parse_model,
     validate_model,
@@ -193,11 +195,19 @@ def test_every_error_is_listed_in_order(document, errors):
 
 
 def _warnings_by_brute_force(model):
-    """The warnings validate_model owes a typechecked model, in order."""
-    if not oracles.legal_tuples(model, oracles.constraint_predicate(model)):
+    """The warnings validate_model owes a typechecked model, in order: each
+    constraint that eliminates nothing, then each directive that no legal
+    tuple holds."""
+    legal = oracles.legal_tuples(model, oracles.constraint_predicate(model))
+    if not legal:
         return []  # infeasible: an error, and no warnings
-    return [f"constraint {i + 1} eliminates nothing: {model.constraints[i]!r}"
-            for i in oracles.redundant_constraints(model)]
+    warnings = [f"constraint {i + 1} eliminates nothing: {model.constraints[i]!r}"
+                for i in oracles.redundant_constraints(model)]
+    return warnings + [
+        f"directive {j + 1} can never be covered: no legal test holds "
+        + ", ".join(f"{a}={v}" for a, v in directive)
+        for j, directive in enumerate(model.directives)
+        if not any(all(x[a] == v for a, v in directive) for x in legal)]
 
 
 def _random_constraint(rng, attrs, depth):
@@ -260,6 +270,60 @@ def test_redundancy_warnings_on_random_models_equal_brute_force():
         warned += len(expected)
         infeasible += not legal
     assert warned > 20 and infeasible > 10  # both outcomes are exercised
+
+
+def test_directive_warnings_on_random_models_equal_brute_force():
+    """Directives of every width, their bindings in any order, on random
+    models; each one no legal test holds is warned once, in order."""
+    rng = random.Random(59)
+    warned = kept = 0
+    for _ in range(200):
+        model = _random_model(rng)
+        attrs = model.attributes
+        directives = tuple(
+            tuple((a.name, rng.choice(a.labels)) for a in rng.sample(attrs, width))
+            for width in range(1, len(attrs) + 1) for _ in range(rng.randrange(3)))
+        model = Model(attrs, model.constraints, directives)
+        report = validate_model(model)
+        expected = _warnings_by_brute_force(model)
+        assert report.warnings == expected, (model.constraints, directives)
+        if report.ok:
+            never = sum("can never be covered" in w for w in expected)
+            warned += never
+            kept += len(directives) - never
+    assert warned > 20 and kept > 20  # both outcomes are exercised
+
+
+def test_infeasible_directive_warns_and_is_never_counted():
+    m = parse_model({
+        "attributes": [{"name": n, "values": vs} for n, vs in
+                       (("A", ["a", "b"]), ("B", ["x", "y"]), ("C", ["p", "q"]))],
+        "constraints": ["A = a -> B = x"],
+        "directives": [[{"attr": "C", "value": "q"}, {"attr": "A", "value": "a"},
+                        {"attr": "B", "value": "y"}],
+                       [{"attr": "A", "value": "a"}, {"attr": "B", "value": "x"},
+                        {"attr": "C", "value": "q"}]]})
+    report = validate_model(m)
+    assert report.ok
+    assert report.warnings == [
+        "directive 1 can never be covered: no legal test holds C=q, A=a, B=y"]
+    plan = generate_plan(ModelSpace(m), 2)
+    assert plan.percent == 100.0
+    assert plan.total_feasible == 11 + 1  # the pairs less A=a B=y, directive 2
+
+
+def test_check_assignment_rejects_a_partial_test():
+    m = Model((Attribute("A", (Value("x"),)), Attribute("B", (Value("y"),))))
+    m.check_assignment({"B": "y", "A": "x"})
+    with pytest.raises(CtdError) as err:
+        m.check_assignment({"A": "x"})
+    assert str(err.value) == "assignment does not bind attribute 'B'"
+    # a bad label is reported before a missing attribute
+    with pytest.raises(UnknownValueError) as err:
+        m.check_assignment({"A": "z"})
+    assert str(err.value) == "unknown value 'z' for attribute 'A'"
+    with pytest.raises(UnknownAttributeError):
+        m.check_assignment({"A": "x", "B": "y", "C": "z"})
 
 
 def _abcd(constraints):
@@ -353,7 +417,7 @@ def test_encoding_widths():
         Attribute("two", tuple(Value(f"v{i}") for i in range(2))),
         Attribute("five", tuple(Value(f"v{i}") for i in range(5))),
     ))
-    enc = build_encoding(m)
+    enc = build_encoding(m, [])
     assert [len(b) for b in enc.blocks] == [0, 1, 3]
     assert enc.var_count == 4
     flat = [v for b in enc.blocks for v in b]
@@ -362,7 +426,7 @@ def test_encoding_widths():
 
 def test_encoding_big_endian_value_codes():
     m = Model((Attribute("five", tuple(Value(f"v{i}") for i in range(5))),))
-    enc = build_encoding(m)
+    enc = build_encoding(m, [])
     assert enc.value_bits(0, 0) == (0, 0, 0)
     assert enc.value_bits(0, 4) == (1, 0, 0)
     assert enc.value_bits(0, 3) == (0, 1, 1)
@@ -644,6 +708,12 @@ def test_far_linked_model_builds_in_few_nodes():
     assert space.tuple_count() == 5 ** 20 == 95_367_431_640_625
 
 
+def _encoding(model):
+    """The model's encoding, its constraints parsed as `ModelSpace` does."""
+    return build_encoding(model, [constraints.typecheck(constraints.parse(c), model)
+                                  for c in model.constraints])
+
+
 @pytest.mark.parametrize("name", sorted(
     p.stem for p in (pathlib.Path(__file__).resolve().parent.parent / "models").glob("*.json")
     if p.stem != "linked8x3") + ["chain20x5"])
@@ -652,7 +722,7 @@ def test_contiguous_models_keep_declaration_order(name, models_dir):
     # take the other path, link only attributes declared next to one another
     model = (parse_model(oracles.chain_document(20, 5)) if name == "chain20x5"
              else load_model(models_dir / f"{name}.json"))
-    flat = [v for b in build_encoding(model).blocks for v in b]
+    flat = [v for b in _encoding(model).blocks for v in b]
     assert flat == list(range(len(flat)))
 
 
@@ -663,10 +733,10 @@ def test_block_order_kept_only_when_the_span_falls():
     model = Model(tuple(Attribute(n, (Value("x"), Value("y"))) for n in names),
                   ("A0 = x -> A1 = x", "A1 = x -> A2 = x", "A2 = x -> A3 = x",
                    "A3 = x -> A0 = y"))
-    assert build_encoding(model).blocks == ((0,), (1,), (2,), (3,))
+    assert _encoding(model).blocks == ((0,), (1,), (2,), (3,))
     # A0-A3 alone: A0, A3, A1, A2 lowers the span from 3 to 1
     model = Model(model.attributes, ("A0 = x -> A3 = x", "A1 = y"))
-    assert build_encoding(model).blocks == ((0,), (2,), (3,), (1,))
+    assert _encoding(model).blocks == ((0,), (2,), (3,), (1,))
 
 
 # ----------------------------------------------------------------------
@@ -767,9 +837,8 @@ def test_value_sets_equal_literal_construction():
 
 
 def test_single_value_attribute_consumes_no_bits(staircase):
-    enc = build_encoding(staircase)
-    assert len(enc.blocks[0]) == 0
     space = ModelSpace(staircase)
+    assert len(space.encoding.blocks[0]) == 0
     assert space.tuple_count() == 120
     first = next(space.assignments())
     assert first["Attribute1"] == "value1"

@@ -1,12 +1,14 @@
 """Plan and results file formats."""
 
+import json
+
 import pytest
 
 from ctdkit import PlanFormatError, TestPlan, read_plan_csv, row_hash
 from ctdkit.plans import (
     check_plan_columns,
     plan_csv_text,
-    plan_to_json,
+    plan_json_text,
     read_results_csv,
     resolve_results,
 )
@@ -79,7 +81,7 @@ def test_check_plan_columns(shopping):
 
 def test_plan_json_shape():
     plan = TestPlan(tests=[{"A": "x", "B": "y"}], covered=3, total_feasible=4, t=2)
-    document = plan_to_json(plan, ["A", "B"], {"seed": 7})
+    document = json.loads(plan_json_text(plan, ["A", "B"], {"seed": 7}))
     assert document["schema_version"] == 1
     assert document["columns"] == ["A", "B"]
     assert document["tests"] == [["x", "y"]]
