@@ -373,28 +373,16 @@ class BDD:
         except (KeyError, IndexError):
             raise BddError(f"assignment is missing a value for variable {var}") from None
 
-    def count(self, f: "Function", nvars: int | None = None) -> int:
-        """Number of satisfying assignments over a 2**nvars space."""
+    def count(self, f: "Function") -> int:
+        """Number of satisfying assignments over all the manager's variables."""
         self._check_same_manager(f)
-        n = self._check_nvars(f, nvars)
         # weight[u] counts assignments of vars var(u)..var_count-1
         nodes, weight = self._nodes, {FALSE: 0, TRUE: 1}
         for root in self._reachable(f.root):
             var, low, high = nodes[root]
             weight[root] = ((weight[low] << (nodes[low][0] - var - 1))
                             + (weight[high] << (nodes[high][0] - var - 1)))
-        return weight[f.root] << self._var_of(f.root) >> (self.var_count - n)
-
-    def _check_nvars(self, f: "Function", nvars: int | None) -> int:
-        if nvars is None:
-            return self.var_count
-        needed = max(self.support(f), default=-1) + 1
-        if nvars < needed:
-            raise BddError(
-                f"function mentions variable {needed - 1}, nvars={nvars} is too small")
-        if nvars > self.var_count:
-            raise BddError(f"nvars={nvars} exceeds manager variable count")
-        return nvars
+        return weight[f.root] << self._var_of(f.root)
 
     def _reachable(self, root: int) -> list[int]:
         """The internal nodes reachable from root, in ascending id: children
@@ -407,18 +395,16 @@ class BDD:
                 todo += nodes[node][1:]
         return sorted(reached)
 
-    def satisfying(self, f: "Function", nvars: int | None = None) -> Iterator[tuple[int, ...]]:
-        """Yield satisfying assignments as 0/1 tuples, lexicographically."""
+    def satisfying(self, f: "Function") -> Iterator[tuple[int, ...]]:
+        """Yield satisfying assignments of all the manager's variables as 0/1
+        tuples, lexicographically."""
         self._check_same_manager(f)
-        n = self._check_nvars(f, nvars)
-        yield from self._enumerate(f.root, n)
-
-    def _enumerate(self, root: int, n: int) -> Iterator[tuple[int, ...]]:
         # depth-first over an explicit stack, 0-branch first; an entry
         # (level, bit, node) sets variable level - 1 to bit and continues
         # from node, so `bits` holds the path to the entry being expanded
+        n = self.var_count
         bits = [0] * n
-        todo = [(0, 0, root)] if root != FALSE else []
+        todo = [(0, 0, f.root)] if f.root != FALSE else []
         while todo:
             level, bit, node = todo.pop()
             if level:
@@ -434,9 +420,9 @@ class BDD:
             if low != FALSE:
                 todo.append((level + 1, 0, low))
 
-    def pick(self, f: "Function", nvars: int | None = None) -> tuple[int, ...] | None:
+    def pick(self, f: "Function") -> tuple[int, ...] | None:
         """First satisfying assignment in enumeration order, or None."""
-        return next(self.satisfying(f, nvars), None)
+        return next(self.satisfying(f), None)
 
     def support(self, f: "Function") -> set[int]:
         """Variables the DAG of f actually mentions."""
@@ -528,14 +514,14 @@ class Function:
     def evaluate(self, assignment) -> bool:
         return self.manager.evaluate(self, assignment)
 
-    def count(self, nvars: int | None = None) -> int:
-        return self.manager.count(self, nvars)
+    def count(self) -> int:
+        return self.manager.count(self)
 
-    def satisfying(self, nvars: int | None = None) -> Iterator[tuple[int, ...]]:
-        return self.manager.satisfying(self, nvars)
+    def satisfying(self) -> Iterator[tuple[int, ...]]:
+        return self.manager.satisfying(self)
 
-    def pick(self, nvars: int | None = None) -> tuple[int, ...] | None:
-        return self.manager.pick(self, nvars)
+    def pick(self) -> tuple[int, ...] | None:
+        return self.manager.pick(self)
 
     def support(self) -> set[int]:
         return self.manager.support(self)

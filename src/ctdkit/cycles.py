@@ -32,7 +32,6 @@ class AugmentResult:
 
 @dataclass
 class CycleRecord:
-    budget: int
     emitted: int
     covered: int
     total_feasible: int
@@ -97,5 +96,5 @@ def run_cycles(space: ModelSpace, t: int, n: int,
         # every passed test is generated, hence legal
         for test in newly_passed:
             residual.cover(test)
-        history.append(CycleRecord(n, len(tests), total - len(residual), total))
+        history.append(CycleRecord(len(tests), total - len(residual), total))
     return CycleState(passed, list(residual), history, total)

@@ -397,6 +397,9 @@ def _checked_space(model: Model
             if v.label in labels:
                 report.errors.append(
                     f"attribute {a.name!r} has duplicate value {v.label!r}")
+            elif "\x1f" in v.label:  # row_hash's separator: two rows could hash alike
+                report.errors.append(f"attribute {a.name!r} value {v.label!r} "
+                                     "contains U+001F")
             labels.add(v.label)
     if not model.attributes:
         report.errors.append("model declares no attributes")
@@ -457,7 +460,7 @@ class ModelSpace:
         true = self.manager.true
         # validity's blocks: each block with unused codes holds a code
         # below its domain size
-        blocks = self._blocks = [
+        blocks = [
             self.encoding.value_set(self.manager, ai, range(attr.size))
             for ai, attr in enumerate(model.attributes)
             if attr.size < 1 << len(self.encoding.blocks[ai])]
@@ -497,7 +500,7 @@ class ModelSpace:
         order; each test walks the two diagrams together and stops at the
         first common satisfying path, without building their conjunction.
         """
-        offset = len(self._blocks)
+        offset = len(self._conjuncts) - len(self.constraint_fns)
         redundant = []
         above = self.manager.true
         for k in reversed(range(len(self._schedule))):
@@ -508,17 +511,6 @@ class ModelSpace:
                 redundant.append(i - offset)
             above = fn & above
         return sorted(redundant)
-
-    @cached_property
-    def validity(self) -> Function:
-        """The AND of validity's blocks, built on first use: `legal`
-        conjoins the blocks themselves."""
-        return reduce(Function.__and__, reversed(self._blocks), self.manager.true)
-
-    @property
-    def illegal(self) -> Function:
-        """Valid-but-excluded combinations."""
-        return self.validity & ~self.legal
 
     def cofactor(self, fn: Function, bindings) -> Function:
         """fn with the bound attributes' blocks fixed to the values' codes.
@@ -588,12 +580,6 @@ class ModelSpace:
     def tuple_count(self, fn: Function | None = None) -> int:
         """Number of value tuples a function admits (legal space by default)."""
         return (fn if fn is not None else self.legal).count()
-
-    def contains(self, test: dict[str, str]) -> bool:
-        """True when a full assignment satisfies the legal space: the
-        one-row case of `select`."""
-        self.model.check_assignment(test)
-        return self.select(self.legal, self.row_sets([test]), 1) == 1
 
     @cached_property
     def _chars(self) -> dict[str, dict[str, str]]:

@@ -5,6 +5,7 @@ as integer truth tables, and model-level counts come from enumerating the
 full Cartesian product with plain Python predicates.
 """
 
+import collections
 import itertools
 import random
 
@@ -307,6 +308,55 @@ def reference_greedy(model, t, legal, budget=None, seed=0, randomize_ties=False,
                for r in pending if _matches(tests[i], r)):
             del tests[i]
     return tests
+
+
+class SearchBudgetExceeded(Exception):
+    """An exact search ran out of nodes before it proved an optimum."""
+
+
+def exact_minimum(model, t, pred=None, node_budget=100_000):
+    """A smallest list of legal tests covering every feasible t-tuple, and
+    the search nodes spent proving it, by depth-first set cover.
+
+    Each legal test is the bitmask of the feasible t-tuples it holds.  For
+    k = the largest count of feasible t-tuples on one attribute subset (no
+    plan is smaller), then k + 1, ..., the search looks for k tests: it
+    branches on the uncovered t-tuple that the fewest tests hold, trying
+    each of them, and prunes a node when the uncovered t-tuples, shared out
+    at the best gain any one test still offers, need more tests than are
+    left.  Raises SearchBudgetExceeded past `node_budget` nodes, so a
+    search cut short never passes for a proof."""
+    names = [a.name for a in model.attributes]
+    legal = legal_tuples(model, pred)
+    feasible = sorted(covered_t_tuples(legal, names, t))
+    bit = {r: 1 << i for i, r in enumerate(feasible)}
+    masks = [sum(bit[r] for r in t_tuples_of(test, names, t)) for test in legal]
+    holders = {b: [i for i, m in enumerate(masks) if m & b] for b in bit.values()}
+    scarcest = sorted(holders, key=lambda b: len(holders[b]))
+    nodes = 0
+
+    def search(uncovered, left):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(f"no optimum proved in {node_budget} nodes")
+        if not uncovered:
+            return []
+        gain = max((m & uncovered).bit_count() for m in masks)
+        if -(-uncovered.bit_count() // gain) > left:
+            return None
+        pivot = next(b for b in scarcest if b & uncovered)
+        for i in holders[pivot]:
+            rest = search(uncovered & ~masks[i], left - 1)
+            if rest is not None:
+                return [legal[i]] + rest
+        return None
+
+    per_subset = collections.Counter(tuple(a for a, _ in r) for r in feasible)
+    k = max(per_subset.values(), default=0)
+    while (plan := search(sum(bit.values()), k)) is None:
+        k += 1
+    return plan, nodes
 
 
 def chain_document(k, v):

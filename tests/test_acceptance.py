@@ -204,7 +204,7 @@ def test_criterion_6_bdd_engine_properties(acceptance_report):
                 break
         previous = (fn, table)
         # (b) counting
-        if fn.count(n) != oracles.table_count(table):
+        if fn.count() != oracles.table_count(table):
             failures.append(f"formula {i}: count mismatch")
             break
         # (c) Shannon expansion on every mentioned variable

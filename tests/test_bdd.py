@@ -212,23 +212,15 @@ def test_evaluate_truth_table_fixture():
 
 def test_count_basics():
     m = BDD(3)
-    assert m.true.count(3) == 8
-    assert m.false.count(3) == 0
+    assert m.true.count() == 8
+    assert m.false.count() == 0
     m4 = BDD(4)
     x = [m4.var(i) for i in range(4)]
     at_least_one = x[0] | x[1] | x[2] | x[3]
-    assert at_least_one.count(4) == 15
+    assert at_least_one.count() == 15
 
 
-def test_count_rejects_small_nvars():
-    m = BDD(4)
-    f = m.var(3)
-    with pytest.raises(BddError):
-        f.count(3)
-    assert f.count(4) == 8
-
-
-def test_support_is_walked_only_to_check_nvars(monkeypatch):
+def test_count_and_enumeration_walk_no_support(monkeypatch):
     m = BDD(4)
     f = m.var(1) & m.var(3)
     walks = []
@@ -243,12 +235,6 @@ def test_support_is_walked_only_to_check_nvars(monkeypatch):
     assert f.pick() == (0, 1, 0, 1)
     assert len(list(f.satisfying())) == 4
     assert walks == []
-    assert f.count(4) == 4
-    assert walks == [f]
-    with pytest.raises(BddError, match="too small"):
-        f.count(3)
-    with pytest.raises(BddError, match="exceeds"):
-        f.count(5)
 
 
 def test_count_random_suite_vs_exhaustive():
@@ -259,7 +245,7 @@ def test_count_random_suite_vs_exhaustive():
             tree = oracles.random_tree(rng, n, 5)
             f = oracles.tree_fn(tree, m)
             table = oracles.tree_table(tree, n)
-            assert f.count(n) == oracles.table_count(table)
+            assert f.count() == oracles.table_count(table)
 
 
 def test_satisfying_lexicographic_and_complete():

@@ -248,7 +248,7 @@ def test_analyze_seven_row_table(capsys):
 
 
 def test_analyze_partial_plan_lists_missing(capsys, tmp_path):
-    text = open(f"{M}/api8x2_plan7.csv").read().strip().splitlines()
+    text = pathlib.Path(f"{M}/api8x2_plan7.csv").read_text().strip().splitlines()
     partial = tmp_path / "partial.csv"
     partial.write_text("\n".join(text[:4]) + "\n")  # header + 3 rows
     code, out, _ = run(capsys, "analyze", f"{M}/api8x2.json", str(partial),
@@ -445,7 +445,7 @@ def test_augment_reads_spreadsheet_csv(capsys, tmp_path):
     plain = f"{M}/manual3x3x3_plan9.csv"
     results = tmp_path / "results.csv"
     _write_results(results, [i % 2 == 0 for i in range(9)])
-    lines = open(plain).read().splitlines()
+    lines = pathlib.Path(plain).read_text().splitlines()
     plan = tmp_path / "excel.csv"
     plan.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(
         [lines[0].replace(",", ", ")] + lines[1:]).encode("utf-8") + b"\r\n")
@@ -515,10 +515,32 @@ def test_augment_gives_identical_rows_one_hash_verdict_each(capsys, tmp_path):
     assert err == "error: results give more than one verdict for row 2\n"
 
 
+def test_augment_rejects_a_label_holding_the_row_hash_separator(capsys, tmp_path):
+    # the rows ("a\x1fb", "c") and ("a", "b\x1fc") would share a row_hash,
+    # so a verdict for one would credit the other
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"attributes": [
+        {"name": "A", "values": ["a\x1fb", "a"]},
+        {"name": "B", "values": ["c", "b\x1fc"]}]}))
+    plan = tmp_path / "plan.csv"
+    plan.write_text("A,B\na\x1fb,c\na,b\x1fc\n")
+    digest = row_hash({"A": "a", "B": "b\x1fc"}, ["A", "B"])
+    results = tmp_path / "results.csv"
+    results.write_text(f"test,verdict\n{digest},PASS\n")
+    code, out, _ = run(capsys, "validate", str(model))
+    assert code == 1
+    assert out.endswith("contains U+001F\n2 error(s)\n")
+    code, out, err = run(capsys, "augment", str(model), str(plan), str(results),
+                         "--t", "2", "--n", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid model:\n")
+    assert "attribute 'A' value 'a\\x1fb' contains U+001F" in err
+
+
 def _plan_with_repeated_column(tmp_path):
     # every model column is present, so only the repeat is wrong; the
     # first copy's values would silently give way to the second's
-    header, *rows = open(f"{M}/manual3x3x3_plan9.csv").read().splitlines()
+    header, *rows = pathlib.Path(f"{M}/manual3x3x3_plan9.csv").read_text().splitlines()
     first = header.split(",")[0]
     plan = tmp_path / "plan.csv"
     plan.write_text("\n".join([f"{first},{header}"]
@@ -662,7 +684,7 @@ def test_instantiate_passes_through_rangeless_plan(capsys, tmp_path):
                      f"{M}/api8x2_plan7.csv", "--seed", "1",
                      "-o", str(tmp_path / "c.csv"))
     assert code == 0
-    original = open(f"{M}/api8x2_plan7.csv").read().strip().splitlines()
+    original = pathlib.Path(f"{M}/api8x2_plan7.csv").read_text().strip().splitlines()
     produced = (tmp_path / "c.csv").read_text().strip().splitlines()
     assert produced == original
 

@@ -651,7 +651,8 @@ def test_row_sets_split_and_residual_equal_brute_force(case):
     for a in names:
         assert sets[a] == [sum(1 << i for i, row in enumerate(rows) if row[a] == label)
                            for label in model.attribute(a).labels]
-    assert [space.contains(row) for row in rows] == [row in legal for row in rows]
+    assert space.select(space.legal, sets, len(rows)) == sum(
+        1 << i for i, row in enumerate(rows) if row in legal)
     residual = Residual(space, t, rows)
     assert residual.illegal == [i for i, row in enumerate(rows) if row not in legal]
     covered = {r for test in rows if test in legal

@@ -140,7 +140,6 @@ def test_cycles_never_duplicate_credited_tests(api8x2_space):
 
 def test_cycles_record_budget_and_emission(api8x2_space):
     state = run_cycles(api8x2_space, 2, 4, lambda test: True, max_cycles=50)
-    assert all(record.budget == 4 for record in state.history)
     assert all(1 <= record.emitted <= 4 for record in state.history)
     assert sum(record.emitted for record in state.history) == len(state.passed)
 

@@ -22,9 +22,10 @@ from test_coverage import _credit_models, _held
 
 def _check_plan(space, plan, t):
     # every test legal, none duplicated, coverage metrics honest
-    seen = set()
+    seen, legal = set(), oracles.constraint_predicate(space.model)
     for test in plan.tests:
-        assert space.contains(test)
+        space.model.check_assignment(test)
+        assert legal(test)
         key = tuple(sorted(test.items()))
         assert key not in seen, "duplicate test emitted"
         seen.add(key)

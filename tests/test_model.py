@@ -187,6 +187,13 @@ def test_unreferenced_attribute_is_not_warned(code_review):
       "constraints": ["A = z", "A = x", "A ="]},
      ["constraint 1: unknown value 'z' for attribute 'A'",
       "constraint 3: expected value label, found end of input at position 3"]),
+    # U+001F joins a row's values in row_hash: ("a\x1fb", "c") and
+    # ("a", "b\x1fc") would hash alike
+    ({"attributes": [{"name": "A", "values": ["a\x1fb", "a", "a\x1fb"]},
+                     {"name": "B", "values": ["c", "b\x1fc"]}]},
+     ["attribute 'A' value 'a\\x1fb' contains U+001F",
+      "attribute 'A' has duplicate value 'a\\x1fb'",
+      "attribute 'B' value 'b\\x1fc' contains U+001F"]),
 ])
 def test_every_error_is_listed_in_order(document, errors):
     report = validate_model(parse_model(document))
@@ -433,17 +440,17 @@ def test_encoding_big_endian_value_codes():
 
 
 def test_validity_power_of_two_is_true(api8x2):
-    assert ModelSpace(api8x2).validity.is_true
+    assert ModelSpace(api8x2).legal.is_true  # no constraints
 
 
 def test_validity_three_of_four_codes():
     m = Model((Attribute("tri", tuple(Value(f"v{i}") for i in range(3))),))
-    assert ModelSpace(m).validity.count() == 3
+    assert ModelSpace(m).legal.count() == 3
 
 
 def test_validity_count_equals_cartesian(shopping):
-    space = ModelSpace(shopping)
-    assert space.validity.count() == 288
+    space = ModelSpace(shopping)  # no constraints
+    assert space.legal.count() == 288
 
 
 def test_encode_decode_round_trip(code_review_space, models_dir):
@@ -482,8 +489,16 @@ def test_legal_count_matches_brute_force(code_review):
     assert sorted(map(sorted, got)) == sorted(map(sorted, (dict(t) for t in expected)))
 
 
+def _validity(space):
+    """Each block holds a code below its domain size: the AND, over the
+    attributes, of the value set of all their values."""
+    return functools.reduce(operator.and_, (
+        space.encoding.value_set(space.manager, ai, range(attr.size))
+        for ai, attr in enumerate(space.model.attributes)), space.manager.true)
+
+
 def _declaration_order_product(space):
-    legal = space.validity
+    legal = _validity(space)
     for fn in space.constraint_fns:
         legal = legal & fn
     return legal
@@ -553,13 +568,19 @@ def test_long_chain_counts_and_enumerates():
 
 def test_legal_implies_validity(code_review_space):
     space = code_review_space
-    assert (space.legal & space.validity).root == space.legal.root
+    assert (space.legal & _validity(space)).root == space.legal.root
 
 
-def test_illegal_space_complements_legal(code_review_space):
-    space = code_review_space
-    assert space.illegal.count() + space.legal.count() == space.validity.count()
-    assert (space.illegal & space.legal).is_false
+def test_illegal_space_complements_legal(models_dir):
+    # assignments walks only codes below each domain size, so those of
+    # ~legal are exactly the tests the constraints exclude
+    for path in sorted(models_dir.glob("*.json")):
+        model = load_model(path)
+        space = ModelSpace(model)
+        pred = oracles.constraint_predicate(model)
+        illegal = [t for t in oracles.all_tuples(model) if not pred(t)]
+        assert list(space.assignments(~space.legal)) == illegal, path.stem
+        assert model.cartesian_count() - space.legal.count() == len(illegal)
 
 
 # ----------------------------------------------------------------------
@@ -830,8 +851,7 @@ def test_value_sets_equal_literal_construction():
         labels = ", ".join(f"v{vi}" for vi in picked)
         assert compiled(f"{name} IN {{{labels}}}") == ref(ai, picked)
         assert compiled(f"{name} IN {{{labels}, v0}}") == ref(ai, picked)
-    assert space.validity == ref(1, range(3)) & ref(2, range(5))
-    assert space.legal == space.validity
+    assert space.legal == ref(1, range(3)) & ref(2, range(5))  # no constraints
     assert space.project({"One": "v0", "Five": "v4", "Two": "v1"}) \
         == space.legal & ref(0, [0]) & ref(2, [4]) & ref(3, [1])
 

@@ -1,7 +1,8 @@
 """Plan sizes never grow: each full plan is at most the size the greedy
 reached before its live-binding tie-break and redundant-row pass (recorded
 on that code), and at least `lower_bound`.  A smaller plan is welcome; a
-larger one is a regression even if it comes out faster.
+larger one is a regression even if it comes out faster.  Where a brute-force
+search has proved the optimum, it is stated next to the greedy's size.
 """
 
 import pathlib
@@ -51,3 +52,32 @@ def test_plan_size_within_floor_and_ceiling(name, t):
     plan = generate_plan(space, t)
     assert plan.covered == plan.total_feasible
     assert lower_bound(space, t) <= len(plan) <= CEILINGS[name, t]
+
+
+# (model, t) -> (optimum, greedy plan size): the optimum is the size of the
+# smallest legal plan, which oracles.exact_minimum proves by search
+OPTIMA = {
+    ("at_least_one", 2): (5, 6), ("at_least_one", 3): (8, 8),
+    ("code_review", 2): (12, 14),
+    ("manual3x3x3", 2): (9, 10),
+    ("power_failure", 2): (12, 12), ("power_failure", 3): (24, 24),
+    ("xyz", 2): (4, 4), ("xyz_drop_a", 2): (4, 4),
+}
+
+
+@pytest.mark.parametrize("name,t", sorted(OPTIMA))
+def test_greedy_plan_size_next_to_the_optimum(name, t):
+    model = _model(name)
+    pred = oracles.constraint_predicate(model)
+    plan, _ = oracles.exact_minimum(model, t, pred, node_budget=50_000)
+    assert all(pred(test) for test in plan)
+    assert (oracles.covered_t_tuples(plan, model.attribute_names, t)
+            == oracles.feasible_t_tuples(model, t, pred))
+    assert (len(plan), len(generate_plan(ModelSpace(model), t))) == OPTIMA[name, t]
+
+
+def test_exact_minimum_fails_past_its_node_budget():
+    model = _model("code_review")
+    with pytest.raises(oracles.SearchBudgetExceeded):
+        oracles.exact_minimum(model, 2, oracles.constraint_predicate(model),
+                              node_budget=1_000)
