@@ -7,7 +7,14 @@ declaration order), so the same seed always reproduces the same plan.
 Rangeless values pass through unchanged.
 
 Attributes deliberately left out of the model can still be given concrete
-random values per test via `randomize_free`.
+random values per test via `randomize_free`, from a second stream seeded
+alike.
+
+Each draw consumes its stream exactly as `random.Random(seed).randrange(lo,
+hi)` does (`getrandbits` of the width's bit length, redrawn while not below
+the width), so outputs are stable across Python 3.10-3.13;
+`test_draws_consume_the_stream_as_randrange` in tests/test_instantiate.py
+pins this against a reference that calls `randrange`.
 """
 
 from __future__ import annotations
@@ -30,6 +37,10 @@ class FreeAttribute:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name.strip():
             raise CtdError("free attribute name must be a non-empty string")
+        if not all(isinstance(x, int) and not isinstance(x, bool)
+                   for x in (self.lo, self.hi)):
+            raise CtdError(f"free attribute {self.name!r}: bounds must be "
+                           f"integers, got {self.lo!r} and {self.hi!r}")
         if self.lo >= self.hi:
             raise CtdError(f"free attribute {self.name!r}: empty range "
                            f"[{self.lo}, {self.hi})")
@@ -50,19 +61,40 @@ class ConcretePlan:
         }
 
 
+def _span(lo: int, hi: int) -> tuple[int, int, int]:
+    """What `_draw` needs of the range [lo, hi): lo, its width and the
+    width's bit length."""
+    width = hi - lo
+    return lo, width, width.bit_length()
+
+
+def _draw(getrandbits, span) -> str:
+    """A uniform draw from a `_span`, as `randrange` draws it."""
+    lo, width, k = span
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    return str(lo + r)
+
+
 def instantiate(model: Model, tests, seed: int) -> ConcretePlan:
     """Replace every subdomain value by a seeded uniform draw from its range."""
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    spans = []  # per attribute, its name and label -> None or a `_span`
+    for attr in model.attributes:
+        by_label = {}
+        for value in attr.values:  # the first of duplicated labels wins
+            by_label.setdefault(
+                value.label, None if value.range is None else _span(*value.range))
+        spans.append((attr.name, by_label))
     rows = []
     for test in tests:
         model.check_assignment(test)
         row = {}
-        for attr in model.attributes:
-            value = attr.values[attr.index_of(test[attr.name])]
-            if value.range is None:
-                row[attr.name] = value.label
-            else:
-                row[attr.name] = str(rng.randrange(*value.range))
+        for name, by_label in spans:
+            label = test[name]
+            span = by_label[label]
+            row[name] = label if span is None else _draw(getrandbits, span)
         rows.append(row)
     return ConcretePlan([a.name for a in model.attributes], rows, seed)
 
@@ -76,15 +108,15 @@ def randomize_free(model: Model, plan: ConcretePlan, free, seed: int) -> Concret
                 f"free attribute {fa.name!r} collides with a model attribute")
         if names.count(fa.name) > 1:
             raise CtdError(f"free attribute {fa.name!r} is given twice")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    spans = [(fa.name, _span(fa.lo, fa.hi)) for fa in free]
     rows = []
     for row in plan.rows:
         extended = dict(row)
-        for fa in free:
-            extended[fa.name] = str(rng.randrange(fa.lo, fa.hi))
+        for name, span in spans:
+            extended[name] = _draw(getrandbits, span)
         rows.append(extended)
-    return ConcretePlan(list(plan.columns) + [fa.name for fa in free], rows,
-                        plan.seed)
+    return ConcretePlan(list(plan.columns) + names, rows, plan.seed)
 
 
 def abstract_candidates(model: Model, attr_name: str, concrete: str) -> list[str]:

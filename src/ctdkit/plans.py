@@ -164,7 +164,9 @@ def resolve_results(results, tests, columns) -> list[bool | None]:
     """Per-test verdicts (None = no verdict); refs are 1-based indices or
     hashes.  A hash names the first row with that content that has no
     verdict yet, so identical rows take one verdict each, in file order.
-    Two verdicts for one row, by either kind of ref, are rejected."""
+    Two verdicts for one row, by either kind of ref, are rejected, and so
+    is a hash that rows of different contents share (labels holding
+    U+001F, the separator of `row_hash`, can make one)."""
     hashes: dict[str, list[int]] = {}  # row hash -> its rows, in file order
     for i, test in enumerate(tests):
         hashes.setdefault(row_hash(test, columns), []).append(i)
@@ -179,6 +181,10 @@ def resolve_results(results, tests, columns) -> list[bool | None]:
             rows = hashes.get(ref)
             if rows is None:
                 raise PlanFormatError(f"results reference unknown row hash {ref!r}")
+            if len({tuple(tests[i][c] for c in columns) for i in rows}) > 1:
+                raise PlanFormatError(
+                    f"results row hash {ref!r} names rows "
+                    f"{[i + 1 for i in rows]}, whose contents differ")
             # when every copy has a verdict, the last one is reported
             index = next((i for i in rows if verdicts[i] is None), rows[-1])
         if verdicts[index] is not None:

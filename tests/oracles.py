@@ -403,3 +403,27 @@ def deep_documents():
     attributes = [{"name": f"A{i}", "values": ["a", "b"]} for i in range(n)]
     return {shape: ({"attributes": attributes, "constraints": [source]}, table_count(table))
             for shape, (source, table) in sources.items()}
+
+
+# ----------------------------------------------------------------------
+# concrete plans drawn with randrange
+
+def concrete_rows(model, tests, free, seed):
+    """`instantiate` then `randomize_free`, by brute force: each walks the
+    rows in order with its own `random.Random(seed)`, drawing a ranged cell
+    (the first value of its label) or a free column (name, lo, hi) by
+    `randrange(lo, hi)`."""
+    rng = random.Random(seed)
+    rows = []
+    for test in tests:
+        row = {}
+        for attr in model.attributes:
+            value = next(v for v in attr.values if v.label == test[attr.name])
+            row[attr.name] = (value.label if value.range is None
+                              else str(rng.randrange(*value.range)))
+        rows.append(row)
+    rng = random.Random(seed)
+    for row in rows:
+        for name, lo, hi in free:
+            row[name] = str(rng.randrange(lo, hi))
+    return rows

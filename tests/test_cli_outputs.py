@@ -4,9 +4,11 @@ their models (`code_review_dispatch_plan19` holds a value its model lacks,
 so its plan commands exit 1; `linked8x3_plan14` holds illegal and repeated
 rows), on `code_review` with directives of every width, of `generate
 --budget` on `code_review` and `linked8x3` (plans the budget cuts short),
-and of `validate` and `project` on `linked8x3`, whose constraints link attributes four
-apart.  A digest changes only with a change to output, which CHANGES.md
-must declare.
+of `validate` and `project` on `linked8x3`, whose constraints link attributes four
+apart, and of `instantiate` on a t=2 plan of `power_failure`, the one
+checked-in model with ranges (its `big` free column is wider than 2**32,
+so it draws several Mersenne Twister words per cell).  A digest changes
+only with a change to output, which CHANGES.md must declare.
 
 To print the digests of the code under test (say, before a change that
 must not alter output):
@@ -42,6 +44,8 @@ DIRECTIVES = [
 ]
 # its blocks do not follow declaration order
 LINKED = "linked8x3"
+# its values carry ranges; the fixture writes its t=2 plan
+RANGED = "power_failure"
 
 
 def _write_inputs(directory: pathlib.Path) -> dict[str, tuple[str, str, str]]:
@@ -62,6 +66,12 @@ def _write_inputs(directory: pathlib.Path) -> dict[str, tuple[str, str, str]]:
             f"{i},{'FAIL' if i % 3 == 0 else 'PASS'}\n" for i in range(1, rows + 1)),
             encoding="utf-8")
         files[name] = (str(model), str(plan_path), str(results))
+    model = MODELS / f"{RANGED}.json"
+    plan_path = directory / f"{RANGED}_plan.csv"
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["generate", str(model), "--t", "2", "-o", str(plan_path)]) == 0
+    files[RANGED] = (str(model), str(plan_path), "")
     return files
 
 
@@ -92,6 +102,12 @@ def _commands() -> dict[str, tuple[str, list]]:
     commands[f"validate-{LINKED}"] = (LINKED, ["validate", "{model}"])
     commands[f"project-{LINKED}"] = (LINKED, [
         "project", "{model}", "--fix", "A0=x", "--limit", "20"])
+    for seed in (1, 7):
+        for fmt in ("csv", "json"):
+            commands[f"instantiate-{RANGED}-seed{seed}-{fmt}"] = (RANGED, [
+                "instantiate", "{model}", "{plan}", "--seed", str(seed),
+                "--format", fmt, "--free", "n=1:9",
+                "--free", "big=-3:1099511627776"])
     return commands
 
 
@@ -193,6 +209,10 @@ DIGESTS = {
     'generate-manual3x3x3-t2-json': 'fe7b3ccd37d872eb758576771c3c864c57e110c3',
     'generate-manual3x3x3-t3-csv': 'd9f447b835a44af362900acec3d436a1ca8c54d9',
     'generate-manual3x3x3-t3-json': '94e1d58004366c08d20a302047d494a9c948b1aa',
+    'instantiate-power_failure-seed1-csv': '83ffd1929bc13b59f75aa80ea19322b689eed830',
+    'instantiate-power_failure-seed1-json': '336644f308c8269e5cdb06fcc80fdfda4dc7e3f0',
+    'instantiate-power_failure-seed7-csv': 'b7f48bdc80b07b95e733a245809cbc3e5263f54c',
+    'instantiate-power_failure-seed7-json': '0cb7f9b210216c0f9cf9be5703b1f35c86c85963',
     'project-linked8x3': '777385aac53023985dfe78bf67f4b324ad7044ee',
     'validate-linked8x3': '6f6c11307582cd359c447342be51ea0600a371fa',
 }

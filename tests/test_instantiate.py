@@ -1,6 +1,9 @@
 """Abstract-to-concrete value selection and free-attribute randomization."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from ctdkit import (
     CtdError,
@@ -150,6 +153,13 @@ def test_free_attribute_empty_range_rejected():
         FreeAttribute("w", 5, 5)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.5, 3), (True, 3), ("1", 3), (0, 3.0),
+                                    (0, True), (None, 3)])
+def test_free_attribute_non_integer_bounds_rejected(lo, hi):
+    with pytest.raises(CtdError, match="bounds must be integers"):
+        FreeAttribute("f", lo, hi)
+
+
 @pytest.mark.parametrize("name", ["", "  "])
 def test_free_attribute_blank_name_rejected(name):
     with pytest.raises(CtdError, match="name must be a non-empty string"):
@@ -167,3 +177,40 @@ def test_instantiate_rejects_unknown_labels(power_failure):
     with pytest.raises(CtdError):
         instantiate(power_failure, [{"FailureType": "nope", "WriteCount": "small",
                                      "Cache": "on"}], seed=0)
+
+
+# widths around the draw's edges: 1 (still consumes the stream), powers of
+# two and their neighbours, and ones past 2**32 that take several words
+_WIDTHS = [1, 2, 3, 9, 10, 91, 900, 2**32, 2**32 + 1, 2**41, 2**70]
+_spans = st.tuples(st.integers(-2**40, 2**40),
+                   st.one_of(st.sampled_from(_WIDTHS), st.integers(1, 2**80))
+                   ).map(lambda s: (s[0], s[0] + s[1]))
+
+
+@st.composite
+def _draw_cases(draw):
+    """A model of rangeless and ranged values whose first attribute repeats
+    its first label (with a range of its own), rows over it, free columns
+    and a seed."""
+    attributes = []
+    for i in range(draw(st.integers(1, 4))):
+        ranges = draw(st.lists(st.one_of(st.none(), _spans), min_size=1, max_size=4))
+        values = [Value(f"v{j}", r) for j, r in enumerate(ranges)]
+        if i == 0:
+            values.append(Value("v0", draw(_spans)))
+        attributes.append(Attribute(f"A{i}", tuple(values)))
+    tests = draw(st.lists(st.fixed_dictionaries(
+        {a.name: st.sampled_from(a.labels) for a in attributes}), max_size=8))
+    free = [(f"F{i}", lo, hi)
+            for i, (lo, hi) in enumerate(draw(st.lists(_spans, max_size=3)))]
+    return Model(tuple(attributes)), tests, free, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_draw_cases())
+def test_draws_consume_the_stream_as_randrange(case):
+    model, tests, free, seed = case
+    concrete = instantiate(model, tests, seed)
+    concrete = randomize_free(model, concrete, [FreeAttribute(*f) for f in free], seed)
+    assert concrete.columns == [*model.attribute_names, *(name for name, _, _ in free)]
+    assert concrete.rows == oracles.concrete_rows(model, tests, free, seed)

@@ -178,3 +178,16 @@ def test_row_hash_is_stable_and_order_sensitive():
     test = {"A": "x", "B": "y"}
     assert row_hash(test, columns) == row_hash(dict(test), columns)
     assert row_hash(test, columns) != row_hash({"A": "y", "B": "x"}, columns)
+
+
+def test_resolve_results_rejects_a_hash_that_rows_of_different_contents_share():
+    # U+001F joins a row's values in row_hash, so ("a\x1fb", "c") and
+    # ("a", "b\x1fc") hash alike; crediting the first would credit the wrong row
+    columns = ["A", "B"]
+    tests = [{"A": "a\x1fb", "B": "c"}, {"A": "a", "B": "b\x1fc"}]
+    digest = row_hash(tests[1], columns)
+    assert digest == row_hash(tests[0], columns)
+    with pytest.raises(PlanFormatError, match=r"names rows \[1, 2\], whose contents differ"):
+        resolve_results([(digest, True)], tests, columns)
+    # index refs still name their rows
+    assert resolve_results([("2", True)], tests, columns) == [None, True]
