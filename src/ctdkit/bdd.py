@@ -477,10 +477,6 @@ class Function:
     def is_false(self) -> bool:
         return self.root == FALSE
 
-    @property
-    def is_true(self) -> bool:
-        return self.root == TRUE
-
     def _apply(self, op: int, other: "Function") -> "Function":
         self.manager._check_same_manager(other)
         return Function(self.manager, self.manager._apply(op, self.root, other.root, {}))
@@ -505,14 +501,8 @@ class Function:
         self.manager._check_same_manager(other)
         return self.manager._intersects(self.root, other.root)
 
-    def restrict(self, var: int, value: bool) -> "Function":
-        return self.manager.restrict(self, var, value)
-
     def exists(self, variables: Iterable[int]) -> "Function":
         return self.manager.exists(self, variables)
-
-    def evaluate(self, assignment) -> bool:
-        return self.manager.evaluate(self, assignment)
 
     def count(self) -> int:
         return self.manager.count(self)

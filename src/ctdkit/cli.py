@@ -172,7 +172,7 @@ def cmd_count(args) -> int:
     space = _load_valid(args.model)
     model = space.model
     print(f"cartesian: {model.cartesian_count()}")
-    print(f"legal: {space.tuple_count()}")
+    print(f"legal: {space.legal.count()}")
     for t in (2, 3):
         if t <= len(model.attributes):
             print(f"feasible t={t} requirements: "
@@ -182,8 +182,8 @@ def cmd_count(args) -> int:
 
 def cmd_generate(args) -> int:
     space = _load_valid(args.model)
-    plan = generator.generate_plan(space, args.t, args.budget, args.seed,
-                                   args.randomize_ties)
+    plan = generator.generate_plan(
+        space, args.t, args.budget, args.seed if args.randomize_ties else None)
     _write_plan(args, space, plan, {"seed": args.seed},
                 f"tests={len(plan)} coverage={plan.percent:.2f}% "
                 f"partial={'true' if plan.partial else 'false'}")

@@ -433,10 +433,6 @@ class CoverageReport:
     def percent(self) -> float:
         return coverage_percent(self.covered, self.total_feasible)
 
-    @property
-    def complete(self) -> bool:
-        return self.covered == self.total_feasible
-
     def to_json(self, max_missing: int | None = None) -> dict:
         missing = self.missing if max_missing is None else self.missing[:max_missing]
         return {

@@ -18,12 +18,12 @@ the residual's packed entries under every key inside the row; a binding
 adds only the keys it completes (`Residual.extend`), and a value's score is
 its field of the total (`Residual.scores`).  Ties go to the value held by
 the most uncovered requirements (AETG's value-selection rule), then to the
-lowest value index, or to a seeded random choice among the values tied on
-both when randomized tie-breaking is enabled.  Each emitted row takes what
-it covers out of the residual (`Residual.cover`).  Every emitted test is
-legal by construction and covers at least one new requirement, so the loop
-covers the whole residual unless a budget cuts it short.  A last pass
-drops the rows whose requirements the others hold (`Residual.prune`).
+lowest value index, or, given a tie seed, to a seeded random choice among
+the values tied on both.  Each emitted row takes what it covers out of the
+residual (`Residual.cover`).  Every emitted test is legal by construction
+and covers at least one new requirement, so the loop covers the whole
+residual unless a budget cuts it short.  A last pass drops the rows whose
+requirements the others hold (`Residual.prune`).
 """
 
 from __future__ import annotations
@@ -37,13 +37,15 @@ from .plans import TestPlan
 
 
 def generate_plan(space: ModelSpace, t: int, budget: int | None = None,
-                  seed: int = 0, randomize_ties: bool = False) -> TestPlan:
-    """Cover every feasible t-way requirement of the space, or stop at budget."""
+                  tie_seed: int | None = None) -> TestPlan:
+    """Cover every feasible t-way requirement of the space, or stop at
+    budget.  Ties on both scores go to the lowest value index, or, given a
+    `tie_seed`, to a choice seeded by it."""
     if budget is not None and budget < 1:
         raise CtdError(f"budget must be >= 1, got {budget}")
     residual = Residual(space, t)
     tests = grow_tests(space, residual, budget,
-                       random.Random(seed) if randomize_ties else None)
+                       None if tie_seed is None else random.Random(tie_seed))
     return TestPlan(tests, residual.total - len(residual), residual.total, t)
 
 

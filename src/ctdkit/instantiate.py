@@ -83,9 +83,9 @@ def instantiate(model: Model, tests, seed: int) -> ConcretePlan:
     spans = []  # per attribute, its name and label -> None or a `_span`
     for attr in model.attributes:
         by_label = {}
-        for value in attr.values:  # the first of duplicated labels wins
-            by_label.setdefault(
-                value.label, None if value.range is None else _span(*value.range))
+        for label in attr.labels:
+            bounds = attr.values[attr.index_of(label)].range
+            by_label[label] = None if bounds is None else _span(*bounds)
         spans.append((attr.name, by_label))
     rows = []
     for test in tests:

@@ -238,7 +238,9 @@ def _parse_directive(raw) -> tuple[tuple[str, str], ...]:
 
 
 def load_model(path) -> Model:
-    """Load a model document from a JSON file."""
+    """Load a model document from a JSON file.  A file that `json` cannot
+    read (not UTF-8, invalid, nested past the recursion limit, or holding
+    an integer longer than `int()` reads) raises ModelFormatError naming it."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             document = json.load(fh)
@@ -246,6 +248,12 @@ def load_model(path) -> Model:
             raise ModelFormatError(f"{path}: not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: invalid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer past the digit limit
+            # its message ends in advice to raise the limit: drop that
+            reason = str(exc).partition(";")[0]
+            raise ModelFormatError(f"{path}: unreadable number: {reason}") from exc
+        except RecursionError:
+            raise ModelFormatError(f"{path}: JSON nested too deeply") from None
     return parse_model(document)
 
 
@@ -576,10 +584,6 @@ class ModelSpace:
             ai, vi = self.model.resolve(attr, label)
             fixed = fixed & self.encoding.value_set(self.manager, ai, [vi])
         return self.legal & fixed
-
-    def tuple_count(self, fn: Function | None = None) -> int:
-        """Number of value tuples a function admits (legal space by default)."""
-        return (fn if fn is not None else self.legal).count()
 
     @cached_property
     def _chars(self) -> dict[str, dict[str, str]]:

@@ -173,7 +173,11 @@ def resolve_results(results, tests, columns) -> list[bool | None]:
     verdicts: list[bool | None] = [None] * len(tests)
     for ref, passed in results:
         if ref.isascii() and ref.isdigit():  # '²' is a digit that int() rejects
-            index = int(ref) - 1
+            digits = ref.lstrip("0")
+            # a ref longer than the row count is out of range, and may be
+            # longer than int() reads
+            index = (int(digits or 0) - 1 if len(digits) <= len(str(len(tests)))
+                     else len(tests))
             if not 0 <= index < len(tests):
                 raise PlanFormatError(
                     f"results reference row {ref}, plan has {len(tests)} rows")

@@ -16,8 +16,8 @@ MANAGER_STATE = {"var_count", "_all_vars", "_nodes", "_unique"}
 def test_terminals_evaluate_constantly():
     m = BDD(3)
     for bits in ([0, 0, 0], [1, 0, 1], [1, 1, 1]):
-        assert m.true.evaluate(bits) is True
-        assert m.false.evaluate(bits) is False
+        assert m.evaluate(m.true, bits) is True
+        assert m.evaluate(m.false, bits) is False
 
 
 def test_terminals_are_unique():
@@ -30,8 +30,8 @@ def test_terminals_are_unique():
 def test_var_semantics():
     m = BDD(3)
     x0 = m.var(0)
-    assert x0.evaluate([1, 0, 0]) is True
-    assert x0.evaluate([0, 1, 1]) is False
+    assert m.evaluate(x0, [1, 0, 0]) is True
+    assert m.evaluate(x0, [0, 1, 1]) is False
 
 
 def test_var_node_has_terminal_children():
@@ -127,23 +127,23 @@ def test_de_morgan():
 def test_implies_semantics():
     m = BDD(2)
     f = m.var(0).implies(m.var(1))
-    assert f.evaluate([1, 0]) is False
-    assert f.evaluate([0, 0]) is True
-    assert f.evaluate([1, 1]) is True
+    assert m.evaluate(f, [1, 0]) is False
+    assert m.evaluate(f, [0, 0]) is True
+    assert m.evaluate(f, [1, 1]) is True
 
 
 def test_restrict_shannon_worked_case():
     m = BDD(2)
     f = m.var(0) & m.var(1)
-    assert f.restrict(0, True).root == m.var(1).root
-    assert f.restrict(0, False).root == m.false.root
+    assert m.restrict(f, 0, True).root == m.var(1).root
+    assert m.restrict(f, 0, False).root == m.false.root
 
 
 def test_restrict_unmentioned_variable_is_noop():
     m = BDD(4)
     f = m.var(0) & m.var(2)
-    assert f.restrict(1, True).root == f.root
-    assert f.restrict(3, False).root == f.root
+    assert m.restrict(f, 1, True).root == f.root
+    assert m.restrict(f, 3, False).root == f.root
 
 
 def test_shannon_identity_random_suite():
@@ -153,7 +153,7 @@ def test_shannon_identity_random_suite():
     for _ in range(100):
         f = oracles.tree_fn(oracles.random_tree(rng, n, 5), m)
         for v in range(n):
-            rebuilt = m.ite(m.var(v), f.restrict(v, True), f.restrict(v, False))
+            rebuilt = m.ite(m.var(v), m.restrict(f, v, True), m.restrict(f, v, False))
             assert rebuilt.root == f.root
 
 
@@ -203,11 +203,11 @@ def test_evaluate_truth_table_fixture():
                 minterm = minterm & (v if b else ~v)
             f = f | minterm
     for bits, out in rows.items():
-        assert f.evaluate(bits) is bool(out)
+        assert m.evaluate(f, bits) is bool(out)
     # the walk short-cuts when a prefix decides the outcome
-    assert f.evaluate({0: 1, 1: 1}) is True
+    assert m.evaluate(f, {0: 1, 1: 1}) is True
     with pytest.raises(BddError):
-        f.evaluate({0: 0, 1: 1})  # here the third variable is needed
+        m.evaluate(f, {0: 0, 1: 1})  # here the third variable is needed
 
 
 def test_count_basics():
@@ -345,7 +345,7 @@ def test_projections_agree_with_exists_and_truth_table(tree, kept_sets):
         # a row satisfies the projection iff some row of f agrees on `kept`
         seen = {tuple(row[v] for v in kept) for row in rows}
         for bits in itertools.product((0, 1), repeat=_N):
-            assert p.evaluate(bits) == (tuple(bits[v] for v in kept) in seen)
+            assert m.evaluate(p, bits) == (tuple(bits[v] for v in kept) in seen)
 
 
 def test_projections_check_their_variables():
@@ -384,7 +384,8 @@ def test_cofactors_equal_nested_restricts(tree, variables):
     for pattern, g in enumerate(split):
         expected = f
         for i, var in enumerate(variables):  # the first variable is the MSB
-            expected = expected.restrict(var, pattern >> (len(variables) - 1 - i) & 1)
+            bit = pattern >> (len(variables) - 1 - i) & 1
+            expected = m.restrict(expected, var, bit)
         assert g.root == expected.root
     if variables == sorted(variables) and all(
             v in variables for v in support if v <= max(variables, default=-1)):
@@ -401,14 +402,14 @@ def test_cube_cofactor_equals_sequential_restricts(tree, cube):
     assert set(vars(m)) == MANAGER_STATE
     expected = f
     for var, bit in cube.items():
-        expected = expected.restrict(var, bit)
+        expected = m.restrict(expected, var, bit)
     assert g.root == expected.root
     # and it agrees with the truth table on every row that matches the cube
     table = oracles.tree_table(tree, 8)
     for row in range(256):
         bits = [(row >> (7 - v)) & 1 for v in range(8)]  # variable 0 is the MSB
         if all(bits[v] == b for v, b in cube.items()):
-            assert g.evaluate(bits) == bool(table >> row & 1)
+            assert m.evaluate(g, bits) == bool(table >> row & 1)
 
 
 def test_cofactor_checks_its_variables():
@@ -454,12 +455,12 @@ def test_table_equals_literal_construction():
                 pattern = 0
                 for var in variables:
                     pattern = pattern << 1 | bits[var]
-                assert got.evaluate(bits) == rows[pattern]
+                assert m.evaluate(got, bits) == rows[pattern]
 
 
 def test_table_checks_its_arguments():
     m = BDD(3)
-    assert m.table([], [True]).is_true and m.table([], [0]).is_false
+    assert m.table([], [True]) == m.true and m.table([], [0]).is_false
     with pytest.raises(BddError, match="needs 4 rows, got 3"):
         m.table([0, 1], [True] * 3)
     with pytest.raises(BddError, match="needs 1 rows, got 2"):
@@ -488,7 +489,7 @@ def test_select_equals_evaluate_row_by_row(tree, count, seed, sparse):
         columns = {var: columns[var] for var in f.support()}
     nodes = len(m)
     assert m.select(f, columns, everything) == sum(
-        f.evaluate(row) << i for i, row in enumerate(rows))
+        m.evaluate(f, row) << i for i, row in enumerate(rows))
     assert m.select(m.true, {}, everything) == everything
     assert m.select(m.false, columns, everything) == 0
     assert len(m) == nodes  # builds nothing
@@ -512,7 +513,7 @@ def test_store_invariants_after_random_operations():
     fns = [oracles.tree_fn(oracles.random_tree(rng, n, 5), m) for _ in range(50)]
     for f in fns[:10]:
         f.exists([0, 3])
-        f.restrict(2, True)
+        m.restrict(f, 2, True)
     seen = set()
     for root, (var, low, high) in enumerate(m._nodes):
         if root <= 1:

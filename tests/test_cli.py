@@ -6,8 +6,9 @@ import pathlib
 import pytest
 
 import oracles
-from ctdkit import Model, constraints, load_model, row_hash
+from ctdkit import Model, ModelSpace, constraints, generate_plan, load_model, row_hash
 from ctdkit.cli import main
+from ctdkit.plans import plan_csv_text
 
 M = "models"
 
@@ -42,6 +43,24 @@ def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "models/no_such_model.json")
     assert code == 2
     assert "error" in err
+
+
+# more digits than int() reads from text (sys.int_info.default_max_str_digits)
+_LONG_INT = "9" * 5000
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
+    ('{"attributes": [{"name": "A", "values": [{"label": "a", "range": [0, '
+     + _LONG_INT + ']}]}]}', "unreadable number: "),
+], ids=["nested", "long-integer"])
+def test_unreadable_model_exits_1_naming_the_file(capsys, tmp_path, text, reason):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    code, out, err = run(capsys, "validate", str(model))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {model}: {reason}")
+    assert err.count("\n") == 1
 
 
 def test_validate_infeasible_model(capsys, tmp_path):
@@ -217,6 +236,23 @@ def test_generate_is_deterministic(capsys, tmp_path):
     run(capsys, "generate", f"{M}/model1.json", "--t", "2", "--seed", "4",
         "-o", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_generate_seed_without_randomize_ties_changes_nothing(capsys):
+    _, seeded, _ = run(capsys, "generate", f"{M}/api8x2.json", "--t", "2",
+                       "--seed", "4")
+    _, plain, _ = run(capsys, "generate", f"{M}/api8x2.json", "--t", "2")
+    assert seeded == plain
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generate_randomize_ties_uses_the_seed_as_tie_seed(capsys, seed):
+    space = ModelSpace(load_model(f"{M}/api8x2.json"))
+    plan = generate_plan(space, 2, tie_seed=seed)
+    code, out, _ = run(capsys, "generate", f"{M}/api8x2.json", "--t", "2",
+                       "--randomize-ties", "--seed", str(seed))
+    assert code == 0
+    assert out == plan_csv_text(plan.tests, space.model.attribute_names)
 
 
 def test_generate_to_stdout_keeps_summary_on_stderr(capsys):
@@ -477,6 +513,28 @@ def test_augment_rejects_non_ascii_digit_reference(capsys, tmp_path):
                          "--t", "2", "--n", "3")
     assert (code, out) == (1, "")
     assert err == "error: results reference unknown row hash '\u00b2'\n"
+
+
+@pytest.mark.parametrize("ref", ["10", "0" * 5000 + "10", _LONG_INT],
+                         ids=["short", "zero-padded", "long"])
+def test_augment_rejects_a_row_number_past_the_plan(capsys, tmp_path, ref):
+    results = tmp_path / "results.csv"
+    results.write_text(f"test,verdict\n{ref},PASS\n")
+    code, out, err = run(capsys, "augment", f"{M}/manual3x3x3.json",
+                         f"{M}/manual3x3x3_plan9.csv", str(results),
+                         "--t", "2", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: results reference row {ref}, plan has 9 rows\n"
+
+
+def test_augment_reads_leading_zeros_in_a_row_number(capsys, tmp_path):
+    results = tmp_path / "results.csv"
+    results.write_text("test,verdict\n01,PASS\n1,FAIL\n")
+    code, out, err = run(capsys, "augment", f"{M}/manual3x3x3.json",
+                         f"{M}/manual3x3x3_plan9.csv", str(results),
+                         "--t", "2", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: results give more than one verdict for row 1\n"
 
 
 def test_augment_rejects_two_verdicts_for_one_row(capsys, tmp_path):

@@ -26,7 +26,7 @@ def test_augmenting_a_complete_plan_emits_nothing(api8x2_space):
 
 
 def test_augment_with_no_credit_reduces_to_generate(api8x2_space):
-    full = generate_plan(api8x2_space, 2, seed=3)
+    full = generate_plan(api8x2_space, 2)
     result = augment_plan(api8x2_space, 2, [], n=len(full) + 5)
     assert result.plan.tests == full.tests
     assert result.residual_after == 0

@@ -82,11 +82,11 @@ def test_plan_size_within_sanity_bounds(shopping_space, api8x2_space,
 
 def test_determinism(api8x2_space, code_review_space):
     for space in (api8x2_space, code_review_space):
-        a = generate_plan(space, 2, seed=5)
-        b = generate_plan(space, 2, seed=5)
+        a = generate_plan(space, 2)
+        b = generate_plan(space, 2)
         assert a.tests == b.tests
-        r1 = generate_plan(space, 2, seed=5, randomize_ties=True)
-        r2 = generate_plan(space, 2, seed=5, randomize_ties=True)
+        r1 = generate_plan(space, 2, tie_seed=5)
+        r2 = generate_plan(space, 2, tie_seed=5)
         assert r1.tests == r2.tests
         assert r1.covered == r1.total_feasible
 
@@ -218,7 +218,8 @@ def test_greedy_plans_against_brute_force(case):
     everything = oracles.requirement_tuples(model, t)
     space = ModelSpace(model)
     for randomize in (False, True):
-        tests = generate_plan(space, t, seed=seed, randomize_ties=randomize).tests
+        tie_seed = seed if randomize else None
+        tests = generate_plan(space, t, tie_seed=tie_seed).tests
         assert tests == oracles.reference_greedy(model, t, legal, seed=seed,
                                                  randomize_ties=randomize)
         assert all(test in legal for test in tests)

@@ -440,7 +440,8 @@ def test_encoding_big_endian_value_codes():
 
 
 def test_validity_power_of_two_is_true(api8x2):
-    assert ModelSpace(api8x2).legal.is_true  # no constraints
+    space = ModelSpace(api8x2)
+    assert space.legal == space.manager.true  # no constraints
 
 
 def test_validity_three_of_four_codes():
@@ -464,17 +465,17 @@ def test_encode_decode_round_trip(code_review_space, models_dir):
                 ai, vi = space.model.resolve(attr, label)
                 expected.update(zip(encoding.blocks[ai], encoding.value_bits(ai, vi)))
             assert sorted(expected) == list(range(encoding.var_count))
-            assert space.legal.evaluate(expected)
-            assert space.cofactor(space.legal, test.items()).is_true
+            assert space.manager.evaluate(space.legal, expected)
+            assert space.cofactor(space.legal, test.items()) == space.manager.true
 
 
 # ----------------------------------------------------------------------
 # legal space
 
 def test_legal_counts(code_review, at_least_one, shopping):
-    assert ModelSpace(code_review).tuple_count() == 63
-    assert ModelSpace(at_least_one).tuple_count() == 15
-    assert ModelSpace(shopping).tuple_count() == 288  # no constraints
+    assert ModelSpace(code_review).legal.count() == 63
+    assert ModelSpace(at_least_one).legal.count() == 15
+    assert ModelSpace(shopping).legal.count() == 288  # no constraints
 
 
 def test_legal_count_matches_brute_force(code_review):
@@ -484,7 +485,7 @@ def test_legal_count_matches_brute_force(code_review):
                    for i in range(1, 6))
     expected = oracles.legal_tuples(code_review, pred)
     space = ModelSpace(code_review)
-    assert space.tuple_count() == len(expected)
+    assert space.legal.count() == len(expected)
     got = list(space.assignments())
     assert sorted(map(sorted, got)) == sorted(map(sorted, (dict(t) for t in expected)))
 
@@ -558,7 +559,7 @@ def test_long_chain_counts_and_enumerates():
         "attributes": [{"name": f"A{i}", "values": ["a", "b"]} for i in range(k)],
         "constraints": [f"A{i} = a -> A{i + 1} = a" for i in range(k - 1)],
     }))
-    assert space.tuple_count() == k + 1
+    assert space.legal.count() == k + 1
     rows = ["".join(row[f"A{i}"] for i in range(k))
             for row in space.assignments(limit=3)]
     assert rows == ["b" * j + "a" * (k - j) for j in range(3)]
@@ -612,13 +613,13 @@ def test_projection_implies_legal(code_review_space):
 def test_projection_counts_on_shopping(shopping_space):
     credit_oneday = shopping_space.project(
         {"Payment": "Credit", "DeliverySchedule": "One Day"})
-    assert shopping_space.tuple_count(credit_oneday) == 24
+    assert credit_oneday.count() == 24
     with_fedex = shopping_space.project(
         {"Payment": "Credit", "DeliverySchedule": "One Day", "Carrier": "Fedex"})
-    assert shopping_space.tuple_count(with_fedex) == 8
+    assert with_fedex.count() == 8
     oneday_export = shopping_space.project(
         {"DeliverySchedule": "One Day", "ExportControl": "True"})
-    assert shopping_space.tuple_count(oneday_export) == 36
+    assert oneday_export.count() == 36
 
 
 def test_projection_rejects_unknown_value(shopping_space):
@@ -726,7 +727,7 @@ def test_far_linked_model_builds_in_few_nodes():
     # is adjacent in the order picked, so the legal space stays linear
     space = ModelSpace(parse_model(_iff_document(20)))
     assert len(space.manager) < 2000
-    assert space.tuple_count() == 5 ** 20 == 95_367_431_640_625
+    assert space.legal.count() == 5 ** 20 == 95_367_431_640_625
 
 
 def _encoding(model):
@@ -859,6 +860,6 @@ def test_value_sets_equal_literal_construction():
 def test_single_value_attribute_consumes_no_bits(staircase):
     space = ModelSpace(staircase)
     assert len(space.encoding.blocks[0]) == 0
-    assert space.tuple_count() == 120
+    assert space.legal.count() == 120
     first = next(space.assignments())
     assert first["Attribute1"] == "value1"

@@ -79,7 +79,7 @@ def test_plan_equals_reference_greedy(name, t):
 def test_randomized_plan_equals_reference_greedy(name, t, seed):
     model, legal = _case(name)
     space = ModelSpace(model)
-    plan = generate_plan(space, t, seed=seed, randomize_ties=True)
+    plan = generate_plan(space, t, tie_seed=seed)
     assert plan.tests == oracles.reference_greedy(model, t, legal, seed=seed,
                                                   randomize_ties=True)
 
