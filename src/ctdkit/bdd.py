@@ -22,10 +22,9 @@ kept-variable mask in one dict for all its sets and hands it to the ORs it
 builds.  `_intersects` decides whether `f & g` is satisfiable without
 building it.  `cofactor` fixes the variables of a cube
 (a `{var: bit}` dict) in one pass, walking straight down while the root
-tests a bound variable; `restrict` is a one-variable cube.  `cofactors`
-splits f over a block of variables into one cofactor per bit pattern,
-following edges where the block is at the top of f; `table`, its dual,
-builds a function over a block from one truth value per pattern.
+tests a bound variable, so a cube over the top of f builds no node;
+`restrict` is a one-variable cube.  `table` builds a function over a
+block of variables from one truth value per bit pattern.
 `count`, `support`, `select` and `dump` make one bottom-up pass over f's
 reachable nodes in ascending id (`_reachable`); `select` decides which of
 many rows f accepts, with one bitset of rows per variable.  Those walks
@@ -94,8 +93,9 @@ class BDD:
     def table(self, variables, rows) -> "Function":
         """The function over an ascending run of variables that is true on
         exactly the bit patterns whose row is true, one row per pattern,
-        big-endian as in `cofactors` (its dual).  Built from the last variable
-        up, pairing the table's halves into hash-consed nodes; no apply call."""
+        big-endian (the first variable is the most significant bit).  Built
+        from the last variable up, pairing the table's halves into
+        hash-consed nodes; no apply call."""
         variables = list(variables)
         for var in variables:
             self._check_var(var)
@@ -234,33 +234,6 @@ class BDD:
         if not cube:
             return f
         return Function(self, self._cofactor(f.root, cube, max(cube), {}))
-
-    def cofactors(self, f: "Function", variables) -> list["Function"]:
-        """The 2**w cofactors of f over w variables, one per bit pattern,
-        big-endian in the order given (the first variable is the most
-        significant bit).
-
-        The roots are split one variable at a time.  A root that tests the
-        variable splits into its children and one below it stays whole, so
-        a block at the top of f is split by following edges, creating no
-        nodes; only a root above the variable is cofactored.
-        """
-        self._check_same_manager(f)
-        nodes, roots = self._nodes, [f.root]
-        for var in variables:
-            self._check_var(var)
-            cubes, memos = ({var: 0}, {var: 1}), ({}, {})
-            split = []
-            for root in roots:
-                v, low, high = nodes[root]
-                if v < var:
-                    low = self._cofactor(root, cubes[0], var, memos[0])
-                    high = self._cofactor(root, cubes[1], var, memos[1])
-                elif v > var:
-                    low = high = root
-                split += (low, high)
-            roots = split
-        return [Function(self, root) for root in roots]
 
     def _cofactor(self, root: int, cube: dict, last: int, memo: dict) -> int:
         # `last` is the deepest variable of `cube`; `memo` maps a node to

@@ -269,7 +269,12 @@ def _parse_free(item: str) -> FreeAttribute:
         raise CtdError(f"--free expects NAME=LO:HI, got {item!r}")
     try:
         return FreeAttribute(name.strip(), int(lo), int(hi))
-    except ValueError:
+    except ValueError as exc:
+        reason = str(exc)
+        if reason.startswith("Exceeds the limit"):  # an integer too long to read
+            # as `load_model` says it: drop the advice to raise the limit
+            raise CtdError(f"--free {name.strip()}: unreadable number: "
+                           f"{reason.partition(';')[0]}") from None
         raise CtdError(f"--free bounds must be integers, got {item!r}") from None
 
 

@@ -5,14 +5,15 @@ the residual (`coverage.Residual`) still uncovered, start from the legal
 space cofactored on its values, then bind the remaining attributes one at
 a time in declaration order.  A candidate value is viable iff cofactoring
 the running function on it leaves it non-false, i.e. some legal test
-extends the partial assignment.  One engine call per attribute gives every
-value's cofactor (`ModelSpace.value_cofactors`), and one greedy call makes
-each split once: rows that reach the same running function reuse it.  When
-the blocks follow declaration order, the attribute's block is at the top of
-the running function, so splitting it follows edges and builds no nodes;
-under a permuted block order (`model.build_encoding`) a block below the top
-is cofactored, which builds nodes but binds the same values, so plans do
-not depend on the order.  Among viable values, the one completing the most
+extends the partial assignment.  Splitting the running function over an
+attribute takes one cube cofactor per value (`ModelSpace.value_cofactors`),
+and one greedy call makes each split once: rows that reach the same running
+function reuse it.  When the blocks follow declaration order, the
+attribute's block is at the top of the running function, so each cube is
+followed along edges and builds no nodes; under a permuted block order
+(`model.build_encoding`) a block below the top is cofactored, which builds
+the values' cofactors but binds the same values, so plans do not depend on
+the order.  Among viable values, the one completing the most
 uncovered requirements wins.  Each row keeps a running total, the sum of
 the residual's packed entries under every key inside the row; a binding
 adds only the keys it completes (`Residual.extend`), and a value's score is

@@ -526,21 +526,36 @@ class ModelSpace:
         False exactly when fn has no test holding those values, without
         building the conjunction.
         """
-        bits: dict[int, int] = {}
+        cube: dict[int, int] = {}
         for attr, label in bindings:
             ai, vi = self.model.resolve(attr, label)
-            bits.update(zip(self.encoding.blocks[ai], self.encoding.value_bits(ai, vi)))
-        return self.manager.cofactor(fn, bits)
+            cube.update(self._value_cubes[ai][vi])
+        return self.manager.cofactor(fn, cube)
 
     def value_cofactors(self, fn: Function, attr: str) -> list[Function]:
         """fn cofactored on each value of one attribute, in value order.
 
-        One engine call splits fn over the attribute's block; a value's
-        index is its code, so its cofactor is the one for that bit pattern.
+        One cube cofactor per value, through the engine's kernel: the cubes
+        are in range by construction, so only fn's manager is checked, once.
+        Where the block is at the top of fn, each cube is followed along
+        edges and builds no node; below the top, only the values' cofactors
+        are built.
         """
         ai = self.model.index(attr)
-        cofactors = self.manager.cofactors(fn, self.encoding.blocks[ai])
-        return cofactors[:self.model.attributes[ai].size]
+        manager, root = self.manager, fn.root
+        manager._check_same_manager(fn)
+        block = self.encoding.blocks[ai]
+        last = block[-1] if block else -1  # an empty cube fixes nothing
+        return [Function(manager, manager._cofactor(root, cube, last, {}))
+                for cube in self._value_cubes[ai]]
+
+    @cached_property
+    def _value_cubes(self) -> list[list[dict[int, int]]]:
+        """Per attribute, one `{var: bit}` cube per value, fixing its block
+        to the value's code."""
+        blocks, bits = self.encoding.blocks, self.encoding.value_bits
+        return [[dict(zip(blocks[ai], bits(ai, vi))) for vi in range(attr.size)]
+                for ai, attr in enumerate(self.model.attributes)]
 
     @cached_property
     def _components(self) -> list[int]:

@@ -371,6 +371,15 @@ def chain_document(k, v):
     }
 
 
+def iff_document(h):
+    """Model document of 2h three-valued attributes A0.. under
+    `Ai = a <-> Ai+h = b`, whose linked pairs are far apart in declaration
+    order, so the picked block order interleaves them."""
+    return {"attributes": [{"name": f"A{i}", "values": ["a", "b", "c"]}
+                           for i in range(2 * h)],
+            "constraints": [f"A{i} = a <-> A{i + h} = b" for i in range(h)]}
+
+
 def deep_documents():
     """Model documents over twelve binary attributes A0..A11 (values a, b),
     each with one constraint nested far past the interpreter's recursion

@@ -374,32 +374,15 @@ _placed_trees = st.builds(
 
 
 @settings(max_examples=200, deadline=None)
-@given(_placed_trees, st.lists(st.integers(0, 7), unique=True, max_size=4))
-def test_cofactors_equal_nested_restricts(tree, variables):
-    m = BDD(8)
-    f = oracles.tree_fn(tree, m)
-    support, nodes = f.support(), len(m)
-    split = m.cofactors(f, variables)
-    assert len(split) == 2 ** len(variables)
-    for pattern, g in enumerate(split):
-        expected = f
-        for i, var in enumerate(variables):  # the first variable is the MSB
-            bit = pattern >> (len(variables) - 1 - i) & 1
-            expected = m.restrict(expected, var, bit)
-        assert g.root == expected.root
-    if variables == sorted(variables) and all(
-            v in variables for v in support if v <= max(variables, default=-1)):
-        assert len(m) == nodes  # a block at the top is split along edges
-    assert set(vars(m)) == MANAGER_STATE  # memos live for one call
-
-
-@settings(max_examples=200, deadline=None)
 @given(_placed_trees, st.dictionaries(st.integers(0, 7), st.integers(0, 1), max_size=5))
 def test_cube_cofactor_equals_sequential_restricts(tree, cube):
     m = BDD(8)
     f = oracles.tree_fn(tree, m)
+    support, nodes = f.support(), len(m)
     g = m.cofactor(f, cube)
-    assert set(vars(m)) == MANAGER_STATE
+    if all(v in cube for v in support if v <= max(cube, default=-1)):
+        assert len(m) == nodes  # a cube over the top of f is followed along edges
+    assert set(vars(m)) == MANAGER_STATE  # memos live for one call
     expected = f
     for var, bit in cube.items():
         expected = m.restrict(expected, var, bit)
@@ -416,12 +399,12 @@ def test_cofactor_checks_its_variables():
     m = BDD(3)
     f = m.var(0) & m.var(2)
     assert m.cofactor(f, {}).root == f.root
-    assert [g.root for g in m.cofactors(f, [])] == [f.root]
-    assert [g.root for g in m.cofactors(f, [0])] == [m.false.root, m.var(2).root]
+    assert m.cofactor(f, {0: 0}).root == m.false.root
+    assert m.cofactor(f, {0: 1}).root == m.var(2).root
     with pytest.raises(BddError):
         m.cofactor(f, {3: 1})
     with pytest.raises(BddError):
-        m.cofactors(f, [0, -1])
+        m.cofactor(f, {0: 1, -1: 0})
     with pytest.raises(BddError):
         m.cofactor(BDD(3).var(0), {0: 1})
 
@@ -448,9 +431,11 @@ def test_table_equals_literal_construction():
             rows = [rng.random() < 0.5 for _ in range(1 << width)]
             got = m.table(variables, rows)
             assert got.root == _literal_table(m, variables, rows).root
-            # the dual of cofactors: splitting over the block gives the rows back
-            assert [c.root for c in m.cofactors(got, variables)] \
-                == [m.const(row).root for row in rows]
+            # cofactoring on each pattern's cube gives its row back
+            for pattern, row in enumerate(rows):
+                cube = {var: pattern >> (width - 1 - i) & 1
+                        for i, var in enumerate(variables)}
+                assert m.cofactor(got, cube).root == m.const(row).root
             for bits in itertools.product((0, 1), repeat=6):
                 pattern = 0
                 for var in variables:
@@ -564,7 +549,7 @@ def test_manager_keeps_only_its_nodes():
     f.exists([1, 2])
     m.projections(g, [[0], [1, 4], [2, 3, 5]])
     m.cofactor(f, {0: 1, 4: 0})
-    m.cofactors(g, [1, 2])
+    m.cofactor(g, {1: 0, 2: 1})
     assert f.count() == oracles.table_count(oracles.tree_table(tree, 6))
     f.support()
     m.select(g, [0b01, 0b10, 0b11, 0, 0b01, 0b10], 0b11)

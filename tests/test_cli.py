@@ -776,6 +776,19 @@ def test_instantiate_rejects_bad_free_names(capsys, free, message):
     assert message in err
 
 
+@pytest.mark.parametrize("free, message", [
+    ("n=1:" + _LONG_INT, "error: --free n: unreadable number: Exceeds the limit"),
+    ("n=-" + _LONG_INT + ":1", "error: --free n: unreadable number: Exceeds the limit"),
+    ("n=1:x", "error: --free bounds must be integers, got 'n=1:x'"),
+], ids=["long-hi", "long-lo", "not-integer"])
+def test_instantiate_rejects_an_unreadable_free_bound(capsys, free, message):
+    code, out, err = run(capsys, "instantiate", f"{M}/api8x2.json",
+                         f"{M}/api8x2_plan7.csv", "--seed", "1", "--free", free)
+    assert (code, out) == (1, "")
+    assert err.startswith(message) and err.count("\n") == 1
+    assert _LONG_INT not in err
+
+
 # ----------------------------------------------------------------------
 # global behavior
 

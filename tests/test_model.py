@@ -11,6 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from ctdkit import (
+    BDD,
+    BddError,
     CtdError,
     InfeasibleModelError,
     Model,
@@ -25,6 +27,7 @@ from ctdkit import (
     parse_model,
     validate_model,
 )
+from ctdkit.coverage import Residual
 from ctdkit.model import Attribute, Value
 
 
@@ -584,6 +587,30 @@ def test_illegal_space_complements_legal(models_dir):
         assert model.cartesian_count() - space.legal.count() == len(illegal)
 
 
+@pytest.mark.parametrize("path", sorted(
+    (pathlib.Path(__file__).resolve().parent.parent / "models").glob("*.json")),
+    ids=lambda p: p.stem)
+def test_value_cofactors_equal_one_cofactor_per_value(path):
+    # for legal and for the greedy's first seed cofactor, on every block
+    # order the checked-in models take; each cofactor agrees with fn where
+    # the block holds the value's code and does not depend on the block
+    space = ModelSpace(load_model(path))
+    seed = next(iter(Residual(space, min(2, len(space.model.attributes)))))
+    for fn in (space.legal, space.cofactor(space.legal, seed)):
+        for ai, attr in enumerate(space.model.attributes):
+            split = space.value_cofactors(fn, attr.name)
+            assert split == [space.cofactor(fn, [(attr.name, label)])
+                             for label in attr.labels]
+            block = set(space.encoding.blocks[ai])
+            for vi, cofactor in enumerate(split):
+                code = space.encoding.value_set(space.manager, ai, [vi])
+                assert cofactor & code == fn & code
+                assert not cofactor.support() & block
+    with pytest.raises(BddError):
+        space.value_cofactors(BDD(space.manager.var_count).true,
+                              space.model.attributes[0].name)
+
+
 # ----------------------------------------------------------------------
 # projection
 
@@ -715,17 +742,10 @@ def test_components_follow_variables_under_a_permuted_order(models_dir):
 # ----------------------------------------------------------------------
 # block order
 
-def _iff_document(h):
-    """2h three-valued attributes under `Ai = a <-> Ai+h = b`."""
-    return {"attributes": [{"name": f"A{i}", "values": ["a", "b", "c"]}
-                           for i in range(2 * h)],
-            "constraints": [f"A{i} = a <-> A{i + h} = b" for i in range(h)]}
-
-
 def test_far_linked_model_builds_in_few_nodes():
     # in declaration order this model takes 12.6M nodes; each linked pair
     # is adjacent in the order picked, so the legal space stays linear
-    space = ModelSpace(parse_model(_iff_document(20)))
+    space = ModelSpace(parse_model(oracles.iff_document(20)))
     assert len(space.manager) < 2000
     assert space.legal.count() == 5 ** 20 == 95_367_431_640_625
 
