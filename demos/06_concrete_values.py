@@ -27,8 +27,7 @@ print(f"abstract plan: {len(plan)} tests over "
       f"{', '.join(model.attribute_names)}")
 
 concrete = instantiate(model, plan.tests, seed=2024)
-concrete = randomize_free(model, concrete,
-                          [FreeAttribute("writeSize", 1, 4096)], seed=2024)
+concrete = randomize_free(model, concrete, [FreeAttribute("writeSize", 1, 4096)])
 
 header = concrete.columns
 print("\n  " + " | ".join(header))

@@ -253,7 +253,7 @@ def cmd_instantiate(args) -> int:
     rows = _read_plan_for(space, args.plan)
     concrete = instantiate(space.model, rows, args.seed)
     free = [_parse_free(item) for item in args.free]
-    concrete = randomize_free(space.model, concrete, free, args.seed)
+    concrete = randomize_free(space.model, concrete, free)
     if args.format == "json":
         text = json.dumps(concrete.to_json(), indent=2) + "\n"
     else:

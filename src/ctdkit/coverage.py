@@ -105,8 +105,7 @@ class Residual:
         sets = space.row_sets(tests) if tests else {}
         legal = space.select(space.legal, sets, len(tests)) if tests else 0
         self.illegal = [i for i, ok in enumerate(_flags(legal, len(tests))) if not ok]
-        if self.illegal:
-            sets = {a: [rows & legal for rows in column] for a, column in sets.items()}
+        sets = {a: [rows & legal for rows in column] for a, column in sets.items()}
         self.total = len(directives)
         for attrs, (count, excluders) in zip(subsets, _feasibility(space, subsets)):
             self.total += count

@@ -8,7 +8,7 @@ Rangeless values pass through unchanged.
 
 Attributes deliberately left out of the model can still be given concrete
 random values per test via `randomize_free`, from a second stream seeded
-alike.
+with the seed the plan records, so that seed alone reproduces every column.
 
 Each draw consumes its stream exactly as `random.Random(seed).randrange(lo,
 hi)` does (`getrandbits` of the width's bit length, redrawn while not below
@@ -99,8 +99,9 @@ def instantiate(model: Model, tests, seed: int) -> ConcretePlan:
     return ConcretePlan([a.name for a in model.attributes], rows, seed)
 
 
-def randomize_free(model: Model, plan: ConcretePlan, free, seed: int) -> ConcretePlan:
-    """Append seeded random columns for attributes kept out of the model."""
+def randomize_free(model: Model, plan: ConcretePlan, free) -> ConcretePlan:
+    """Append random columns for attributes kept out of the model, drawn
+    row-major from a fresh stream seeded with `plan.seed`."""
     names = [fa.name for fa in free]
     for fa in free:
         if fa.name in model.attribute_names:
@@ -108,7 +109,7 @@ def randomize_free(model: Model, plan: ConcretePlan, free, seed: int) -> Concret
                 f"free attribute {fa.name!r} collides with a model attribute")
         if names.count(fa.name) > 1:
             raise CtdError(f"free attribute {fa.name!r} is given twice")
-    getrandbits = random.Random(seed).getrandbits
+    getrandbits = random.Random(plan.seed).getrandbits
     spans = [(fa.name, _span(fa.lo, fa.hi)) for fa in free]
     rows = []
     for row in plan.rows:

@@ -42,7 +42,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterator
 
 from . import constraints
@@ -240,10 +240,20 @@ def _parse_directive(raw) -> tuple[tuple[str, str], ...]:
 def load_model(path) -> Model:
     """Load a model document from a JSON file.  A file that `json` cannot
     read (not UTF-8, invalid, nested past the recursion limit, or holding
-    an integer longer than `int()` reads) raises ModelFormatError naming it."""
+    an integer longer than `int()` reads), or with an object that repeats a
+    key (`json` would keep the last silently), raises ModelFormatError
+    naming it."""
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise ModelFormatError(f"{path}: key {repeated!r} repeats in one object")
+        return obj
+
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
-            document = json.load(fh)
+            document = json.load(fh, object_pairs_hook=unique_keys)
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"{path}: not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -524,12 +534,16 @@ class ModelSpace:
         """fn with the bound attributes' blocks fixed to the values' codes.
 
         False exactly when fn has no test holding those values, without
-        building the conjunction.
+        building the conjunction: two values of one attribute clash on a
+        bit of its block, and no test holds both.
         """
         cube: dict[int, int] = {}
         for attr, label in bindings:
             ai, vi = self.model.resolve(attr, label)
-            cube.update(self._value_cubes[ai][vi])
+            for var, bit in self._value_cubes[ai][vi].items():
+                if cube.setdefault(var, bit) != bit:
+                    self.manager._check_same_manager(fn)
+                    return self.manager.false
         return self.manager.cofactor(fn, cube)
 
     def value_cofactors(self, fn: Function, attr: str) -> list[Function]:
@@ -634,11 +648,9 @@ class ModelSpace:
         one engine pass (`BDD.select`) decides every row."""
         columns = {}
         for name, sets in row_sets.items():
-            block = self.encoding.blocks[self.model.index(name)]
-            for k, var in enumerate(block):
-                shift = len(block) - 1 - k
-                columns[var] = reduce(operator.or_, (
-                    rows for code, rows in enumerate(sets) if code >> shift & 1), 0)
+            for cube, rows in zip(self._value_cubes[self.model.index(name)], sets):
+                for var, bit in cube.items():
+                    columns[var] = columns.get(var, 0) | (rows if bit else 0)
         return self.manager.select(fn, columns, (1 << count) - 1)
 
     def assignments(self, fn: Function | None = None,

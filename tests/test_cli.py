@@ -53,7 +53,10 @@ _LONG_INT = "9" * 5000
     ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
     ('{"attributes": [{"name": "A", "values": [{"label": "a", "range": [0, '
      + _LONG_INT + ']}]}]}', "unreadable number: "),
-], ids=["nested", "long-integer"])
+    ('{"attributes": [{"name": "A", "values": ["a", "b"]}], '
+     '"constraints": ["A = a"], "constraints": []}',
+     "key 'constraints' repeats in one object\n"),
+], ids=["nested", "long-integer", "repeated-key"])
 def test_unreadable_model_exits_1_naming_the_file(capsys, tmp_path, text, reason):
     model = tmp_path / "model.json"
     model.write_text(text)

@@ -117,7 +117,7 @@ def test_randomize_free_appends_column(power_failure):
     rows = _abstract_rows(power_failure)
     concrete = instantiate(power_failure, rows, seed=2)
     extended = randomize_free(power_failure, concrete,
-                              [FreeAttribute("writeSize", 1, 4096)], seed=2)
+                              [FreeAttribute("writeSize", 1, 4096)])
     assert extended.columns == concrete.columns + ["writeSize"]
     assert all(1 <= int(row["writeSize"]) < 4096 for row in extended.rows)
     # original plan untouched
@@ -126,26 +126,37 @@ def test_randomize_free_appends_column(power_failure):
 
 def test_randomize_free_empty_list_is_identity(power_failure):
     concrete = instantiate(power_failure, _abstract_rows(power_failure), seed=2)
-    same = randomize_free(power_failure, concrete, [], seed=9)
+    same = randomize_free(power_failure, concrete, [])
     assert same.rows == concrete.rows
     assert same.columns == concrete.columns
 
 
 def test_randomize_free_seeded_stream_is_frozen():
     m = Model((Attribute("A", (Value("x"),)),))
-    base = instantiate(m, [{"A": "x"}] * 1000, seed=0)
-    extended = randomize_free(m, base, [FreeAttribute("coin", 0, 2)], seed=42)
+    base = instantiate(m, [{"A": "x"}] * 1000, seed=42)
+    extended = randomize_free(m, base, [FreeAttribute("coin", 0, 2)])
     draws = [int(row["coin"]) for row in extended.rows]
     assert draws.count(0) == 486
     assert draws.count(1) == 514
     assert draws[:12] == [0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0]
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_concrete_plan_reproduces_from_the_seed_it_records(power_failure, seed):
+    rows = _abstract_rows(power_failure)
+    free = [FreeAttribute("writeSize", 1, 4096), FreeAttribute("big", -3, 2**40)]
+    plan = randomize_free(power_failure, instantiate(power_failure, rows, seed), free)
+    assert plan.seed == plan.to_json()["seed"] == seed
+    again = randomize_free(power_failure, instantiate(power_failure, rows, plan.seed),
+                           free)
+    assert again.rows == plan.rows
+
+
 def test_free_attribute_collision_rejected(power_failure):
     concrete = instantiate(power_failure, _abstract_rows(power_failure), seed=2)
     with pytest.raises(CtdError, match="collides"):
         randomize_free(power_failure, concrete,
-                       [FreeAttribute("Cache", 0, 2)], seed=0)
+                       [FreeAttribute("Cache", 0, 2)])
 
 
 def test_free_attribute_empty_range_rejected():
@@ -170,7 +181,7 @@ def test_free_attribute_repeated_name_rejected(power_failure):
     concrete = instantiate(power_failure, _abstract_rows(power_failure), seed=2)
     with pytest.raises(CtdError, match="'x' is given twice"):
         randomize_free(power_failure, concrete,
-                       [FreeAttribute("x", 1, 5), FreeAttribute("x", 10, 20)], seed=0)
+                       [FreeAttribute("x", 1, 5), FreeAttribute("x", 10, 20)])
 
 
 def test_instantiate_rejects_unknown_labels(power_failure):
@@ -211,6 +222,6 @@ def _draw_cases(draw):
 def test_draws_consume_the_stream_as_randrange(case):
     model, tests, free, seed = case
     concrete = instantiate(model, tests, seed)
-    concrete = randomize_free(model, concrete, [FreeAttribute(*f) for f in free], seed)
+    concrete = randomize_free(model, concrete, [FreeAttribute(*f) for f in free])
     assert concrete.columns == [*model.attribute_names, *(name for name, _, _ in free)]
     assert concrete.rows == oracles.concrete_rows(model, tests, free, seed)

@@ -56,6 +56,22 @@ def test_load_rejects_bad_json(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"attributes": [{"name": "A", "values": ["a", "b"]}], '
+     '"constraints": ["A = a"], "constraints": []}', "constraints"),
+    ('{"attributes": [{"name": "A", "values": [{"label": "a", "label": "b"}]}]}',
+     "label"),
+], ids=["top-level", "nested"])
+def test_load_rejects_a_repeated_key(tmp_path, text, key):
+    # json keeps the last of repeated keys, which would drop the first
+    # constraints list silently
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: key {key!r} repeats in one object"
+
+
 @pytest.mark.parametrize("value", [
     {"label": "small", "range": [1]},
     {"label": "small", "range": [1, 2, 3]},
@@ -609,6 +625,43 @@ def test_value_cofactors_equal_one_cofactor_per_value(path):
     with pytest.raises(BddError):
         space.value_cofactors(BDD(space.manager.var_count).true,
                               space.model.attributes[0].name)
+
+
+def test_cofactor_on_two_values_of_one_attribute_is_false(code_review_space):
+    space = code_review_space
+    clash = [("LenCBchain", "0"), ("LenCBchain", "1")]
+    assert space.cofactor(space.legal, clash).is_false
+    assert space.cofactor(space.legal, clash[:1] * 2) == \
+        space.cofactor(space.legal, clash[:1])
+    with pytest.raises(BddError):
+        space.cofactor(BDD(space.manager.var_count).true, clash)
+
+
+@functools.cache
+def _space_and_legal_tests(path):
+    model = load_model(path)
+    return ModelSpace(model), oracles.legal_tuples(
+        model, oracles.constraint_predicate(model))
+
+
+@pytest.mark.parametrize("path", sorted(
+    (pathlib.Path(__file__).resolve().parent.parent / "models").glob("*.json")),
+    ids=lambda p: p.stem)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cofactor_is_false_exactly_when_no_legal_test_holds_the_bindings(path, data):
+    # bindings drawn over at most three attributes, so that attributes
+    # repeat, with the same label or a conflicting one
+    space, tests = _space_and_legal_tests(path)
+    pool = data.draw(st.lists(st.sampled_from(space.model.attributes),
+                              min_size=1, max_size=3))
+    bindings = data.draw(st.lists(st.sampled_from(pool).flatmap(
+        lambda a: st.tuples(st.just(a.name), st.sampled_from(a.labels))),
+        min_size=1, max_size=5))
+    fn = space.cofactor(space.legal, bindings)
+    held = any(all(test[a] == v for a, v in bindings) for test in tests)
+    assert fn.is_false != held
+    assert fn == space.cofactor(space.legal, list(dict.fromkeys(bindings)))
 
 
 # ----------------------------------------------------------------------
