@@ -18,7 +18,7 @@ f = g & h                      # (x1 and x2) and (x1 or x2)
 print(f"(x1&x2)&(x1|x2) has root {f.root}, x1&x2 has root {g.root}")
 print("identical roots -> identical functions, by construction\n")
 print("diagram of f, one `id var low high` line per node:")
-print(f.dump())
+print(manager.dump(f))
 
 print("\n== a constrained space ==")
 at_least_one = x1 | x2 | x3 | x4
@@ -28,9 +28,9 @@ print("\n== intersect with a requirement ==")
 requirement = ~x1 & ~x2        # first two variables are 0
 answer = at_least_one & requirement
 print("legal assignments meeting the requirement, lexicographic:")
-for bits in answer.satisfying():
+for bits in manager.satisfying(answer):
     print("  ", "".join(map(str, bits)))
-print("first pick:", "".join(map(str, answer.pick())))
+print("first pick:", "".join(map(str, manager.pick(answer))))
 
 print("\n== algebra sanity ==")
 print("not not f == f:", (~~f).root == f.root)

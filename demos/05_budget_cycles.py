@@ -30,7 +30,7 @@ state = run_cycles(space, t=2, n=3,
 for i, record in enumerate(state.history, start=1):
     print(f"  cycle {i}: ran {record.emitted} tests, "
           f"coverage now {record.percent:.1f}%")
-print(f"  finished at {state.coverage_percent:.1f}% "
+print(f"  finished at {state.history[-1].percent:.1f}% "
       f"with {len(state.passed)} credited tests")
 
 print("\n== feeding back an existing plan ==")

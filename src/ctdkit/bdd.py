@@ -12,7 +12,7 @@ lives for one call of its public entry point, so no table outlives the
 operation that filled it; hash-consing still makes equal results the same
 node across calls.  Every two-operand operator goes through one kernel,
 `_apply` (Bryant 1986): it takes the operator as a 4-bit truth table
-(`AND`, `OR`, `IMPLIES`, `IFF`, `LESS`), recurses on the lowest-ordered
+(`AND`, `OR`, `IMPLIES`, `IFF`), recurses on the lowest-ordered
 variable of its operands, and memoizes under `(op, f, g)`, with the
 operands of a symmetric operator in order.  `&`, `|`, `implies`, `iff`
 and negation (`IFF` with false) are one call each; there are no
@@ -51,7 +51,6 @@ AND = 0b1000
 OR = 0b1110
 IMPLIES = 0b1011
 IFF = 0b1001
-LESS = 0b0010  # not a, and b
 _SYMMETRIC = (AND, OR, IFF)
 
 
@@ -134,13 +133,9 @@ class BDD:
     # apply
 
     def ite(self, f: "Function", g: "Function", h: "Function") -> "Function":
-        """If f then g else h: `(f & g) | (~f & h)`, three applies sharing
-        one memo."""
+        """If f then g else h: `(f & g) | (~f & h)`."""
         self._check_same_manager(f, g, h)
-        memo = {}
-        return Function(self, self._apply(
-            OR, self._apply(AND, f.root, g.root, memo),
-            self._apply(LESS, f.root, h.root, memo), memo))
+        return (f & g) | (~f & h)
 
     def _apply(self, op: int, f: int, g: int, memo: dict) -> int:
         """op(f, g) for a two-operand truth table `op` (Bryant 1986): recurse
@@ -480,14 +475,6 @@ class Function:
     def count(self) -> int:
         return self.manager.count(self)
 
-    def satisfying(self) -> Iterator[tuple[int, ...]]:
-        return self.manager.satisfying(self)
-
-    def pick(self) -> tuple[int, ...] | None:
-        return self.manager.pick(self)
-
     def support(self) -> set[int]:
         return self.manager.support(self)
 
-    def dump(self) -> str:
-        return self.manager.dump(self)

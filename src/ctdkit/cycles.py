@@ -48,19 +48,11 @@ class CycleState:
     history: list[CycleRecord]
     total_feasible: int
 
-    @property
-    def coverage_percent(self) -> float:
-        return coverage_percent(self.total_feasible - len(self.residual),
-                                self.total_feasible)
-
 
 def augment_plan(space: ModelSpace, t: int, passed, n: int) -> AugmentResult:
     """Generate at most n new tests covering requirements the passed tests
     leave uncovered.  Illegal passed tests are reported and earn no credit."""
-    # the residual first: a bad row is reported before a bad n or t
     residual = Residual(space, t, passed)
-    if n < 1:
-        raise CtdError(f"cycle budget must be >= 1, got {n}")
     before, total = len(residual), residual.total
     tests = grow_tests(space, residual, n)
     plan = TestPlan(tests, total - len(residual), total, t)
@@ -81,8 +73,6 @@ def run_cycles(space: ModelSpace, t: int, n: int,
     """
     if max_cycles < 1:
         raise CtdError(f"max_cycles must be >= 1, got {max_cycles}")
-    if n < 1:
-        raise CtdError(f"cycle budget must be >= 1, got {n}")
     residual = Residual(space, t)
     total = residual.total
     passed: list[dict[str, str]] = []

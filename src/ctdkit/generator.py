@@ -42,8 +42,6 @@ def generate_plan(space: ModelSpace, t: int, budget: int | None = None,
     """Cover every feasible t-way requirement of the space, or stop at
     budget.  Ties on both scores go to the lowest value index, or, given a
     `tie_seed`, to a choice seeded by it."""
-    if budget is not None and budget < 1:
-        raise CtdError(f"budget must be >= 1, got {budget}")
     residual = Residual(space, t)
     tests = grow_tests(space, residual, budget,
                        None if tie_seed is None else random.Random(tie_seed))
@@ -63,6 +61,8 @@ def grow_tests(space: ModelSpace, residual: Residual, budget: int | None,
     chosen extends the total by the keys it completes, then joins the row.
     The engine splits each (running function, attribute) once per call;
     the splits are kept until the call returns."""
+    if budget is not None and budget < 1:
+        raise CtdError(f"budget must be >= 1, got {budget}")
     attributes = space.model.attributes
     split = {}  # (root, attribute) -> its value cofactors, for this call
     rows = []  # (test, the requirements it covered first)

@@ -73,7 +73,7 @@ def tree_fn(tree, manager):
     if op == "iff":
         return left.iff(right)
     if op == "ite":
-        return manager.ite(left, right, tree_fn(tree[3], manager))
+        return (left & right) | (~left & tree_fn(tree[3], manager))
     raise ValueError(op)
 
 

@@ -101,7 +101,7 @@ def test_conjunction_example_satisfying_set():
     at_least_one = x[0] | x[1] | x[2] | x[3]
     first_two_zero = ~x[0] & ~x[1]
     both = at_least_one & first_two_zero
-    assert set(both.satisfying()) == {(0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)}
+    assert set(m.satisfying(both)) == {(0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)}
 
 
 def test_double_negation_and_contradiction():
@@ -182,7 +182,7 @@ def test_exists_counts_vs_brute_force():
                 row = list(bits)
                 row[v] = b
                 rows.add(tuple(row))
-        assert set(quantified.satisfying()) == rows
+        assert set(m.satisfying(quantified)) == rows
         assert quantified.count() >= -(-f.count() // 2)
 
 
@@ -232,8 +232,8 @@ def test_count_and_enumeration_walk_no_support(monkeypatch):
 
     monkeypatch.setattr(BDD, "support", counting)
     assert f.count() == 4
-    assert f.pick() == (0, 1, 0, 1)
-    assert len(list(f.satisfying())) == 4
+    assert m.pick(f) == (0, 1, 0, 1)
+    assert len(list(m.satisfying(f))) == 4
     assert walks == []
 
 
@@ -256,7 +256,7 @@ def test_satisfying_lexicographic_and_complete():
         tree = oracles.random_tree(rng, n, 5)
         f = oracles.tree_fn(tree, m)
         table = oracles.tree_table(tree, n)
-        got = list(f.satisfying())
+        got = list(m.satisfying(f))
         assert got == sorted(got)
         assert got == sorted(oracles.table_sat_rows(table, n))
         assert len(got) == f.count()
@@ -264,17 +264,17 @@ def test_satisfying_lexicographic_and_complete():
 
 def test_satisfying_false_is_empty():
     m = BDD(3)
-    assert list(m.false.satisfying()) == []
+    assert list(m.satisfying(m.false)) == []
 
 
 def test_pick():
     m = BDD(2)
-    assert m.false.pick() is None
-    assert (m.var(0) & m.var(1)).pick() == (1, 1)
+    assert m.pick(m.false) is None
+    assert m.pick(m.var(0) & m.var(1)) == (1, 1)
     m4 = BDD(4)
     x = [m4.var(i) for i in range(4)]
     both = (x[0] | x[1] | x[2] | x[3]) & ~x[0] & ~x[1]
-    assert both.pick() == (0, 0, 0, 1)
+    assert m4.pick(both) == (0, 0, 0, 1)
 
 
 def test_canonicity_random_pairs():
@@ -528,14 +528,14 @@ def test_support():
 def test_dump_lists_reachable_nodes():
     m = BDD(2)
     f = m.var(0) & m.var(1)
-    lines = f.dump().splitlines()
+    lines = m.dump(f).splitlines()
     assert "0 const 0" in lines
     assert "1 const 1" in lines
     assert any(line.startswith(f"{f.root} x0 ") for line in lines)
     ids = [int(line.split()[0]) for line in lines]
     assert ids == sorted(ids) and len(ids) == 4
-    assert m.true.dump() == "1 const 1"
-    assert m.false.dump() == "0 const 0"
+    assert m.dump(m.true) == "1 const 1"
+    assert m.dump(m.false) == "0 const 0"
 
 
 def test_manager_keeps_only_its_nodes():

@@ -6,7 +6,8 @@ import pathlib
 import pytest
 
 import oracles
-from ctdkit import Model, ModelSpace, constraints, generate_plan, load_model, row_hash
+from ctdkit import (Model, ModelSpace, augment_plan, constraints, generate_plan,
+                    load_model, read_plan_csv, row_hash)
 from ctdkit.cli import main
 from ctdkit.plans import plan_csv_text
 
@@ -219,6 +220,20 @@ def test_generate_budget_marks_partial(capsys, tmp_path):
     assert "tests=5" in out
     assert "partial=true" in out
     assert len(out_file.read_text().strip().splitlines()) == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", f"{M}/api8x2.json", "--t", "2", "--budget", "0"],
+    ["augment", f"{M}/linked8x3.json", f"{M}/linked8x3_plan14.csv", "RESULTS",
+     "--t", "2", "--n", "0"],
+])
+def test_budget_below_1_is_one_error_line(capsys, tmp_path, argv):
+    results = tmp_path / "results.csv"
+    results.write_text("test,verdict\n1,PASS\n2,FAIL\n")
+    argv = [str(results) if arg == "RESULTS" else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: budget must be >= 1, got 0\n"
 
 
 def test_generate_json_format(capsys, tmp_path):
@@ -596,6 +611,49 @@ def test_augment_rejects_a_label_holding_the_row_hash_separator(capsys, tmp_path
     assert (code, out) == (1, "")
     assert err.startswith("error: invalid model:\n")
     assert "attribute 'A' value 'a\\x1fb' contains U+001F" in err
+
+
+def test_labels_the_csv_writer_quotes_round_trip(capsys, tmp_path):
+    # commas, quotes, line feeds, CR LF pairs and non-ASCII letters in labels
+    # go through generate, analyze, augment and instantiate byte for byte
+    document = {"attributes": [
+        {"name": "A", "values": ["plain", "with, comma", 'say "hi"']},
+        {"name": "B", "values": ["line\nbreak", "cr\r\nlf"]},
+        {"name": "C", "values": ["na\u00efve", '"quoted, all"\r\nover']},
+    ]}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(document), encoding="utf-8")
+    space = ModelSpace(load_model(model))
+    columns = list(space.model.attribute_names)
+    plan = tmp_path / "plan.csv"
+    code, _, _ = run(capsys, "generate", str(model), "--t", "2", "-o", str(plan))
+    assert code == 0
+    tests = generate_plan(space, 2).tests
+    assert read_plan_csv(plan) == (columns, tests)
+    for attr in document["attributes"]:
+        assert {test[attr["name"]] for test in tests} == set(attr["values"])
+
+    code, out, _ = run(capsys, "analyze", str(model), str(plan), "--t", "2")
+    assert code == 0
+    assert "(100.00%)" in out
+
+    results = tmp_path / "results.csv"
+    results.write_text("test,verdict\n" + "".join(
+        f"{row_hash(test, columns)},{'PASS' if i % 2 else 'FAIL'}\n"
+        for i, test in enumerate(tests)))
+    added = tmp_path / "added.csv"
+    code, _, _ = run(capsys, "augment", str(model), str(plan), str(results),
+                     "--t", "2", "--n", "10", "-o", str(added))
+    assert code == 0
+    expected = augment_plan(space, 2, tests[1::2], 10).plan.tests
+    assert expected
+    assert read_plan_csv(added) == (columns, expected)
+
+    concrete = tmp_path / "concrete.csv"
+    code, _, _ = run(capsys, "instantiate", str(model), str(plan), "--seed", "1",
+                     "-o", str(concrete))
+    assert code == 0
+    assert read_plan_csv(concrete) == (columns, tests)
 
 
 def _plan_with_repeated_column(tmp_path):

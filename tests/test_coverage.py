@@ -265,7 +265,7 @@ def test_a_bad_row_is_reported_before_a_bad_t_or_n(xyz):
     # without the bad row, t and n are what raise
     with pytest.raises(CtdError, match="t=99"):
         coverage_of(space, good, 99)
-    with pytest.raises(CtdError, match="budget"):
+    with pytest.raises(CtdError, match=r"^budget must be >= 1, got 0$"):
         augment_plan(space, 2, good, n=0)
 
 

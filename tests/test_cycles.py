@@ -75,15 +75,16 @@ def test_augment_respects_budget(api8x2_space):
 
 
 def test_augment_rejects_bad_budget(api8x2_space):
-    with pytest.raises(CtdError):
-        augment_plan(api8x2_space, 2, [], n=0)
+    for n in (0, -1):
+        with pytest.raises(CtdError, match=rf"^budget must be >= 1, got {n}$"):
+            augment_plan(api8x2_space, 2, [], n=n)
 
 
 def test_cycles_all_pass_terminates_quickly(api8x2_space):
     full = generate_plan(api8x2_space, 2)
     n = 3
     state = run_cycles(api8x2_space, 2, n, lambda test: True, max_cycles=50)
-    assert state.coverage_percent == 100.0
+    assert state.history[-1].percent == 100.0
     assert state.residual == []
     assert len(state.history) <= math.ceil(len(full) / n) + 1
     percents = [record.percent for record in state.history]
@@ -94,7 +95,7 @@ def test_cycles_all_pass_terminates_quickly(api8x2_space):
 def test_cycles_all_fail_stays_at_zero(api8x2_space):
     state = run_cycles(api8x2_space, 2, 3, lambda test: False, max_cycles=4)
     assert len(state.history) == 4
-    assert state.coverage_percent == 0.0
+    assert state.history[-1].percent == 0.0
     assert state.passed == []
     assert all(record.covered == 0 for record in state.history)
 
@@ -129,7 +130,7 @@ def test_cycles_alternating_verdicts_make_progress(api8x2_space):
     # the packaged loop reaches the same end state
     calls[0] = 0
     state = run_cycles(api8x2_space, 2, 3, alternate, max_cycles=200)
-    assert state.coverage_percent == 100.0
+    assert state.history[-1].percent == 100.0
 
 
 def test_cycles_never_duplicate_credited_tests(api8x2_space):
@@ -147,5 +148,5 @@ def test_cycles_record_budget_and_emission(api8x2_space):
 def test_cycles_rejects_bad_arguments(api8x2_space):
     with pytest.raises(CtdError):
         run_cycles(api8x2_space, 2, 3, lambda test: True, max_cycles=0)
-    with pytest.raises(CtdError):
+    with pytest.raises(CtdError, match=r"^budget must be >= 1, got 0$"):
         run_cycles(api8x2_space, 2, 0, lambda test: True, max_cycles=3)

@@ -17,6 +17,8 @@ from ctdkit import (
     lower_bound,
     parse_model,
 )
+from ctdkit.coverage import Residual
+from ctdkit.generator import grow_tests
 from test_coverage import _credit_models, _held
 
 
@@ -110,8 +112,18 @@ def test_budget_larger_than_needed_changes_nothing(api8x2_space):
 
 
 def test_bad_budget_rejected(api8x2_space):
-    with pytest.raises(CtdError):
-        generate_plan(api8x2_space, 2, budget=0)
+    for budget in (0, -1):
+        with pytest.raises(CtdError, match=rf"^budget must be >= 1, got {budget}$"):
+            generate_plan(api8x2_space, 2, budget=budget)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_grow_tests_rejects_a_budget_below_1(api8x2_space, budget):
+    # 0 would emit nothing, and -1 would never reach its limit
+    residual = Residual(api8x2_space, 2)
+    with pytest.raises(CtdError, match=rf"^budget must be >= 1, got {budget}$"):
+        grow_tests(api8x2_space, residual, budget)
+    assert len(residual) == residual.total
 
 
 def test_t_out_of_range(api8x2_space):

@@ -484,7 +484,7 @@ def test_encode_decode_round_trip(code_review_space, models_dir):
                 ai, vi = space.model.resolve(attr, label)
                 expected.update(zip(encoding.blocks[ai], encoding.value_bits(ai, vi)))
             assert sorted(expected) == list(range(encoding.var_count))
-            assert space.manager.evaluate(space.legal, expected)
+            assert space.manager.select(space.legal, expected, 1) == 1
             assert space.cofactor(space.legal, test.items()) == space.manager.true
 
 
