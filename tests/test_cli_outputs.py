@@ -2,7 +2,7 @@
 `analyze`, `augment`, `count` and `generate` on the checked-in plans and
 their models (`code_review_dispatch_plan19` holds a value its model lacks,
 so its plan commands exit 1; `linked8x3_plan14` holds illegal and repeated
-rows), on `code_review` with directives of every width, of `generate
+rows), of `count` on every other checked-in model, on `code_review` with directives of every width, of `generate
 --budget` on `code_review` and `linked8x3` (plans the budget cuts short),
 of `validate` and `project` on `linked8x3`, whose constraints link attributes four
 apart, and of `instantiate` on a t=2 plan of `power_failure`, the one
@@ -46,6 +46,9 @@ DIRECTIVES = [
 LINKED = "linked8x3"
 # its values carry ranges; the fixture writes its t=2 plan
 RANGED = "power_failure"
+# the checked-in models with no plan of their own: `count` only
+COUNTED = ["at_least_one", "model1", RANGED, "shopping", "staircase", "xyz",
+           "xyz_drop_a"]
 
 
 def _write_inputs(directory: pathlib.Path) -> dict[str, tuple[str, str, str]]:
@@ -72,6 +75,8 @@ def _write_inputs(directory: pathlib.Path) -> dict[str, tuple[str, str, str]]:
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["generate", str(model), "--t", "2", "-o", str(plan_path)]) == 0
     files[RANGED] = (str(model), str(plan_path), "")
+    for name in COUNTED:
+        files.setdefault(name, (str(MODELS / f"{name}.json"), "", ""))
     return files
 
 
@@ -79,8 +84,9 @@ def _commands() -> dict[str, tuple[str, list]]:
     """Per command id, the model name and the argument list, with `{model}`,
     `{plan}` and `{results}` for the files."""
     commands = {}
-    for name in [*PLANS, "code_review_directed"]:
+    for name in [*PLANS, "code_review_directed", *COUNTED]:
         commands[f"count-{name}"] = (name, ["count", "{model}"])
+    for name in [*PLANS, "code_review_directed"]:
         for t in (2, 3):
             for fmt in ("csv", "json"):
                 commands[f"analyze-{name}-t{t}-{fmt}"] = (name, [
@@ -176,11 +182,18 @@ DIGESTS = {
     'augment-manual3x3x3-t3-csv': 'de41c7b86d80eb31b8723eafc24a7b85c6ec047c',
     'augment-manual3x3x3-t3-json': '2d922aa24106185a5e842678b00690941bbfee9a',
     'count-api8x2': '4f5908c2f34cbe324c3ca3f1c7c3a85f3c3d44c8',
+    'count-at_least_one': '771c2dd7d1241c79df477c605c1148910c296e82',
     'count-code_review': '39ce095672d1f3292f8ef24c0457bb53481a20d7',
     'count-code_review_directed': '3cbd3a17bc7b794108e482e739af1a1e1a623594',
     'count-code_review_dispatch': '6426682f51a3c9b31d0919338e870b33d36699f2',
     'count-linked8x3': '62953934689f668a316581b2138640b51b127076',
     'count-manual3x3x3': 'b04f55637af38a2ebb3c3090d4aac91a4ae270a1',
+    'count-model1': 'e9023f5beae17d74bc6caab2fa6733b302112959',
+    'count-power_failure': '5baa704b8b2a843de7782bc21107f2423a0f93c4',
+    'count-shopping': '2919bc2b42b85dfab0ddd6d4adb355c5f332abd0',
+    'count-staircase': 'b287bcaa6a569f160a62bd0059952243384e3bfb',
+    'count-xyz': '7f59771c99ebffcf8f701f9034068130022595dd',
+    'count-xyz_drop_a': 'eba715ce8e6c2d4467479ad15f3bae5a1986ff2d',
     'generate-api8x2-t2-csv': 'f32d7f197b055ce8b2d67b2259505684ff0686c6',
     'generate-api8x2-t2-json': 'ffd000d08fd155e396abc99e92f51dc06fcd6fad',
     'generate-api8x2-t3-csv': 'c90fc4104694f09741a07d6455cc6835bd88bc3d',
