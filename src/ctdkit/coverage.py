@@ -10,12 +10,14 @@ tuples in value-index order, then any explicit model directives
 Feasibility is decided per attribute subset.  A subset's feasible count is
 the count of its projection of the legal space: the product of the counts
 of its pieces, its attributes in each component that the constraints link
-(`ModelSpace.pieces`).  A piece's excluded tuples are found once per call,
-as the rows its projection rejects in one `ModelSpace.select` over its
-value tuples, and only when its count shows it excludes one
-(`_feasibility`).  The counts give `feasible_count` (sum) and
-`lower_bound` (max), and `filter_feasible` decides listed
-requirements the same way.
+(`ModelSpace.pieces`).  Each piece is projected from its own component's
+factor, not from the whole legal space (`ModelSpace.marginals`), so the
+quantifier walks no other component.  A piece's excluded tuples are found
+once per call, as the rows its projection rejects in one
+`ModelSpace.select` over its value tuples, and only when its count shows
+it excludes one (`_feasibility`).  The counts give `feasible_count` (sum)
+and `lower_bound` (max), and `filter_feasible` decides listed requirements
+the same way.
 
 Imported tests are judged a column at a time.  A `Residual` typechecks
 every test, builds their row sets once (`ModelSpace.row_sets`, one bitset

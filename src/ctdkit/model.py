@@ -38,6 +38,7 @@ Unknown fields anywhere are rejected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -572,39 +573,81 @@ class ModelSpace:
                 for ai, attr in enumerate(self.model.attributes)]
 
     @cached_property
-    def _components(self) -> list[int]:
-        """Per attribute index, the least index of its component: attributes
-        are linked when one constraint's BDD depends on both.  Not syntax:
-        `(A = a AND B = b) OR (A = a AND B != b)` is `A = a`; B stays apart."""
+    def _partition(self) -> tuple[list[int], dict[int, Function]]:
+        """Per attribute index, the least index of its component, and per
+        component (keyed by that index) its factor: the AND of the
+        conjuncts (validity's blocks and the constraints) whose support
+        lies in it, true where none does.  One pass over the conjuncts'
+        supports links the attributes of each and then files it under its
+        component; the factors are conjoined in `__init__`'s bottom-up
+        order.  Built on first use, not with the space."""
         owner = [0] * self.encoding.var_count  # variable -> its attribute
         for ai, block in enumerate(self.encoding.blocks):
             for var in block:
                 owner[var] = ai
         component = list(range(len(self.model.attributes)))
-        for fn in self.constraint_fns:
-            merged = {component[owner[v]] for v in fn.support()}
-            component = [min(merged) if c in merged else c for c in component]
-        return component
+        supports = [fn.support() for fn in self._conjuncts]
+        for support in supports:
+            merged = {component[owner[v]] for v in support}
+            if len(merged) > 1:
+                component = [min(merged) if c in merged else c for c in component]
+        factors = dict.fromkeys(component, self.manager.true)
+        for i in self._schedule:
+            if supports[i]:  # a constraint true everywhere has none
+                c = component[owner[min(supports[i])]]
+                factors[c] = self._conjuncts[i] & factors[c]
+        return component, factors
+
+    @property
+    def _components(self) -> list[int]:
+        """Per attribute index, the least index of its component: attributes
+        are linked when one constraint's BDD depends on both.  Not syntax:
+        `(A = a AND B = b) OR (A = a AND B != b)` is `A = a`; B stays apart.
+        `legal` is the AND of the components' factors (`_partition`), whose
+        supports are disjoint."""
+        return self._partition[0]
+
+    @cached_property
+    def _component_of(self) -> dict[str, int]:
+        """Per attribute name, its component (see `_components`)."""
+        component = self._components
+        return {name: component[ai] for name, ai in self.model._name_index.items()}
 
     def pieces(self, attrs) -> list[tuple[str, ...]]:
         """The attributes of `attrs` in each component (see `_components`),
         one tuple per component in the order of its least attribute, each
-        in the order `attrs` lists them.  `legal` is the product of one
-        factor per component (support, not syntax, keeps pieces small), so
-        a subset's projection is the AND of those of its pieces."""
-        key, names = self._components.__getitem__, self.model.attribute_names
-        return [tuple(names[ai] for ai in piece) for _, piece in itertools.groupby(
-                    sorted(map(self.model.index, attrs), key=key), key)]
+        in the order `attrs` lists them.  A subset's projection of `legal`
+        is the AND of those of its pieces, and each piece is projected from
+        its own component's factor (`marginals`)."""
+        key = self._component_of.__getitem__
+        return [tuple(piece) for _, piece in itertools.groupby(sorted(attrs, key=key), key)]
 
-    def marginals(self, pieces) -> list[Function]:
+    def marginals(self, sets) -> list[Function]:
         """The legal space projected onto the blocks of each attribute
-        subset (every other variable quantified away), in order.  One
-        engine call projects them all, so they share what they quantify
-        alike.  `coverage` passes `pieces`, whose projections AND to the
-        projection of the subset they split."""
-        blocks = self.encoding.blocks
-        return self.manager.projections(self.legal, [
-            [v for a in piece for v in blocks[self.model.index(a)]] for piece in pieces])
+        subset (every other variable quantified away), in order.
+
+        `legal` is the AND of one factor per component, with disjoint
+        supports, each satisfiable, so a set's projection is that of the
+        AND of the factors of the components it touches, the same node
+        (early quantification, Burch, Clarke & Long 1991); `legal` itself
+        is never projected.  The sets that touch the same components go
+        through one engine call, so they share what they quantify alike.
+        `coverage` passes `pieces`, each of which touches one component."""
+        sets = list(sets)
+        blocks, index = self.encoding.blocks, self.model.index
+        kept = [[v for a in attrs for v in blocks[index(a)]] for attrs in sets]
+        component, factors = self._component_of, self._partition[1]
+        groups: dict[tuple[int, ...], list[int]] = {}  # components -> set indices
+        for i, attrs in enumerate(sets):
+            groups.setdefault(tuple(sorted({component[a] for a in attrs})), []).append(i)
+        projected: list[Function] = [self.manager.true] * len(sets)
+        for touched, members in groups.items():
+            fn = functools.reduce(operator.and_, (factors[c] for c in touched),
+                                  self.manager.true)
+            for i, projection in zip(members, self.manager.projections(
+                    fn, [kept[i] for i in members])):
+                projected[i] = projection
+        return projected
 
     def project(self, partial: dict[str, str]) -> Function:
         """Legal combinations consistent with the fixed attribute values."""

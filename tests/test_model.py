@@ -27,7 +27,7 @@ from ctdkit import (
     parse_model,
     validate_model,
 )
-from ctdkit.coverage import Residual
+from ctdkit.coverage import Residual, feasible_count
 from ctdkit.model import Attribute, Value
 
 
@@ -762,6 +762,50 @@ def test_marginals_equal_full_projections(case):
     expected = space.manager.projections(space.legal, kept)
     assert [_factored(space, subset) for subset in subsets] == expected
     assert space.marginals(subsets) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_marginal_cases())
+def test_factors_and_to_legal(case):
+    model, _ = case
+    try:
+        space = ModelSpace(model)
+    except InfeasibleModelError:
+        assume(False)
+    component, factors = space._partition
+    assert sorted(factors) == sorted(set(component))
+    assert functools.reduce(operator.and_, factors.values()) == space.legal
+    for c, factor in factors.items():
+        owners = {ai for ai, block in enumerate(space.encoding.blocks)
+                  if set(block) & factor.support()}
+        assert {component[ai] for ai in owners} <= {c}
+
+
+@pytest.mark.parametrize("model", ["chain30x5", "linked8x3"])
+def test_marginals_never_project_legal(monkeypatch, models_dir, model):
+    """Every projection that counting and `Residual` ask for is made from
+    one component's factor: its support lies in one component, and
+    `legal` (which spans every component here) is never handed over."""
+    if model == "chain30x5":
+        space = ModelSpace(parse_model(oracles.chain_document(30, 5)))
+    else:  # its blocks leave declaration order
+        space = ModelSpace(load_model(models_dir / f"{model}.json"))
+    owner = {v: ai for ai, block in enumerate(space.encoding.blocks) for v in block}
+    projected, projections = [], BDD.projections
+
+    def spy(manager, fn, sets):
+        projected.append(fn)
+        return projections(manager, fn, sets)
+
+    monkeypatch.setattr(BDD, "projections", spy)
+    for t in (2, 3):
+        feasible_count(space, t)
+        list(Residual(space, t))
+    assert projected
+    assert len(set(space._components)) > 1
+    for fn in projected:
+        assert fn != space.legal
+        assert len({space._components[owner[v]] for v in fn.support()}) <= 1
 
 
 def test_components_come_from_bdd_support():
