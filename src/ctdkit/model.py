@@ -577,25 +577,25 @@ class ModelSpace:
         """Per attribute index, the least index of its component, and per
         component (keyed by that index) its factor: the AND of the
         conjuncts (validity's blocks and the constraints) whose support
-        lies in it, true where none does.  One pass over the conjuncts'
-        supports links the attributes of each and then files it under its
-        component; the factors are conjoined in `__init__`'s bottom-up
-        order.  Built on first use, not with the space."""
+        lies in it, true where none does.  One pass over the constraints'
+        supports links the attributes of each; a conjunct then lies in the
+        component of its root variable.  The factors are conjoined in
+        `__init__`'s bottom-up order.  Built on first use, not with the
+        space."""
         owner = [0] * self.encoding.var_count  # variable -> its attribute
         for ai, block in enumerate(self.encoding.blocks):
             for var in block:
                 owner[var] = ai
         component = list(range(len(self.model.attributes)))
-        supports = [fn.support() for fn in self._conjuncts]
-        for support in supports:
-            merged = {component[owner[v]] for v in support}
-            if len(merged) > 1:
-                component = [min(merged) if c in merged else c for c in component]
+        for fn in self.constraint_fns:
+            merged = {component[owner[v]] for v in fn.support()}
+            component = [min(merged) if c in merged else c for c in component]
         factors = dict.fromkeys(component, self.manager.true)
         for i in self._schedule:
-            if supports[i]:  # a constraint true everywhere has none
-                c = component[owner[min(supports[i])]]
-                factors[c] = self._conjuncts[i] & factors[c]
+            fn = self._conjuncts[i]
+            if fn.root_var < len(owner):  # a constraint true everywhere lies in none
+                c = component[owner[fn.root_var]]
+                factors[c] = fn & factors[c]
         return component, factors
 
     @property

@@ -2,13 +2,14 @@
 `analyze`, `augment`, `count` and `generate` on the checked-in plans and
 their models (`code_review_dispatch_plan19` holds a value its model lacks,
 so its plan commands exit 1; `linked8x3_plan14` holds illegal and repeated
-rows), of `count` on every other checked-in model, on `code_review` with directives of every width, of `generate
---budget` on `code_review` and `linked8x3` (plans the budget cuts short),
-of `validate` and `project` on `linked8x3`, whose constraints link attributes four
-apart, and of `instantiate` on a t=2 plan of `power_failure`, the one
-checked-in model with ranges (its `big` free column is wider than 2**32,
-so it draws several Mersenne Twister words per cell).  A digest changes
-only with a change to output, which CHANGES.md must declare.
+rows) and on `code_review` with directives of every width, of `count` on
+every other checked-in model, of `generate --budget` on `code_review` and
+`linked8x3` (plans the budget cuts short), of `validate` and `project` on
+`linked8x3`, whose constraints link attributes four apart, and of
+`instantiate` on a t=2 plan of `power_failure`, the one checked-in model
+with ranges (its `big` free column is wider than 2**32, so it draws
+several Mersenne Twister words per cell).  A digest changes only with a
+change to output, which CHANGES.md must declare.
 
 To print the digests of the code under test (say, before a change that
 must not alter output):
