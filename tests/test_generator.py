@@ -187,16 +187,43 @@ def test_candidates_add_few_nodes(document, t, most):
     assert len(space.manager) <= most
 
 
+def _factor_intermediates(space):
+    """Build the components' factors of a fresh space and return how many
+    of the nodes that built no factor reaches: the products a factor's
+    AND chain passes through before its last conjunct."""
+    manager, first = space.manager, len(space.manager)
+    _, factors = space._partition
+    reached = {node for fn in factors.values() for node in manager._reachable(fn.root)}
+    return sum(node not in reached for node in range(first, len(manager)))
+
+
+def _document(models_dir, document):
+    if isinstance(document, str):
+        return json.loads((models_dir / f"{document}.json").read_text())
+    return document
+
+
+@pytest.mark.parametrize("document, intermediates", [
+    pytest.param(oracles.chain_document(20, 5), 9, id="20-5-9"),
+    pytest.param("linked8x3", 3, id="linked8x3-3")])
+def test_factors_leave_few_intermediates(models_dir, document, intermediates):
+    # conjoining each component's conjuncts leaves the partial products
+    # behind; the bottom component's are `legal`'s own, so chain 20x5
+    # leaves one for each of its other nine components
+    space = ModelSpace(parse_model(_document(models_dir, document)))
+    assert _factor_intermediates(space) == intermediates
+
+
 @pytest.mark.parametrize("document, t, nodes", [
-    (oracles.chain_document(20, 5), 2, 1686), (oracles.chain_document(20, 5), 3, 6600),
-    ("linked8x3", 2, 218), ("linked8x3", 3, 326)])
+    (oracles.chain_document(20, 5), 2, 1677), (oracles.chain_document(20, 5), 3, 6591),
+    ("linked8x3", 2, 215), ("linked8x3", 3, 323)])
 def test_each_split_made_once(monkeypatch, models_dir, document, t, nodes):
     # one greedy call splits each (root, attribute) once, and reusing the
     # splits builds no node more or less than making them again did; the
-    # counts include the components' factors, which `Residual` builds once
-    if isinstance(document, str):
-        document = json.loads((models_dir / f"{document}.json").read_text())
-    space = ModelSpace(parse_model(document))
+    # counts leave out the factors' intermediate products, which
+    # `test_factors_leave_few_intermediates` pins
+    space = ModelSpace(parse_model(_document(models_dir, document)))
+    intermediates = _factor_intermediates(space)
     splits, value_cofactors = [], ModelSpace.value_cofactors
 
     def spy(self, fn, attr):
@@ -206,7 +233,7 @@ def test_each_split_made_once(monkeypatch, models_dir, document, t, nodes):
     monkeypatch.setattr(ModelSpace, "value_cofactors", spy)
     generate_plan(space, t)
     assert splits and len(splits) == len(set(splits))
-    assert len(space.manager) == nodes
+    assert len(space.manager) - intermediates == nodes
 
 
 @st.composite
