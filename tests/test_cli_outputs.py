@@ -8,7 +8,9 @@ every other checked-in model, of `generate --budget` on `code_review` and
 `linked8x3`, whose constraints link attributes four apart, and of
 `instantiate` on a t=2 plan of `power_failure`, the one checked-in model
 with ranges (its `big` free column is wider than 2**32, so it draws
-several Mersenne Twister words per cell).  A digest changes only with a
+several Mersenne Twister words per cell), and of `generate` at t=2 and t=3
+on the 12x4 chain of `oracles.chain_document`, whose linked pairs cut 60 of
+its 220 t=3 subsets.  A digest changes only with a
 change to output, which CHANGES.md must declare.
 
 To print the digests of the code under test (say, before a change that
@@ -28,6 +30,7 @@ import sys
 
 import pytest
 
+import oracles
 from ctdkit import cli
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -50,6 +53,8 @@ RANGED = "power_failure"
 # the checked-in models with no plan of their own: `count` only
 COUNTED = ["at_least_one", "model1", RANGED, "shopping", "staircase", "xyz",
            "xyz_drop_a"]
+# written from `oracles.chain_document(12, 4)`: `generate` only
+CHAIN = "chain12x4"
 
 
 def _write_inputs(directory: pathlib.Path) -> dict[str, tuple[str, str, str]]:
@@ -78,6 +83,9 @@ def _write_inputs(directory: pathlib.Path) -> dict[str, tuple[str, str, str]]:
     files[RANGED] = (str(model), str(plan_path), "")
     for name in COUNTED:
         files.setdefault(name, (str(MODELS / f"{name}.json"), "", ""))
+    chain = directory / f"{CHAIN}.json"
+    chain.write_text(json.dumps(oracles.chain_document(12, 4)), encoding="utf-8")
+    files[CHAIN] = (str(chain), "", "")
     return files
 
 
@@ -106,6 +114,9 @@ def _commands() -> dict[str, tuple[str, list]]:
             commands[f"generate-{name}-t{t}-budget{budget}-{fmt}"] = (name, [
                 "generate", "{model}", "--t", str(t), "--budget", str(budget),
                 "--format", fmt])
+    for t in (2, 3):
+        commands[f"generate-{CHAIN}-t{t}-csv"] = (CHAIN, [
+            "generate", "{model}", "--t", str(t), "--format", "csv"])
     commands[f"validate-{LINKED}"] = (LINKED, ["validate", "{model}"])
     commands[f"project-{LINKED}"] = (LINKED, [
         "project", "{model}", "--fix", "A0=x", "--limit", "20"])
@@ -199,6 +210,8 @@ DIGESTS = {
     'generate-api8x2-t2-json': 'ffd000d08fd155e396abc99e92f51dc06fcd6fad',
     'generate-api8x2-t3-csv': 'c90fc4104694f09741a07d6455cc6835bd88bc3d',
     'generate-api8x2-t3-json': '6d4c40c0fa80497d58165bb7fb949af00bad75da',
+    'generate-chain12x4-t2-csv': '68784e3576797f1bf5f1ffef36ffdccae51f128d',
+    'generate-chain12x4-t3-csv': '2ef15487072ce59383bfd17bfe56a4c979504859',
     'generate-code_review-t2-budget5-csv': '31b9ca11fca6168819524ec9c1244313e475f253',
     'generate-code_review-t2-budget5-json': 'd67f07d7993e7faf97e4e6f949626b257ca8cf56',
     'generate-code_review-t2-csv': 'b982914a63e61a80404183881f4f5e645d2ce5f1',
