@@ -31,11 +31,14 @@ and the greedy (`generator.grow_tests`) scores its candidates from it and
 takes out what its rows cover.  It is built per t-subset.  A legal test
 holds only feasible value tuples, so a subset's covered tuples are those
 whose AND of row sets is not zero, and when they are as many as its
-projection holds, it leaves nothing.  A subset that no test touches and no
-piece cuts enters whole, without listing its requirements; any other
-enters its value tuples less the covered ones and those a piece excludes,
-and each feasible directive that is not t wide and not covered enters on
-its own.  Without tests no row set is built.  Coverage credit is granted
+projection holds, it leaves nothing.  A subset that no test touches
+enters whole, without listing its requirements, even when a piece cuts it:
+the whole subsets are written in one pass, one field mask per key, and the
+tuples their pieces exclude (read from `_feasibility`'s excluded sets) are
+then cleared one by one.  A subset that tests cover in part enters its
+value tuples less the covered ones and those a piece excludes, and each
+feasible directive that is not t wide and not covered enters on its own.
+Without tests no row set is built and no t-way requirement is listed.  Coverage credit is granted
 only by tests inside the legal space; imported tests that violate it are
 listed (`Residual.illegal`) and ignored.
 """
@@ -68,7 +71,14 @@ class Residual:
     it is held once under each of its keys.  Every t-subset has keys, so
     those inside a row are the combinations of its bindings; a directive
     subset's are looked up one by one.  `_live` counts the uncovered
-    requirements per binding.  Rows come in as {attribute: label} dicts."""
+    requirements per binding.  Rows come in as {attribute: label} dicts.
+
+    The subsets no test touches are entered in bulk: per t-1 attributes,
+    the masks of every attribute that completes them to such a subset are
+    ORed together and written once under each of their value tuples; then
+    the tuples a piece excludes are cleared (`_clear`).  `_entries` holds
+    one (attributes, None) per such subset, or (None, listed) for the
+    requirements entered one by one (`_enter`), in requirement order."""
 
     def __init__(self, space: ModelSpace, t: int, tests=()):
         self._model = model = space.model
@@ -109,36 +119,60 @@ class Residual:
         self.illegal = [i for i, ok in enumerate(_flags(legal, len(tests))) if not ok]
         sets = {a: [rows & legal for rows in column] for a, column in sets.items()}
         self.total = len(directives)
+        whole: dict[tuple, int] = {}  # per t-1 attributes, the fields completing them
+        share: Counter = Counter()  # per attribute, its whole subsets' tuples per value
+        cut = []  # the whole subsets a piece cuts, with their excluders
         for attrs, (count, excluders) in zip(subsets, _feasibility(space, subsets)):
             self.total += count
             rows = _held(sets, attrs)
             covered = len(rows) - rows.count(0)
             if covered == count:
                 continue
-            if not covered and not excluders:
-                self._enter_whole(attrs)
+            if not covered:  # whole: its excluded tuples are cleared below
+                size = math.prod(map(len, map(labels.__getitem__, attrs)))
+                for rest, a in zip(itertools.combinations(attrs, t - 1), reversed(attrs)):
+                    whole[rest] = whole.get(rest, 0) | self._mask[a]
+                    share[a] += size // len(labels[a])
+                self._entries.append((attrs, None))
+                self._count += size
+                if excluders:
+                    cut.append((attrs, excluders))
                 continue
             values = itertools.product(*map(labels.__getitem__, attrs))
-            if covered:
-                values = itertools.compress(values, map(operator.not_, rows))
+            values = itertools.compress(values, map(operator.not_, rows))
             if excluders:
-                values = (v for v in values if _admits(excluders, v))
+                values = filter(_admits(excluders), values)
             self._enter(list(map(tuple, map(zip, itertools.repeat(attrs), values))))
+        index = self._index
+        for rest, mask in whole.items():
+            for key in _value_tuples(model, rest):
+                index[key] = index.get(key, 0) | mask
+        self._live.update({(a, v): n for a, n in share.items() for v in labels[a]})
+        self._clear(cut)
         self._enter([r for r in directives if not sets or not functools.reduce(
             operator.and_, (sets[a][model.resolve(a, v)[1]] for a, v in r))])
 
-    def _enter_whole(self, attrs) -> None:
-        """Enter every value tuple of a subset: per attribute, its whole
-        field mask under each key over the others."""
-        index, size = self._index, math.prod(len(self._labels[a]) for a in attrs)
-        for i, a in enumerate(attrs):
-            mask = self._mask[a]
-            for key in _value_tuples(self._model, attrs[:i] + attrs[i + 1:]):
-                index[key] = index.get(key, 0) | mask
-            for v in self._labels[a]:
-                self._live[a, v] += size // len(self._labels[a])
-        self._entries.append((attrs, None))
-        self._count += size
+    def _clear(self, cut) -> None:
+        """Take out, once each, the value tuples of subsets entered whole
+        that a piece excludes: their field under each of their keys.  `cut`
+        holds (attributes, excluders) pairs as `_feasibility` yields them."""
+        cleared = set()
+        for attrs, excluders in cut:
+            pairs = [[(a, v) for v in self._labels[a]] for a in attrs]
+            for at, values in excluders:
+                if len(at) == 1:  # a one-attribute piece's tuples are bare labels
+                    values = zip(values)
+                for value in values:
+                    bound = pairs.copy()  # per attribute, the bindings it may take
+                    for i, v in zip(at, value):
+                        bound[i] = ((attrs[i], v),)
+                    cleared.update(itertools.product(*bound))
+        index, offset = self._index, self._offset
+        for r in cleared:
+            for key, binding in zip(itertools.combinations(r, len(r) - 1), reversed(r)):
+                index[key] ^= 1 << offset[binding]
+        self._live.subtract(itertools.chain.from_iterable(cleared))
+        self._count -= len(cleared)
 
     def _enter(self, listed) -> None:
         """Enter requirements one by one, in order."""
@@ -306,8 +340,7 @@ def generate_requirements(model: Model, t: int) -> list[tuple[tuple[str, str], .
 
 def _value_tuples(model: Model, attrs):
     """Every value tuple over `attrs`, as bindings, in value-index order."""
-    return map(tuple, map(zip, itertools.repeat(attrs), itertools.product(
-        *(model.attribute(a).labels for a in attrs))))
+    return itertools.product(*([(a, v) for v in model.attribute(a).labels] for a in attrs))
 
 
 def _directives(model: Model, t: int) -> list[tuple[tuple[str, str], ...]]:
@@ -341,15 +374,16 @@ def filter_feasible(reqs, space: ModelSpace) -> RequirementList:
     infeasible = set()
     for group, (_, excluders) in zip(groups.values(), _feasibility(space, groups)):
         if excluders:
-            infeasible.update(b for b in group
-                              if not _admits(excluders, tuple(map(itemgetter(1), b))))
+            admits = _admits(excluders)
+            infeasible.update(b for b in group if not admits(tuple(map(itemgetter(1), b))))
     return RequirementList(reqs, [r for r in reqs if r not in infeasible])
 
 
 def _feasibility(space: ModelSpace, subsets):
     """Per attribute subset (names in declaration order), how many of its
     value tuples some legal test holds, and the pieces (`ModelSpace.pieces`)
-    that exclude one, as (getter, excluded) pairs for `_admits`.  Each
+    that exclude one, as (positions in the subset, excluded value tuples)
+    pairs; a one-attribute piece's excluded tuples are bare labels.  Each
     distinct piece is projected and counted once, and its value tuples are
     decided once, as the rows of one `select` on its projection, only when
     its count shows it excludes one; `subsets` is read twice."""
@@ -374,7 +408,7 @@ def _feasibility(space: ModelSpace, subsets):
         decided[piece] = count, excluded
     for attrs, pieces in zip(subsets, split):
         yield (math.prod(decided[p][0] for p in pieces),
-               [(itemgetter(*map(attrs.index, p)), decided[p][1])
+               [(tuple(map(attrs.index, p)), decided[p][1])
                 for p in pieces if decided[p][1]])
 
 
@@ -390,9 +424,11 @@ def _held(sets, attrs) -> list[int]:
     return rows
 
 
-def _admits(excluders, values) -> bool:
-    """Whether a subset's value tuple is feasible: no piece excludes it."""
-    return not any(get(values) in excluded for get, excluded in excluders)
+def _admits(excluders):
+    """Whether a subset's value tuple is feasible, as a predicate: no piece
+    of `excluders` (as `_feasibility` yields them) excludes it."""
+    getters = [(itemgetter(*at), excluded) for at, excluded in excluders]
+    return lambda values: not any(get(values) in excluded for get, excluded in getters)
 
 
 def _subset_counts(space: ModelSpace, t: int) -> list[int]:
