@@ -11,6 +11,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ FORMATS = ("csv", "json")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if "format" in args and args.format is None:
         env = os.environ.get("CTDKIT_FORMAT", "csv")
@@ -42,6 +43,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parsing leaves it as
+    it was (an `append` option copies its default before appending)."""
+    return build_parser()
 
 
 def build_parser() -> argparse.ArgumentParser:
