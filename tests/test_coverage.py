@@ -3,6 +3,7 @@
 import itertools
 import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -532,6 +533,57 @@ def test_residual_equals_brute_force(case, data):
         label = data.draw(st.sampled_from(model.attribute(attr).labels))
         total = residual.extend(total, row, (attr, label))
         row[attr] = label
+
+
+def _check_packed(model, t, feasible):
+    """A `Residual` built without tests holds what a reference holds that
+    enters each of `feasible` on its own through `_enter`: the same
+    non-zero keys and live counts, none below zero, length and order."""
+    residual = Residual(ModelSpace(model), t)
+    reference = residual.copy()
+    reference._index, reference._live, reference._entries, reference._count = (
+        {}, Counter(), [], 0)
+    for r in feasible:
+        reference._enter([r])
+    assert ({k: v for k, v in residual._index.items() if v}
+            == {k: v for k, v in reference._index.items() if v})
+    assert +residual._live == +reference._live
+    assert min(residual._live.values(), default=0) >= 0
+    assert len(residual) == len(reference) == len(feasible)
+    assert list(residual) == list(reference) == feasible
+
+
+@settings(max_examples=200, deadline=None)
+@given(_credit_models())
+def test_packed_layout_equals_one_by_one(case):
+    model, t = case
+    legal, feasible = _brute_force(model, t)
+    assume(legal)
+    _check_packed(model, t, feasible)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_packed_layout_clears_a_dead_value(xyz_drop_a, t):
+    """`X != a` makes X one piece whose excluded tuples are bare labels."""
+    _check_packed(xyz_drop_a, t, _brute_force(xyz_drop_a, t)[1])
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_residual_without_tests_lists_only_directives(monkeypatch, t):
+    """Without tests every t-subset enters whole, even one a piece cuts:
+    `_enter` gets the directives that are not t wide, never a t-way
+    requirement."""
+    document = oracles.chain_document(12, 4)
+    document["directives"] = [[{"attr": "A1", "value": "v1"}],
+                              [{"attr": f"A{i}", "value": "v0"} for i in range(4)]]
+    space = ModelSpace(parse_model(document))
+    entered, enter = [], Residual._enter
+    monkeypatch.setattr(Residual, "_enter", lambda self, listed: (
+        entered.extend(listed), enter(self, listed)))
+    residual = Residual(space, t)
+    assert entered == [(("A1", "v1"),), tuple((f"A{i}", "v0") for i in range(4))]
+    assert list(residual) == oracles.feasible_requirements_by_search(space.model, t)
+    assert len(residual) == residual.total == feasible_count(space, t)
 
 
 @settings(max_examples=100, deadline=None)
