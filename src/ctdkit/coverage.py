@@ -38,9 +38,9 @@ tuples their pieces exclude (read from `_feasibility`'s excluded sets) are
 then cleared one by one.  A subset that tests cover in part enters its
 value tuples less the covered ones and those a piece excludes, and each
 feasible directive that is not t wide and not covered enters on its own.
-Without tests no row set is built and no t-way requirement is listed.  Coverage credit is granted
-only by tests inside the legal space; imported tests that violate it are
-listed (`Residual.illegal`) and ignored.
+Without tests no row set is built and no t-way requirement is listed.
+Coverage credit is granted only by tests inside the legal space; imported
+tests that violate it are listed (`Residual.illegal`) and ignored.
 """
 
 from __future__ import annotations
