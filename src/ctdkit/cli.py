@@ -28,7 +28,7 @@ FORMATS = ("csv", "json")
 
 
 def main(argv=None) -> int:
-    parser = _parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     if "format" in args and args.format is None:
         env = os.environ.get("CTDKIT_FORMAT", "csv")
@@ -46,13 +46,10 @@ def main(argv=None) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use: parsing leaves it as
-    it was (an `append` option copies its default before appending)."""
-    return build_parser()
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process, on first use: parsing
+    leaves it as it was (an `append` option copies its default before
+    appending)."""
     parser = argparse.ArgumentParser(
         prog="ctdkit",
         description="Combinatorial test design: model validation, counting, "

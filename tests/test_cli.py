@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 import oracles
-from ctdkit import (Model, ModelSpace, augment_plan, cli, constraints, generate_plan,
+from ctdkit import (Model, ModelSpace, augment_plan, constraints, generate_plan,
                     load_model, read_plan_csv, row_hash)
 from ctdkit.cli import build_parser, main
 from ctdkit.plans import plan_csv_text
@@ -853,7 +853,7 @@ def test_instantiate_rejects_an_unreadable_free_bound(capsys, free, message):
 # ----------------------------------------------------------------------
 # global behavior
 
-def test_one_parser_serves_every_call(capsys, monkeypatch):
+def test_one_parser_serves_every_call(capsys):
     """`main` builds its parser once per process, and an `append` option
     given in one call leaves nothing for the next that omits it."""
     plan = f"{M}/api8x2_plan7.csv"
@@ -863,13 +863,11 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
              ["instantiate", f"{M}/api8x2.json", plan, "--seed", "1"]]
     fresh = []
     for argv in calls:
-        cli._parser.cache_clear()
+        build_parser.cache_clear()
         fresh.append(run(capsys, *argv))
-    built = []
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
-    cli._parser.cache_clear()
+    build_parser.cache_clear()
     assert [run(capsys, *argv) for argv in calls] == fresh
-    assert built == [1]
+    assert build_parser.cache_info().misses == 1
     assert fresh[1][1].count("\n") == 16 and fresh[3][1].count("\n") == 8
     assert fresh[2][1].splitlines()[0].endswith(",n")
     assert not fresh[3][1].splitlines()[0].endswith(",n")
