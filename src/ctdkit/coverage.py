@@ -27,7 +27,7 @@ which tests hold each value tuple from the ANDs of those row sets.
 
 A `Residual` is the one set of feasible requirements still uncovered:
 plan generation, coverage analysis and cycle augmentation each build one,
-and the greedy (`generator.grow_tests`) scores its candidates from it and
+and the greedy (`generator.grow_tests`) picks its values from it and
 takes out what its rows cover.  It is built per t-subset.  A legal test
 holds only feasible value tuples, so a subset's covered tuples are those
 whose AND of row sets is not zero, and when they are as many as its
@@ -54,6 +54,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
+from .bdd import Function
 from .errors import CtdError
 from .model import Model, ModelSpace
 
@@ -78,13 +79,19 @@ class Residual:
     ORed together and written once under each of their value tuples; then
     the tuples a piece excludes are cleared (`_clear`).  `_entries` holds
     one (attributes, None) per such subset, or (None, listed) for the
-    requirements entered one by one (`_enter`), in requirement order."""
+    requirements entered one by one (`_enter`), in requirement order.
+
+    The greedy picks each value from it (`pick`): `_splits` keeps each
+    split of a running function over an attribute, its viable values only,
+    for the residual's whole life, and `copy` shares it, as it shares every
+    map but the two that `cover` changes."""
 
     def __init__(self, space: ModelSpace, t: int, tests=()):
         self._model = model = space.model
         tests = list(tests)
         for test in tests:
             model.check_assignment(test)
+        self._space = space
         self._names = names = model.attribute_names
         self._position = {a: i for i, a in enumerate(names)}
         self._labels = labels = {a.name: a.labels for a in model.attributes}
@@ -110,6 +117,7 @@ class Residual:
         self._mask = {a: sum(1 << self._offset[a, v] for v in labels[a]) for a in names}
         self._index: dict[tuple, int] = {}
         self._live: Counter = Counter()
+        self._splits = {}  # (root, attribute) -> its viable values; copies share it
         self._entries = []  # (attributes, None) whole, or (None, listed)
         self._count = 0  # requirements entered and not covered since
         # per attribute, per value index, the legal tests holding it; none
@@ -151,6 +159,9 @@ class Residual:
         self._clear(cut)
         self._enter([r for r in directives if not sets or not functools.reduce(
             operator.and_, (sets[a][model.resolve(a, v)[1]] for a, v in r))])
+        # `pick` packs a value's live count, at most `total`, below its
+        # completed count
+        self._shift = self.total.bit_length()
 
     def _clear(self, cut) -> None:
         """Take out, once each, the value tuples of subsets entered whole
@@ -219,7 +230,18 @@ class Residual:
     def _row(self, test):
         """A test's bindings in declaration order, and their field mask."""
         row = [(a, test[a]) for a in self._names if a in test]
-        return row, sum(1 << self._offset[b] for b in row)
+        return row, sum(map(self._bit.__getitem__, row))
+
+    @functools.cached_property
+    def _bit(self) -> dict:
+        """Per binding, the low bit of its field; made on first use, so a
+        residual that covers nothing never builds it."""
+        return {b: 1 << offset for b, offset in self._offset.items()}
+
+    @functools.cached_property
+    def _after(self) -> dict:
+        """Per binding, the mask of every field after its own."""
+        return {b: -(2 << offset) for b, offset in self._offset.items()}
 
     def start(self) -> int:
         """The running total of a row that binds nothing: the entry under
@@ -251,13 +273,38 @@ class Residual:
             total += sum(map(get, _sparse_within(value, sparse), itertools.repeat(0)))
         return total
 
-    def scores(self, total: int, attribute) -> list[tuple[int, int]]:
-        """Per value of `attribute`, in value-index order: how many
-        uncovered requirements binding it would complete with the row whose
-        running total (`start`, `extend`) is `total`, and how many hold it.
-        `attribute` is one the row leaves unbound."""
-        return [(total >> self._offset[attribute, v] & self._ones, self._live[attribute, v])
-                for v in self._labels[attribute]]
+    def pick(self, total: int, fn: Function, attribute, rng=None) -> tuple[str, Function]:
+        """The value of `attribute` that the greedy binds next, with `fn`,
+        the row's running function, cofactored on it.  Of the viable values
+        (those leaving `fn` non-false), the ones that complete the most
+        uncovered requirements with the row whose running total (`start`,
+        `extend`) is `total` tie, and of those the ones the most uncovered
+        requirements hold; the first in value order wins, or `rng`'s choice
+        among them.  `attribute` is one the row leaves unbound.
+
+        A value's two counts are one key, completed << `_shift` | live, so
+        one `max` ranks them.  Splitting `fn` over `attribute` is made once
+        per residual and its copies (`_split`)."""
+        viable = self._splits.get((fn.root, attribute)) or self._split(fn, attribute)
+        ones, shift, live = self._ones, self._shift, self._live
+        keys = [(total >> offset & ones) << shift | live[binding]
+                for offset, binding, _ in viable]
+        if rng is None:
+            return viable[keys.index(max(keys))][2]
+        top = max(keys)
+        return rng.choice([c for key, (_, _, c) in zip(keys, viable) if key == top])
+
+    def _split(self, fn: Function, attribute):
+        """`fn` split over `attribute` (`ModelSpace.value_cofactors`), kept
+        for the residual's whole life: its viable values in value order,
+        each as (field offset, binding, (label, cofactor))."""
+        offset = self._offset
+        viable = self._splits[fn.root, attribute] = [
+            (offset[attribute, label], (attribute, label), (label, cofactor))
+            for label, cofactor in zip(self._labels[attribute],
+                                       self._space.value_cofactors(fn, attribute))
+            if not cofactor.is_false]
+        return viable
 
     def cover(self, test) -> dict[tuple, int]:
         """Take out what `test` holds.  A test may bind its attributes in any
@@ -265,19 +312,21 @@ class Residual:
         the requirements it covered first, as {key: bits}, each once: under
         the key that lacks its last binding."""
         row, mask = self._row(test)
-        index, done, covered = self._index, {}, 0
+        index, after, done, covered = self._index, self._after, {}, 0
+        get = index.get
         for key in self._keys_within(row):
-            bits = index.get(key, 0) & mask
+            bits = get(key, 0) & mask
             if bits:
                 index[key] ^= bits
                 covered += bits
                 # the fields after the key's last binding: requirements it begins
-                last = bits & -(2 << self._offset[key[-1]]) if key else bits
+                last = bits & after[key[-1]] if key else bits
                 if last:
                     done[key] = last
         # a requirement covered sets the field of each of its bindings once
+        live, offset, ones = self._live, self._offset, self._ones
         for b in row:
-            self._live[b] -= covered >> self._offset[b] & self._ones
+            live[b] -= covered >> offset[b] & ones
         self._count -= sum(map(int.bit_count, done.values()))
         return done
 

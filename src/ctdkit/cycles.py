@@ -4,7 +4,9 @@
 (`coverage.Residual`): the feasible requirements that the passed tests
 leave uncovered.  Each cycle of `run_cycles` asks the greedy generator for
 at most n new tests covering a copy of the residual, then takes from the
-residual what the tests that pass cover (`Residual.cover`).  Iterating
+residual what the tests that pass cover (`Residual.cover`).  The copies
+share the residual's splits of the running functions, so a run splits each
+(function, attribute) once, not once per cycle.  Iterating
 until full coverage (or until cycles run out) yields a monotonically
 nondecreasing coverage history.  Failed tests earn no credit; they may be
 regenerated in a later cycle.

@@ -7,24 +7,26 @@ a time in declaration order.  A candidate value is viable iff cofactoring
 the running function on it leaves it non-false, i.e. some legal test
 extends the partial assignment.  Splitting the running function over an
 attribute takes one cube cofactor per value (`ModelSpace.value_cofactors`),
-and one greedy call makes each split once: rows that reach the same running
-function reuse it.  When the blocks follow declaration order, the
-attribute's block is at the top of the running function, so each cube is
-followed along edges and builds no nodes; under a permuted block order
+and the residual keeps each split, its viable values only, for its whole
+life: rows that reach the same running function, and the cycles of
+`cycles.run_cycles`, reuse it.  When the blocks follow declaration order,
+the attribute's block is at the top of the running function, so each cube
+is followed along edges and builds no nodes; under a permuted block order
 (`model.build_encoding`) a block below the top is cofactored, which builds
 the values' cofactors but binds the same values, so plans do not depend on
-the order.  Among viable values, the one completing the most
-uncovered requirements wins.  Each row keeps a running total, the sum of
-the residual's packed entries under every key inside the row; a binding
-adds only the keys it completes (`Residual.extend`), and a value's score is
-its field of the total (`Residual.scores`).  Ties go to the value held by
-the most uncovered requirements (AETG's value-selection rule), then to the
-lowest value index, or, given a tie seed, to a seeded random choice among
-the values tied on both.  Each emitted row takes what it covers out of the
-residual (`Residual.cover`).  Every emitted test is legal by construction
-and covers at least one new requirement, so the loop covers the whole
-residual unless a budget cuts it short.  A last pass drops the rows whose
-requirements the others hold (`Residual.prune`).
+the order.  Among viable values, the one completing the most uncovered
+requirements wins.  Each row keeps a running total, the sum of the
+residual's packed entries under every key inside the row; a binding adds
+only the keys it completes (`Residual.extend`), and a value's score is its
+field of the total.  Ties go to the value held by the most uncovered
+requirements (AETG's value-selection rule), then to the lowest value index,
+or, given a tie seed, to a seeded random choice among the values tied on
+both; `Residual.pick` ranks a value on both counts with one packed key.
+Each emitted row takes what it covers out of the residual
+(`Residual.cover`).  Every emitted test is legal by construction and covers
+at least one new requirement, so the loop covers the whole residual unless
+a budget cuts it short.  A last pass drops the rows whose requirements the
+others hold (`Residual.prune`).
 """
 
 from __future__ import annotations
@@ -58,13 +60,12 @@ def grow_tests(space: ModelSpace, residual: Residual, budget: int | None,
 
     Each row is one dict, `partial`, and its scores come from its running
     total: the seed's bindings start both, one at a time, and each value
-    chosen extends the total by the keys it completes, then joins the row.
-    The engine splits each (running function, attribute) once per call;
-    the splits are kept until the call returns."""
+    chosen (`Residual.pick`) extends the total by the keys it completes,
+    then joins the row.  The engine splits each (running function,
+    attribute) once per `residual` and its copies, which keep the splits."""
     if budget is not None and budget < 1:
         raise CtdError(f"budget must be >= 1, got {budget}")
     attributes = space.model.attributes
-    split = {}  # (root, attribute) -> its value cofactors, for this call
     rows = []  # (test, the requirements it covered first)
     # each row covers its seed, so the iteration reads the next uncovered one
     for first in residual:
@@ -78,21 +79,7 @@ def grow_tests(space: ModelSpace, residual: Residual, budget: int | None,
         for attr in attributes:
             if attr.name in partial:
                 continue
-            if (fn.root, attr.name) not in split:
-                split[fn.root, attr.name] = space.value_cofactors(fn, attr.name)
-            best = []  # tied (label, cofactor) candidates at best_key
-            best_key = (-1, -1)
-            # ties go to the binding more uncovered requirements hold
-            for label, key, candidate in zip(
-                    attr.labels, residual.scores(total, attr.name),
-                    split[fn.root, attr.name]):
-                if candidate.is_false:
-                    continue
-                if key > best_key:
-                    best, best_key = [(label, candidate)], key
-                elif key == best_key:
-                    best.append((label, candidate))
-            label, fn = best[0] if rng is None else rng.choice(best)
+            label, fn = residual.pick(total, fn, attr.name, rng)
             total = residual.extend(total, partial, (attr.name, label))
             partial[attr.name] = label
         rows.append((partial, residual.cover(partial)))

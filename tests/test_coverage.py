@@ -516,23 +516,95 @@ def test_residual_equals_brute_force(case, data):
         kept.cover(test)
     _check_residual(residual, left)
     # a row's running total, built one binding at a time in any order,
-    # scores each value of every attribute the row leaves unbound: the
-    # requirements it would complete with the row, and those it holds
+    # picks each attribute the row leaves unbound from its viable values:
+    # of those, the ones completing the most uncovered requirements with
+    # the row tie, then the ones the most uncovered requirements hold, in
+    # value order
     names = model.attribute_names
     row, total = {}, residual.start()  # row: its bindings in draw order
     for attr in data.draw(st.permutations(names)):
+        fn = space.cofactor(space.legal, row.items())
         for other in names:
             if other in row:
                 continue
-            expected = []
-            for label in model.attribute(other).labels:
+            scored = []  # per viable value: ((completed, live), label)
+            for label in _viable(model, legal, row, other):
                 holding = [r for r in left if (other, label) in r]
                 assignment = dict(row, **{other: label})
-                expected.append((len(_held(holding, [assignment])), len(holding)))
-            assert residual.scores(total, other) == expected
-        label = data.draw(st.sampled_from(model.attribute(attr).labels))
+                scored.append(((len(_held(holding, [assignment])), len(holding)), label))
+            top = max(key for key, _ in scored)
+            rng = _Choices()
+            assert residual.pick(total, fn, other, rng) == rng.seen[-1]
+            assert [label for label, _ in rng.seen] == [v for key, v in scored if key == top]
+            for label, cofactor in rng.seen:
+                assert cofactor == space.cofactor(fn, [(other, label)])
+            assert residual.pick(total, fn, other) == rng.seen[0]
+        label = data.draw(st.sampled_from(_viable(model, legal, row, attr)))
         total = residual.extend(total, row, (attr, label))
         row[attr] = label
+
+
+def _viable(model, legal, row, attr):
+    """The labels of `attr`, in value order, that some legal test holds
+    together with `row`."""
+    return [label for label in model.attribute(attr).labels
+            if _held([tuple(dict(row, **{attr: label}).items())], legal)]
+
+
+class _Choices:
+    """A tie-breaking rng that records the candidates it is offered and
+    takes the last."""
+
+    def choice(self, candidates):
+        self.seen = candidates
+        return candidates[-1]
+
+
+def _picked(residual, space, row, attr, rng=None):
+    """The label `Residual.pick` binds to `attr` next to `row`."""
+    total, bound = residual.start(), {}
+    for binding in row.items():
+        total = residual.extend(total, bound, binding)
+        bound[binding[0]] = binding[1]
+    label, _ = residual.pick(total, space.cofactor(space.legal, row.items()), attr, rng)
+    return label
+
+
+def test_pick_ranks_completed_above_live():
+    # B=b1 is held by three uncovered pairs and B=b0 by one, but only b0
+    # completes one with A=a0: completed outranks live in the packed key
+    model = Model(tuple(Attribute(n, tuple(Value(f"{n.lower()}{j}") for j in range(2)))
+                        for n in "ABC"), (), ())
+    space = ModelSpace(model)
+    residual = Residual(space, 2)
+    for test in ({"A": "a0", "B": "b1"}, {"B": "b0", "C": "c0"}, {"B": "b0", "C": "c1"},
+                 {"A": "a1", "B": "b0"}):
+        residual.cover(test)
+    assert [sum(("B", b) in r for r in residual) for b in ("b0", "b1")] == [1, 3]
+    assert _picked(residual, space, {"A": "a0"}, "B") == "b0"
+    rng = _Choices()
+    assert _picked(residual, space, {"A": "a0"}, "B", rng) == "b0"
+    assert [label for label, _ in rng.seen] == ["b0"]
+
+
+def test_pick_reads_the_empty_key_and_directives_at_t1():
+    # at t=1 every value is completed under the key (); the directive
+    # A=a1, B=b0 is held by a1 and b0 and completes only with both bound
+    model = Model((Attribute("A", (Value("a0"), Value("a1"), Value("a2"))),
+                   Attribute("B", (Value("b0"), Value("b1")))),
+                  (), ((("A", "a1"), ("B", "b0")),))
+    space = ModelSpace(model)
+    residual = Residual(space, 1)
+    rng = _Choices()
+    assert _picked(residual, space, {}, "A", rng) == "a1"  # a1's live count is 2
+    assert [label for label, _ in rng.seen] == ["a1"]
+    residual.cover({"A": "a1", "B": "b1"})
+    rng = _Choices()
+    assert _picked(residual, space, {}, "A", rng) == "a2"
+    assert [label for label, _ in rng.seen] == ["a0", "a2"]
+    assert _picked(residual, space, {}, "A") == "a0"
+    # b0 completes B=b0 and the directive, b1 nothing
+    assert _picked(residual, space, {"A": "a1"}, "B") == "b0"
 
 
 def _check_packed(model, t, feasible):

@@ -12,9 +12,13 @@ from ctdkit import (
     augment_plan,
     coverage_of,
     generate_plan,
+    parse_model,
     read_plan_csv,
     run_cycles,
 )
+from ctdkit.coverage import Residual
+from ctdkit.cycles import CycleRecord
+from ctdkit.generator import grow_tests
 
 
 def test_augmenting_a_complete_plan_emits_nothing(api8x2_space):
@@ -131,6 +135,43 @@ def test_cycles_alternating_verdicts_make_progress(api8x2_space):
     calls[0] = 0
     state = run_cycles(api8x2_space, 2, 3, alternate, max_cycles=200)
     assert state.history[-1].percent == 100.0
+
+
+def test_cycles_split_once_and_match_fresh_residuals(monkeypatch):
+    # one run splits each (root, attribute) once across all its cycles, and
+    # each cycle's tests are those a residual built afresh and covered by
+    # the tests passed so far gives
+    space = ModelSpace(parse_model(oracles.chain_document(8, 3)))
+    splits, value_cofactors = [], ModelSpace.value_cofactors
+
+    def spy(self, fn, attr):
+        splits.append((fn.root, attr))
+        return value_cofactors(self, fn, attr)
+
+    def every_third_fails(calls):
+        return lambda test: calls.append(test) or len(calls) % 3 != 0
+
+    monkeypatch.setattr(ModelSpace, "value_cofactors", spy)
+    calls = []
+    state = run_cycles(space, 2, 3, every_third_fails(calls), max_cycles=50)
+    assert splits and len(splits) == len(set(splits))
+    verdict, passed, history, emitted = every_third_fails([]), [], [], []
+    while len(history) < 50:
+        fresh = Residual(space, 2)
+        for test in passed:
+            fresh.cover(test)
+        if not fresh:
+            break
+        tests = grow_tests(space, fresh.copy(), 3)
+        emitted.extend(tests)
+        for test in filter(verdict, tests):
+            passed.append(test)
+            fresh.cover(test)
+        history.append(CycleRecord(len(tests), fresh.total - len(fresh), fresh.total))
+    assert len(history) > 3 and len(passed) < len(emitted)
+    assert calls == emitted
+    assert state.passed == passed and state.history == history
+    assert state.residual == []
 
 
 def test_cycles_never_duplicate_credited_tests(api8x2_space):
