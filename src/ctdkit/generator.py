@@ -1,32 +1,34 @@
 """Greedy construction of near-minimal covering test plans.
 
-One test per iteration (AETG-style): seed with the first requirement of
-the residual (`coverage.Residual`) still uncovered, start from the legal
-space cofactored on its values, then bind the remaining attributes one at
-a time in declaration order.  A candidate value is viable iff cofactoring
-the running function on it leaves it non-false, i.e. some legal test
-extends the partial assignment.  Splitting the running function over an
-attribute takes one cube cofactor per value (`ModelSpace.value_cofactors`),
-and the residual keeps each split, its viable values only, for its whole
-life: rows that reach the same running function, and the cycles of
-`cycles.run_cycles`, reuse it.  When the blocks follow declaration order,
-the attribute's block is at the top of the running function, so each cube
-is followed along edges and builds no nodes; under a permuted block order
-(`model.build_encoding`) a block below the top is cofactored, which builds
-the values' cofactors but binds the same values, so plans do not depend on
-the order.  Among viable values, the one completing the most uncovered
-requirements wins.  Each row keeps a running total, the sum of the
-residual's packed entries under every key inside the row; a binding adds
-only the keys it completes (`Residual.extend`), and a value's score is its
-field of the total.  Ties go to the value held by the most uncovered
-requirements (AETG's value-selection rule), then to the lowest value index,
-or, given a tie seed, to a seeded random choice among the values tied on
-both; `Residual.pick` ranks a value on both counts with one packed key.
-Each emitted row takes what it covers out of the residual
-(`Residual.cover`).  Every emitted test is legal by construction and covers
-at least one new requirement, so the loop covers the whole residual unless
-a budget cuts it short.  A last pass drops the rows whose requirements the
-others hold (`Residual.prune`).
+One test per iteration (AETG-style): seed with the first requirement of the
+residual (`coverage.Residual`) still uncovered, start from the legal
+space's factors (`ModelSpace.factors`), those the seed touches cofactored
+on its values, then bind the remaining attributes one at a time in
+declaration order.  The factors have disjoint supports and each is
+satisfiable, so a candidate value is viable iff cofactoring its component's
+running function on it leaves it non-false, i.e. some legal test extends
+the partial assignment.  Splitting a running function over an attribute
+takes one cube cofactor per value (`ModelSpace.value_cofactors`), and the
+residual keeps each split, its viable values only, for its whole life: rows
+that reach the same running function, and the cycles of
+`cycles.run_cycles`, reuse it.  When a component's blocks follow
+declaration order, the attribute's block is at the top of its function, so
+each cube is followed along edges and builds no nodes; a seed or a block
+below the top (`model.build_encoding` may permute the blocks) builds
+cofactors of that component alone and binds the same values.  Among viable
+values, the one completing the most uncovered requirements wins.  Each row
+keeps a running total, the sum of the residual's packed entries under every
+key inside the row; a binding adds only the keys it completes
+(`Residual.extend`), and a value's score is its field of the total.  Ties
+go to the value held by the most uncovered requirements (AETG's
+value-selection rule), then to the lowest value index, or, given a tie
+seed, to a seeded random choice among the values tied on both;
+`Residual.pick` ranks a value on both counts with one packed key.  Each
+emitted row takes what it covers out of the residual (`Residual.cover`).
+Every emitted test is legal by construction and covers at least one new
+requirement, so the loop covers the whole residual unless a budget cuts it
+short.  A last pass drops the rows whose requirements the others hold
+(`Residual.prune`).
 """
 
 from __future__ import annotations
@@ -61,17 +63,21 @@ def grow_tests(space: ModelSpace, residual: Residual, budget: int | None,
     Each row is one dict, `partial`, and its scores come from its running
     total: the seed's bindings start both, one at a time, and each value
     chosen (`Residual.pick`) extends the total by the keys it completes,
-    then joins the row.  The engine splits each (running function,
-    attribute) once per `residual` and its copies, which keep the splits."""
+    then joins the row.  Its running functions, `fns`, hold each
+    component's factor cofactored on the row's bindings; a factor ignores
+    those outside its component.  The engine splits each (running
+    function, attribute) once per `residual` and its copies."""
     if budget is not None and budget < 1:
         raise CtdError(f"budget must be >= 1, got {budget}")
-    attributes = space.model.attributes
+    attributes, component = space.model.attributes, space.component_of
     rows = []  # (test, the requirements it covered first)
     # each row covers its seed, so the iteration reads the next uncovered one
     for first in residual:
         if budget is not None and len(rows) == budget:
             break
-        fn = space.cofactor(space.legal, first)
+        fns = dict(space.factors)
+        for c in {component[attribute] for attribute, _ in first}:
+            fns[c] = space.cofactor(fns[c], first)
         partial, total = {}, residual.start()
         for attribute, label in first:
             total = residual.extend(total, partial, (attribute, label))
@@ -79,7 +85,8 @@ def grow_tests(space: ModelSpace, residual: Residual, budget: int | None,
         for attr in attributes:
             if attr.name in partial:
                 continue
-            label, fn = residual.pick(total, fn, attr.name, rng)
+            c = component[attr.name]
+            label, fns[c] = residual.pick(total, fns[c], attr.name, rng)
             total = residual.extend(total, partial, (attr.name, label))
             partial[attr.name] = label
         rows.append((partial, residual.cover(partial)))

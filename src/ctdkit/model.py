@@ -17,9 +17,10 @@ where validity holds each block to a code below its domain size (a
 value's code is its index).  Tuple counts over the legal space therefore
 equal counts of legal tests.  Every attribute predicate (validity, `=`,
 `!=`, `IN`, a `project` binding) is `Encoding.value_set`, one truth table
-over its block (`BDD.table`).  The product is built bottom-up: of the
-validity blocks with unused codes and the constraints, the function whose
-root variable is deepest is conjoined first.
+over its block (`BDD.table`).  The space is built as one factor per
+constraint component, bottom-up: of the validity blocks with unused codes
+and the constraints in it, the function whose root variable is deepest is
+conjoined first.  `legal`, the AND of the factors, is built when read.
 
 Model document (JSON):
 
@@ -385,7 +386,8 @@ def validate_model(model: Model) -> ValidationReport:
                 f"constraint {i + 1} eliminates nothing: "
                 f"{model.constraints[i]!r}")
         for j, directive in enumerate(model.directives):
-            if space.cofactor(space.legal, directive).is_false:
+            if any(space.cofactor(fn, directive).is_false
+                   for fn in space.factors.values()):
                 report.warnings.append(
                     f"directive {j + 1} can never be covered: no legal test "
                     f"holds {', '.join(f'{a}={v}' for a, v in directive)}")
@@ -464,7 +466,15 @@ def _checked_space(model: Model
 # the bound symbolic space
 
 class ModelSpace:
-    """A model bound to one BDD manager with its legal space built.
+    """A model bound to one BDD manager with its legal space built as one
+    factor per constraint component.
+
+    `component_of` maps each attribute name to its component, keyed by its
+    least attribute index: attributes are linked when one constraint's BDD
+    depends on both (`(A = a AND B = b) OR (A = a AND B != b)` is `A = a`;
+    B stays apart).  `factors` maps each component to the AND of the
+    conjuncts (validity's blocks and the constraints) in it: disjoint
+    supports, each satisfiable, so `legal` is their AND.
 
     Immutable once constructed; confine it (and any Function derived from
     it) to a single thread of control per the engine's contract.
@@ -475,8 +485,7 @@ class ModelSpace:
         asts = [constraints.typecheck(constraints.parse(source), model)
                 for source in model.constraints]
         self.encoding = build_encoding(model, asts)
-        self.manager = BDD(self.encoding.var_count)
-        true = self.manager.true
+        self.manager = BDD(var_count := self.encoding.var_count)
         # validity's blocks: each block with unused codes holds a code
         # below its domain size
         blocks = [
@@ -486,49 +495,72 @@ class ModelSpace:
         self.constraint_fns = [
             constraints.compile_expr(ast, model, self.encoding, self.manager)
             for ast in asts]
-        # Conjoin validity's blocks and the constraints bottom-up: the one
-        # whose root variable is deepest goes first, ties in list order
-        # (blocks first).  Each step's root is then at or above the running
-        # product's, so the step rebuilds only the band of variables above
-        # it.  _below[k] is the product of the first k scheduled conjuncts.
-        conjuncts = self._conjuncts = blocks + self.constraint_fns
-        self._schedule = sorted(range(len(conjuncts)),
-                                key=lambda i: -conjuncts[i].root_var)
-        below = self._below = [true]
-        for i in self._schedule:
-            below.append(conjuncts[i] & below[-1])
-        legal = below[-1]
-        if legal.is_false:
-            raise InfeasibleModelError("constraints leave no legal test")
-        self.legal = legal
+        owner = [0] * var_count  # variable -> its attribute
+        for ai, block in enumerate(self.encoding.blocks):
+            for var in block:
+                owner[var] = ai
+        # union-find over the constraints' supports, each attribute linked
+        # towards the least attribute of its component
+        component = list(range(len(model.attributes)))
+
+        def find(ai: int) -> int:
+            while component[ai] != ai:
+                component[ai] = ai = component[component[ai]]  # path halving
+            return ai
+
+        for fn in self.constraint_fns:
+            roots = {find(owner[var]) for var in fn.support()}
+            for root in roots:
+                component[root] = min(roots)
+        component = [find(ai) for ai in range(len(component))]
+        self.component_of = {name: component[ai]
+                             for name, ai in model._name_index.items()}
+        # Conjoin each component's conjuncts bottom-up: the one whose root
+        # variable is deepest goes first, ties in list order (blocks first).
+        # Each step's root is then at or above its factor's, so the step
+        # rebuilds only the band of variables above it.  A conjunct lies in
+        # the component of its root variable, a constant in none.
+        conjuncts = [(None, fn) for fn in blocks] + list(enumerate(self.constraint_fns))
+        factors = self.factors = dict.fromkeys(component, self.manager.true)
+        self._schedule = []  # (constraint index, conjunct, component, factor before it)
+        for i, fn in sorted(conjuncts, key=lambda conjunct: -conjunct[1].root_var):
+            if fn.root_var < var_count:
+                c = component[owner[fn.root_var]]
+                self._schedule.append((i, fn, c, factors[c]))
+                fn = factors[c] = fn & factors[c]
+            if fn.is_false:
+                raise InfeasibleModelError("constraints leave no legal test")
+
+    @cached_property
+    def legal(self) -> Function:
+        """The AND of `factors`, built on first read, deepest root first."""
+        factors = sorted(self.factors.values(), key=lambda fn: -fn.root_var)
+        return functools.reduce(operator.and_, factors, self.manager.true)
 
     def redundant_constraints(self) -> list[int]:
         """Indices of the constraints whose removal leaves `legal` unchanged,
         in declaration order.
 
-        Take the conjuncts (validity's blocks and the constraints) in the
-        order `__init__` conjoined them.  For constraint f with root
-        variable r, let below be the product of those scheduled before it
-        (kept from `__init__`) and above that of those scheduled after it.
-        f eliminates nothing iff no test legal without it breaks it: iff
-        `above` does not intersect `~f & below`.  Neither f nor below
-        mentions a variable before r, so `above` may be replaced by its
-        projection onto r and later variables.  One pass from the last
-        scheduled conjunct builds these projections, quantifying each
-        variable away as the pass moves past it, so none spans the whole
-        order; each test walks the two diagrams together and stops at the
-        first common satisfying path, without building their conjunction.
+        The other factors are satisfiable and independent of constraint f's
+        component, so only that component's conjuncts are read, in the order
+        `__init__` conjoined them.  With r the root variable of f, let below
+        be the product of those before f (kept from `__init__`) and above
+        that of those after it: f eliminates nothing iff `above` does not
+        intersect `~f & below`.  Neither f nor below mentions a variable
+        before r, so one pass from the last conjunct builds each above's
+        projection onto r and later variables, quantifying each variable
+        away as it moves past it, and each test stops at the first common
+        satisfying path without building the conjunction.  A constant
+        constraint, true since `__init__` raises on false, eliminates nothing.
         """
-        offset = len(self._conjuncts) - len(self.constraint_fns)
-        redundant = []
-        above = self.manager.true
-        for k in reversed(range(len(self._schedule))):
-            i = self._schedule[k]
-            fn = self._conjuncts[i]
-            above = above.exists(range(fn.root_var))
-            if i >= offset and not above.intersects(~fn & self._below[k]):
-                redundant.append(i - offset)
-            above = fn & above
+        redundant = [i for i, fn in enumerate(self.constraint_fns)
+                     if fn.root_var == self.encoding.var_count]
+        above = dict.fromkeys(self.factors, self.manager.true)
+        for i, fn, c, below in reversed(self._schedule):
+            projected = above[c].exists(range(fn.root_var))
+            if i is not None and not projected.intersects(~fn & below):
+                redundant.append(i)
+            above[c] = fn & projected
         return sorted(redundant)
 
     def cofactor(self, fn: Function, bindings) -> Function:
@@ -572,71 +604,30 @@ class ModelSpace:
         return [[dict(zip(blocks[ai], bits(ai, vi))) for vi in range(attr.size)]
                 for ai, attr in enumerate(self.model.attributes)]
 
-    @cached_property
-    def _partition(self) -> tuple[list[int], dict[int, Function]]:
-        """Per attribute index, the least index of its component, and per
-        component (keyed by that index) its factor: the AND of the
-        conjuncts (validity's blocks and the constraints) whose support
-        lies in it, true where none does.  One pass over the constraints'
-        supports links the attributes of each; a conjunct then lies in the
-        component of its root variable.  The factors are conjoined in
-        `__init__`'s bottom-up order.  Built on first use, not with the
-        space."""
-        owner = [0] * self.encoding.var_count  # variable -> its attribute
-        for ai, block in enumerate(self.encoding.blocks):
-            for var in block:
-                owner[var] = ai
-        component = list(range(len(self.model.attributes)))
-        for fn in self.constraint_fns:
-            merged = {component[owner[v]] for v in fn.support()}
-            component = [min(merged) if c in merged else c for c in component]
-        factors = dict.fromkeys(component, self.manager.true)
-        for i in self._schedule:
-            fn = self._conjuncts[i]
-            if fn.root_var < len(owner):  # a constraint true everywhere lies in none
-                c = component[owner[fn.root_var]]
-                factors[c] = fn & factors[c]
-        return component, factors
-
-    @property
-    def _components(self) -> list[int]:
-        """Per attribute index, the least index of its component: attributes
-        are linked when one constraint's BDD depends on both.  Not syntax:
-        `(A = a AND B = b) OR (A = a AND B != b)` is `A = a`; B stays apart.
-        `legal` is the AND of the components' factors (`_partition`), whose
-        supports are disjoint."""
-        return self._partition[0]
-
-    @cached_property
-    def _component_of(self) -> dict[str, int]:
-        """Per attribute name, its component (see `_components`)."""
-        component = self._components
-        return {name: component[ai] for name, ai in self.model._name_index.items()}
-
     def pieces(self, attrs) -> list[tuple[str, ...]]:
-        """The attributes of `attrs` in each component (see `_components`),
+        """The attributes of `attrs` in each component (`component_of`),
         one tuple per component in the order of its least attribute, each
         in the order `attrs` lists them.  A subset's projection of `legal`
         is the AND of those of its pieces, and each piece is projected from
         its own component's factor (`marginals`)."""
-        key = self._component_of.__getitem__
+        key = self.component_of.__getitem__
         return [tuple(piece) for _, piece in itertools.groupby(sorted(attrs, key=key), key)]
 
     def marginals(self, sets) -> list[Function]:
         """The legal space projected onto the blocks of each attribute
         subset (every other variable quantified away), in order.
 
-        `legal` is the AND of one factor per component, with disjoint
-        supports, each satisfiable, so a set's projection is that of the
-        AND of the factors of the components it touches, the same node
-        (early quantification, Burch, Clarke & Long 1991); `legal` itself
-        is never projected.  The sets that touch the same components go
+        `legal` is the AND of `factors`, with disjoint supports, each
+        satisfiable, so a set's projection is that of the AND of the
+        factors of the components it touches, the same node (early
+        quantification, Burch, Clarke & Long 1991); `legal` itself is never
+        projected.  The sets that touch the same components go
         through one engine call, so they share what they quantify alike.
         `coverage` passes `pieces`, each of which touches one component."""
         sets = list(sets)
         blocks, index = self.encoding.blocks, self.model.index
         kept = [[v for a in attrs for v in blocks[index(a)]] for attrs in sets]
-        component, factors = self._component_of, self._partition[1]
+        component, factors = self.component_of, self.factors
         groups: dict[tuple[int, ...], list[int]] = {}  # components -> set indices
         for i, attrs in enumerate(sets):
             groups.setdefault(tuple(sorted({component[a] for a in attrs})), []).append(i)

@@ -371,6 +371,23 @@ def chain_document(k, v):
     }
 
 
+def linked_document(k, v, d):
+    """Model document of the linked family: k attributes P0.. of v values
+    r0.., and `Pi IN {S} -> Pi+d IN {T}` with S the values i and i+1 and T
+    the v // 2 values from i+2 on (mod v).  Each component's attributes lie
+    d apart in declaration order."""
+    def members(values):
+        return ", ".join(f"r{x}" for x in sorted(values))
+    return {
+        "attributes": [{"name": f"P{i}", "values": [f"r{x}" for x in range(v)]}
+                       for i in range(k)],
+        "constraints": [
+            f"P{i} IN {{{members({i % v, (i + 1) % v})}}} -> "
+            f"P{i + d} IN {{{members({(i + 2 + x) % v for x in range(v // 2)})}}}"
+            for i in range(k - d)],
+    }
+
+
 def iff_document(h):
     """Model document of 2h three-valued attributes A0.. under
     `Ai = a <-> Ai+h = b`, whose linked pairs are far apart in declaration

@@ -398,6 +398,19 @@ def test_directive_errors_are_reported(shopping):
     assert any("Bitcoin" in e for e in report.errors)
 
 
+def test_constant_false_constraint_is_infeasible_next_to_a_free_attribute():
+    # the constraint compiles to false, which lies in no component, and B's
+    # factor is true
+    m = parse_model({
+        "attributes": [{"name": "A", "values": ["x", "y"]},
+                       {"name": "B", "values": ["p", "q"]}],
+        "constraints": ["A=x AND NOT A=x"],
+    })
+    with pytest.raises(InfeasibleModelError):
+        ModelSpace(m)
+    assert any("no legal test" in e for e in validate_model(m).errors)
+
+
 def test_infeasible_model_space_raises():
     m = parse_model({
         "attributes": [{"name": "A", "values": ["x", "y"]}],
@@ -547,25 +560,10 @@ def test_legal_equals_declaration_order_product_on_random_models():
     assert built > 100
 
 
-def _linked_document(k, v, distance):
-    """k attributes of v values, and `Pi IN {S} -> Pi+d IN {T}` with S the
-    values i and i+1 and T the v // 2 values from i+2 on (mod v)."""
-    def members(values):
-        return ", ".join(f"r{x}" for x in sorted(values))
-    return {
-        "attributes": [{"name": f"P{i}", "values": [f"r{x}" for x in range(v)]}
-                       for i in range(k)],
-        "constraints": [
-            f"P{i} IN {{{members({i % v, (i + 1) % v})}}} -> "
-            f"P{i + distance} IN {{{members({(i + 2 + x) % v for x in range(v // 2)})}}}"
-            for i in range(k - distance)],
-    }
-
-
 def test_linked_space_leaves_few_bdd_nodes():
-    # conjoined in declaration order, the intermediate products leave
-    # 37,986 nodes in the manager; bottom-up, about 5,600
-    space = ModelSpace(parse_model(_linked_document(30, 6, 6)))
+    # conjoined in declaration order, the products leave 2,611 nodes in
+    # the manager; each factor built bottom-up, 466
+    space = ModelSpace(parse_model(oracles.linked_document(30, 6, 6)))
     assert len(space.manager) < 15_000
     assert _declaration_order_product(space).root == space.legal.root
 
@@ -772,13 +770,13 @@ def test_factors_and_to_legal(case):
         space = ModelSpace(model)
     except InfeasibleModelError:
         assume(False)
-    component, factors = space._partition
-    assert sorted(factors) == sorted(set(component))
+    component, factors = space.component_of, space.factors
+    assert sorted(factors) == sorted(set(component.values()))
     assert functools.reduce(operator.and_, factors.values()) == space.legal
     for c, factor in factors.items():
-        owners = {ai for ai, block in enumerate(space.encoding.blocks)
+        owners = {a.name for a, block in zip(model.attributes, space.encoding.blocks)
                   if set(block) & factor.support()}
-        assert {component[ai] for ai in owners} <= {c}
+        assert {component[a] for a in owners} <= {c}
 
 
 @pytest.mark.parametrize("model", ["chain30x5", "linked8x3"])
@@ -802,10 +800,11 @@ def test_marginals_never_project_legal(monkeypatch, models_dir, model):
         feasible_count(space, t)
         list(Residual(space, t))
     assert projected
-    assert len(set(space._components)) > 1
+    component = [space.component_of[name] for name in space.model.attribute_names]
+    assert len(set(component)) > 1
     for fn in projected:
         assert fn != space.legal
-        assert len({space._components[owner[v]] for v in fn.support()}) <= 1
+        assert len({component[owner[v]] for v in fn.support()}) <= 1
 
 
 def test_components_come_from_bdd_support():
@@ -814,7 +813,7 @@ def test_components_come_from_bdd_support():
                   for n in ("A", "B", "C", "D"))
     space = ModelSpace(Model(attrs, (
         "(A = a AND B = b) OR (A = a AND B != b)", "B = a -> C != b")))
-    assert space._components == [0, 1, 1, 3]
+    assert list(space.component_of.values()) == [0, 1, 1, 3]
     blocks = space.encoding.blocks
     for subset in (["A", "B"], ["B", "C"], ["A", "B", "C", "D"]):
         kept = [v for n in subset for v in blocks[space.model.index(n)]]
@@ -828,7 +827,7 @@ def test_components_follow_variables_under_a_permuted_order(models_dir):
     space = ModelSpace(load_model(models_dir / "linked8x3.json"))
     blocks = space.encoding.blocks
     assert sorted(range(8), key=lambda ai: blocks[ai]) == [0, 4, 1, 5, 2, 6, 3, 7]
-    assert space._components == [0, 1, 2, 3, 0, 1, 2, 3]
+    assert list(space.component_of.values()) == [0, 1, 2, 3, 0, 1, 2, 3]
     for subset in (["A0", "A4"], ["A4", "A1"], ["A1", "A5", "A0"],
                    ["A7", "A3", "A2"], [f"A{i}" for i in range(8)]):
         kept = [v for n in subset for v in blocks[space.model.index(n)]]
