@@ -20,7 +20,7 @@ for attr in model.attributes:
     print(f"  {attr.name}: {', '.join(attr.labels)}")
 
 print(f"\nfull Cartesian product: {model.cartesian_count()} combinations")
-print(f"legal combinations:     {space.legal.count()} (no constraints here)")
+print(f"legal combinations:     {space.count()} (no constraints here)")
 
 for t in (2, 3):
     reqs = filter_feasible(generate_requirements(model, t), space)
@@ -35,12 +35,12 @@ for label, partial in [
     ("One Day + export control", {"DeliverySchedule": "One Day",
                                   "ExportControl": "True"}),
 ]:
-    print(f"  {label}: {space.project(partial).count()}")
+    print(f"  {label}: {space.count(space.project(partial))}")
 
 print("\nconstrained spaces shrink instead:")
 review = ModelSpace(load_model(MODELS / "code_review.json"))
 print(f"  review-chain model: {review.model.cartesian_count()} raw, "
-      f"{review.legal.count()} legal")
+      f"{review.count()} legal")
 print("  e.g. a chain of length 0 cannot hold an interesting element:")
-fn = review.project({"LenCBchain": "0", "InterestingCB1": "true"})
-print(f"  matching combinations: {fn.count()}")
+factors = review.project({"LenCBchain": "0", "InterestingCB1": "true"})
+print(f"  matching combinations: {review.count(factors)}")

@@ -1,8 +1,8 @@
 """Combinatorial test design over symbolically represented test spaces.
 
 Build a model of attributes, values, and constraints; the legal space is
-held as a reduced ordered binary decision diagram, so counting, projection
-and enumeration stay exact.  Generate t-way interaction requirements,
+held as reduced ordered binary decision diagrams, one per constraint
+component, so counting, projection and enumeration stay exact.  Generate t-way interaction requirements,
 produce a near-minimal covering plan with a greedy heuristic, measure
 coverage of existing plans, augment plans across budget-limited test
 cycles, and concretize subdomain values into executable inputs.

@@ -177,7 +177,7 @@ def cmd_count(args) -> int:
     space = _load_valid(args.model)
     model = space.model
     print(f"cartesian: {model.cartesian_count()}")
-    print(f"legal: {space.legal.count()}")
+    print(f"legal: {space.count()}")
     for t in (2, 3):
         if t <= len(model.attributes):
             print(f"feasible t={t} requirements: "
@@ -247,8 +247,7 @@ def cmd_project(args) -> int:
         if attr in partial:
             raise CtdError(f"--fix repeats attribute {attr!r}")
         partial[attr] = value.strip()
-    fn = space.project(partial)
-    rows = list(space.assignments(fn, limit=args.limit))
+    rows = list(space.assignments(space.project(partial), limit=args.limit))
     sys.stdout.write(plans.plan_csv_text(rows, space.model.attribute_names))
     return EXIT_OK
 

@@ -21,8 +21,9 @@ the same way.
 
 Imported tests are judged a column at a time.  A `Residual` typechecks
 every test, builds their row sets once (`ModelSpace.row_sets`, one bitset
-of tests per attribute value), decides them all in one `select` on the
-legal space, and keeps only the legal tests in each row set; it reads
+of tests per attribute value), decides them all in one `select` over the
+legal space's factors, each pass starting from the tests the factors
+before it accepted, and keeps only the legal tests in each row set; it reads
 which tests hold each value tuple from the ANDs of those row sets.
 
 A `Residual` is the one set of feasible requirements still uncovered:
@@ -123,7 +124,7 @@ class Residual:
         # per attribute, per value index, the legal tests holding it; none
         # without tests
         sets = space.row_sets(tests) if tests else {}
-        legal = space.select(space.legal, sets, len(tests)) if tests else 0
+        legal = space.select(space.factors.values(), sets, len(tests)) if tests else 0
         self.illegal = [i for i, ok in enumerate(_flags(legal, len(tests))) if not ok]
         sets = {a: [rows & legal for rows in column] for a, column in sets.items()}
         self.total = len(directives)
@@ -449,7 +450,7 @@ def _feasibility(space: ModelSpace, subsets):
             # the value tuples, as rows of one `select`
             values = list(itertools.product(*labels))
             rows = list(map(dict, map(zip, itertools.repeat(piece), values)))
-            admitted = space.select(fn, space.row_sets(rows, piece), len(rows))
+            admitted = space.select([fn], space.row_sets(rows, piece), len(rows))
             # keyed as `itemgetter` returns them: one attribute, one label
             key = itemgetter(*range(len(piece)))
             excluded = set(map(key, itertools.compress(

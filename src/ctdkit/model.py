@@ -9,18 +9,20 @@ declaration order when every constraint's attributes form a contiguous run
 of it; otherwise they follow a breadth-first numbering of the constraint
 graph, if that lowers the constraints' summed span (`_block_order`).
 Everything a user sees stays in declaration order.  `ModelSpace` binds a
-model to a BDD manager holding its legal space:
+model to a BDD manager holding its legal space,
 
-    legal = validity AND constraint_1 AND ... AND constraint_k
+    validity AND constraint_1 AND ... AND constraint_k
 
 where validity holds each block to a code below its domain size (a
-value's code is its index).  Tuple counts over the legal space therefore
-equal counts of legal tests.  Every attribute predicate (validity, `=`,
-`!=`, `IN`, a `project` binding) is `Encoding.value_set`, one truth table
-over its block (`BDD.table`).  The space is built as one factor per
-constraint component, bottom-up: of the validity blocks with unused codes
-and the constraints in it, the function whose root variable is deepest is
-conjoined first.  `legal`, the AND of the factors, is built when read.
+value's code is its index), so tuple counts over it equal counts of legal
+tests.  Every attribute predicate (validity, `=`, `!=`, `IN`, a `project`
+binding) is `Encoding.value_set`, one truth table over its block
+(`BDD.table`).  The space is kept only as one factor per constraint
+component, built bottom-up: of the validity blocks with unused codes and
+the constraints in it, the function whose root variable is deepest is
+conjoined first.  Counting, projection, enumeration and judging imported
+rows all read the factors; their AND is never built (a conjunctively
+partitioned relation, Burch, Clarke & Long 1991).
 
 Model document (JSON):
 
@@ -42,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -474,7 +477,8 @@ class ModelSpace:
     depends on both (`(A = a AND B = b) OR (A = a AND B != b)` is `A = a`;
     B stays apart).  `factors` maps each component to the AND of the
     conjuncts (validity's blocks and the constraints) in it: disjoint
-    supports, each satisfiable, so `legal` is their AND.
+    supports, each satisfiable, and the legal space is their AND, which
+    no method builds.
 
     Immutable once constructed; confine it (and any Function derived from
     it) to a single thread of control per the engine's contract.
@@ -531,15 +535,21 @@ class ModelSpace:
             if fn.is_false:
                 raise InfeasibleModelError("constraints leave no legal test")
 
-    @cached_property
-    def legal(self) -> Function:
-        """The AND of `factors`, built on first read, deepest root first."""
-        factors = sorted(self.factors.values(), key=lambda fn: -fn.root_var)
-        return functools.reduce(operator.and_, factors, self.manager.true)
+    def count(self, factors: dict[int, Function] | None = None) -> int:
+        """The number of legal tests (`factors` by default, or a `project`ed
+        copy of them), without building their AND.
+
+        Each factor counts assignments of all `var_count` variables, its own
+        support's satisfying ones times every choice of the others.  The
+        supports are disjoint, so the product of k factors' counts is the
+        AND's count times 2 ** (var_count * (k - 1)): the shift is exact."""
+        fns = list((self.factors if factors is None else factors).values())
+        return (math.prod(fn.count() for fn in fns)
+                >> self.encoding.var_count * (len(fns) - 1))
 
     def redundant_constraints(self) -> list[int]:
-        """Indices of the constraints whose removal leaves `legal` unchanged,
-        in declaration order.
+        """Indices of the constraints whose removal leaves the legal space
+        unchanged, in declaration order.
 
         The other factors are satisfiable and independent of constraint f's
         component, so only that component's conjuncts are read, in the order
@@ -607,9 +617,9 @@ class ModelSpace:
     def pieces(self, attrs) -> list[tuple[str, ...]]:
         """The attributes of `attrs` in each component (`component_of`),
         one tuple per component in the order of its least attribute, each
-        in the order `attrs` lists them.  A subset's projection of `legal`
-        is the AND of those of its pieces, and each piece is projected from
-        its own component's factor (`marginals`)."""
+        in the order `attrs` lists them.  A subset's projection of the legal
+        space is the AND of those of its pieces, and each piece is projected
+        from its own component's factor (`marginals`)."""
         key = self.component_of.__getitem__
         return [tuple(piece) for _, piece in itertools.groupby(sorted(attrs, key=key), key)]
 
@@ -617,12 +627,12 @@ class ModelSpace:
         """The legal space projected onto the blocks of each attribute
         subset (every other variable quantified away), in order.
 
-        `legal` is the AND of `factors`, with disjoint supports, each
-        satisfiable, so a set's projection is that of the AND of the
+        The legal space is the AND of `factors`, with disjoint supports,
+        each satisfiable, so a set's projection is that of the AND of the
         factors of the components it touches, the same node (early
-        quantification, Burch, Clarke & Long 1991); `legal` itself is never
-        projected.  The sets that touch the same components go
-        through one engine call, so they share what they quantify alike.
+        quantification, Burch, Clarke & Long 1991).  The sets that touch
+        the same components go through one engine call, so they share what
+        they quantify alike.
         `coverage` passes `pieces`, each of which touches one component."""
         sets = list(sets)
         blocks, index = self.encoding.blocks, self.model.index
@@ -640,13 +650,17 @@ class ModelSpace:
                 projected[i] = projection
         return projected
 
-    def project(self, partial: dict[str, str]) -> Function:
-        """Legal combinations consistent with the fixed attribute values."""
-        fixed = self.manager.true
+    def project(self, partial: dict[str, str]) -> dict[int, Function]:
+        """The legal tests holding the fixed attribute values: a copy of
+        `factors` with each fixed value's set ANDed into its own
+        component's factor alone.  A value no legal test holds leaves that
+        factor false."""
+        factors = dict(self.factors)
         for attr, label in partial.items():
             ai, vi = self.model.resolve(attr, label)
-            fixed = fixed & self.encoding.value_set(self.manager, ai, [vi])
-        return self.legal & fixed
+            c = self.component_of[attr]
+            factors[c] = factors[c] & self.encoding.value_set(self.manager, ai, [vi])
+        return factors
 
     @cached_property
     def _chars(self) -> dict[str, dict[str, str]]:
@@ -675,43 +689,54 @@ class ModelSpace:
                 marks[vi] = "0"
         return sets
 
-    def select(self, fn: Function, row_sets, count: int) -> int:
-        """The rows of `count` that fn accepts, as a bitset (bit i for row
-        i), given their `row_sets` for every attribute fn depends on.  A
-        variable's column holds the rows whose value's code sets its bit;
-        one engine pass (`BDD.select`) decides every row."""
+    def select(self, fns, row_sets, count: int) -> int:
+        """The rows of `count` that every function of `fns` accepts, as a
+        bitset (bit i for row i), given their `row_sets` for every attribute
+        they depend on.  A variable's column holds the rows whose value's
+        code sets its bit.  The columns are built once, and each engine pass
+        (`BDD.select`) starts from the rows the functions before it accepted."""
         columns = {}
         for name, sets in row_sets.items():
             for cube, rows in zip(self._value_cubes[self.model.index(name)], sets):
                 for var, bit in cube.items():
                     columns[var] = columns.get(var, 0) | (rows if bit else 0)
-        return self.manager.select(fn, columns, (1 << count) - 1)
+        accepted = (1 << count) - 1
+        for fn in fns:
+            accepted = self.manager.select(fn, columns, accepted)
+        return accepted
 
-    def assignments(self, fn: Function | None = None,
+    def assignments(self, factors: dict[int, Function] | None = None,
                     limit: int | None = None) -> Iterator[dict[str, str]]:
-        """The full assignments fn admits (the legal space by default), in
-        lexicographic declaration order, at most `limit` of them.
+        """The full assignments the factors admit (`factors` by default, or
+        a copy from `project`), in lexicographic declaration order, at most
+        `limit` of them; none when a factor is false.
 
-        A depth-first walk over an explicit stack that splits the function
-        over each attribute's values in declaration order
-        (`value_cofactors`) and enters only the branches left non-false,
-        whatever the block order.  A node reached again at the same depth
-        is split once per walk."""
+        A depth-first walk over an explicit stack that, like a greedy row,
+        keeps one function per component.  Each depth splits only its
+        attribute's component function over the values (`value_cofactors`)
+        and enters only the non-false branches, whatever the block order:
+        the supports are disjoint, so each extends to a full assignment.  A
+        function reached again at the same depth is split once per walk."""
         names, attributes = self.model.attribute_names, self.model.attributes
-        todo = [((), fn if fn is not None else self.legal)]  # (labels, cofactor)
-        split: dict[tuple[int, int], list[Function]] = {}  # (root, depth) -> cofactors
+        component = [self.component_of[name] for name in names]
+        fns = self.factors if factors is None else factors
+        if any(fn.is_false for fn in fns.values()):
+            return
+        todo = [((), fns)]  # (labels, one function per component)
+        split: dict[tuple[int, int], list] = {}  # (root, depth) -> (label, cofactor)s
         emitted = 0
         while todo and (limit is None or emitted < limit):
-            labels, branch = todo.pop()
-            if branch.is_false:
-                continue
+            labels, fns = todo.pop()
             depth = len(labels)
             if depth == len(names):
                 yield dict(zip(names, labels))
                 emitted += 1
                 continue
-            key = (branch.root, depth)
+            c = component[depth]
+            key = (fns[c].root, depth)
             if key not in split:
-                split[key] = self.value_cofactors(branch, names[depth])
-            todo += reversed([(labels + (label,), cofactor) for label, cofactor
-                              in zip(attributes[depth].labels, split[key])])
+                split[key] = [(label, cofactor) for label, cofactor in zip(
+                    attributes[depth].labels, self.value_cofactors(fns[c], names[depth]))
+                    if not cofactor.is_false]
+            todo += reversed([(labels + (label,), {**fns, c: cofactor})
+                              for label, cofactor in split[key]])

@@ -1,12 +1,14 @@
 """Independent brute-force oracles used by the tests.
 
-Nothing here touches the symbolic engine: Boolean formulas are evaluated
-as integer truth tables, and model-level counts come from enumerating the
-full Cartesian product with plain Python predicates.
+Nothing here but `conjunction` touches the symbolic engine: Boolean
+formulas are evaluated as integer truth tables, and model-level counts come
+from enumerating the full Cartesian product with plain Python predicates.
 """
 
 import collections
+import functools
 import itertools
+import operator
 import random
 
 
@@ -114,6 +116,14 @@ def all_tuples(model):
 
 def legal_tuples(model, pred=None):
     return [t for t in all_tuples(model) if pred is None or pred(t)]
+
+
+def conjunction(space, factors=None):
+    """The AND of a space's factors (`ModelSpace.factors`, or a copy that
+    `project` returned): the one function of the legal space that the
+    library never builds, for tests to compare against."""
+    factors = space.factors if factors is None else factors
+    return functools.reduce(operator.and_, factors.values(), space.manager.true)
 
 
 def t_tuples_of(test, names, t):

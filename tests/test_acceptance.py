@@ -40,7 +40,7 @@ def test_criterion_1_cartesian_and_legal_counting(shopping, api8x2, staircase,
            f"api cartesian {api8x2.cartesian_count()} != 256")
     _check(failures, staircase.cartesian_count() == 120,
            f"staircase cartesian {staircase.cartesian_count()} != 120")
-    legal = ModelSpace(code_review).legal.count()
+    legal = ModelSpace(code_review).count()
     _check(failures, legal == 63, f"code-review legal {legal} != 63")
     acceptance_report("criterion 1: cartesian/legal counting", failures)
 

@@ -523,7 +523,7 @@ def test_residual_equals_brute_force(case, data):
     names = model.attribute_names
     row, total = {}, residual.start()  # row: its bindings in draw order
     for attr in data.draw(st.permutations(names)):
-        fn = space.cofactor(space.legal, row.items())
+        fn = space.cofactor(oracles.conjunction(space), row.items())
         for other in names:
             if other in row:
                 continue
@@ -566,7 +566,8 @@ def _picked(residual, space, row, attr, rng=None):
     for binding in row.items():
         total = residual.extend(total, bound, binding)
         bound[binding[0]] = binding[1]
-    label, _ = residual.pick(total, space.cofactor(space.legal, row.items()), attr, rng)
+    label, _ = residual.pick(total, space.cofactor(oracles.conjunction(space), row.items()),
+                             attr, rng)
     return label
 
 
@@ -775,8 +776,9 @@ def test_row_sets_split_and_residual_equal_brute_force(case):
     for a in names:
         assert sets[a] == [sum(1 << i for i, row in enumerate(rows) if row[a] == label)
                            for label in model.attribute(a).labels]
-    assert space.select(space.legal, sets, len(rows)) == sum(
-        1 << i for i, row in enumerate(rows) if row in legal)
+    accepted = sum(1 << i for i, row in enumerate(rows) if row in legal)
+    assert space.select(space.factors.values(), sets, len(rows)) == accepted
+    assert space.select([oracles.conjunction(space)], sets, len(rows)) == accepted
     residual = Residual(space, t, rows)
     assert residual.illegal == [i for i, row in enumerate(rows) if row not in legal]
     covered = {r for test in rows if test in legal

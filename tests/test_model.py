@@ -473,41 +473,41 @@ def test_encoding_big_endian_value_codes():
 
 def test_validity_power_of_two_is_true(api8x2):
     space = ModelSpace(api8x2)
-    assert space.legal == space.manager.true  # no constraints
+    assert oracles.conjunction(space) == space.manager.true  # no constraints
 
 
 def test_validity_three_of_four_codes():
     m = Model((Attribute("tri", tuple(Value(f"v{i}") for i in range(3))),))
-    assert ModelSpace(m).legal.count() == 3
+    assert ModelSpace(m).count() == 3
 
 
 def test_validity_count_equals_cartesian(shopping):
     space = ModelSpace(shopping)  # no constraints
-    assert space.legal.count() == 288
+    assert space.count() == 288
 
 
 def test_encode_decode_round_trip(code_review_space, models_dir):
     # each enumerated test's bits are its values' codes on their blocks,
     # in declaration order and in a permuted block order alike
     for space in (code_review_space, ModelSpace(load_model(models_dir / "linked8x3.json"))):
-        encoding = space.encoding
+        encoding, legal = space.encoding, oracles.conjunction(space)
         for test in space.assignments():
             expected = {}
             for attr, label in test.items():
                 ai, vi = space.model.resolve(attr, label)
                 expected.update(zip(encoding.blocks[ai], encoding.value_bits(ai, vi)))
             assert sorted(expected) == list(range(encoding.var_count))
-            assert space.manager.select(space.legal, expected, 1) == 1
-            assert space.cofactor(space.legal, test.items()) == space.manager.true
+            assert space.manager.select(legal, expected, 1) == 1
+            assert space.cofactor(legal, test.items()) == space.manager.true
 
 
 # ----------------------------------------------------------------------
 # legal space
 
 def test_legal_counts(code_review, at_least_one, shopping):
-    assert ModelSpace(code_review).legal.count() == 63
-    assert ModelSpace(at_least_one).legal.count() == 15
-    assert ModelSpace(shopping).legal.count() == 288  # no constraints
+    assert ModelSpace(code_review).count() == 63
+    assert ModelSpace(at_least_one).count() == 15
+    assert ModelSpace(shopping).count() == 288  # no constraints
 
 
 def test_legal_count_matches_brute_force(code_review):
@@ -517,7 +517,7 @@ def test_legal_count_matches_brute_force(code_review):
                    for i in range(1, 6))
     expected = oracles.legal_tuples(code_review, pred)
     space = ModelSpace(code_review)
-    assert space.legal.count() == len(expected)
+    assert space.count() == len(expected)
     got = list(space.assignments())
     assert sorted(map(sorted, got)) == sorted(map(sorted, (dict(t) for t in expected)))
 
@@ -542,7 +542,7 @@ def _declaration_order_product(space):
     ids=lambda p: p.stem)
 def test_legal_equals_declaration_order_product_on_model_files(path):
     space = ModelSpace(load_model(path))
-    assert _declaration_order_product(space).root == space.legal.root
+    assert _declaration_order_product(space).root == oracles.conjunction(space).root
 
 
 def test_legal_equals_declaration_order_product_on_random_models():
@@ -554,8 +554,8 @@ def test_legal_equals_declaration_order_product_on_random_models():
             space = ModelSpace(model)
         except InfeasibleModelError:
             continue
-        assert _declaration_order_product(space).root == space.legal.root, \
-            model.constraints
+        assert _declaration_order_product(space).root == \
+            oracles.conjunction(space).root, model.constraints
         built += 1
     assert built > 100
 
@@ -565,7 +565,7 @@ def test_linked_space_leaves_few_bdd_nodes():
     # the manager; each factor built bottom-up, 466
     space = ModelSpace(parse_model(oracles.linked_document(30, 6, 6)))
     assert len(space.manager) < 15_000
-    assert _declaration_order_product(space).root == space.legal.root
+    assert _declaration_order_product(space).root == oracles.conjunction(space).root
 
 
 def test_long_chain_counts_and_enumerates():
@@ -576,7 +576,7 @@ def test_long_chain_counts_and_enumerates():
         "attributes": [{"name": f"A{i}", "values": ["a", "b"]} for i in range(k)],
         "constraints": [f"A{i} = a -> A{i + 1} = a" for i in range(k - 1)],
     }))
-    assert space.legal.count() == k + 1
+    assert space.count() == k + 1
     rows = ["".join(row[f"A{i}"] for i in range(k))
             for row in space.assignments(limit=3)]
     assert rows == ["b" * j + "a" * (k - j) for j in range(3)]
@@ -585,20 +585,22 @@ def test_long_chain_counts_and_enumerates():
 
 
 def test_legal_implies_validity(code_review_space):
-    space = code_review_space
-    assert (space.legal & _validity(space)).root == space.legal.root
+    space, legal = code_review_space, oracles.conjunction(code_review_space)
+    assert (legal & _validity(space)).root == legal.root
 
 
 def test_illegal_space_complements_legal(models_dir):
-    # assignments walks only codes below each domain size, so those of
-    # ~legal are exactly the tests the constraints exclude
+    # assignments walks only codes below each domain size, so the tests it
+    # leaves out are exactly those the constraints exclude
     for path in sorted(models_dir.glob("*.json")):
         model = load_model(path)
         space = ModelSpace(model)
         pred = oracles.constraint_predicate(model)
         illegal = [t for t in oracles.all_tuples(model) if not pred(t)]
-        assert list(space.assignments(~space.legal)) == illegal, path.stem
-        assert model.cartesian_count() - space.legal.count() == len(illegal)
+        legal = list(space.assignments())
+        assert [t for t in oracles.all_tuples(model) if t not in legal] == illegal, \
+            path.stem
+        assert model.cartesian_count() - space.count() == len(illegal)
 
 
 @pytest.mark.parametrize("path", sorted(
@@ -610,7 +612,8 @@ def test_value_cofactors_equal_one_cofactor_per_value(path):
     # the block holds the value's code and does not depend on the block
     space = ModelSpace(load_model(path))
     seed = next(iter(Residual(space, min(2, len(space.model.attributes)))))
-    for fn in (space.legal, space.cofactor(space.legal, seed)):
+    legal = oracles.conjunction(space)
+    for fn in (legal, space.cofactor(legal, seed)):
         for ai, attr in enumerate(space.model.attributes):
             split = space.value_cofactors(fn, attr.name)
             assert split == [space.cofactor(fn, [(attr.name, label)])
@@ -626,11 +629,10 @@ def test_value_cofactors_equal_one_cofactor_per_value(path):
 
 
 def test_cofactor_on_two_values_of_one_attribute_is_false(code_review_space):
-    space = code_review_space
+    space, legal = code_review_space, oracles.conjunction(code_review_space)
     clash = [("LenCBchain", "0"), ("LenCBchain", "1")]
-    assert space.cofactor(space.legal, clash).is_false
-    assert space.cofactor(space.legal, clash[:1] * 2) == \
-        space.cofactor(space.legal, clash[:1])
+    assert space.cofactor(legal, clash).is_false
+    assert space.cofactor(legal, clash[:1] * 2) == space.cofactor(legal, clash[:1])
     with pytest.raises(BddError):
         space.cofactor(BDD(space.manager.var_count).true, clash)
 
@@ -638,7 +640,8 @@ def test_cofactor_on_two_values_of_one_attribute_is_false(code_review_space):
 @functools.cache
 def _space_and_legal_tests(path):
     model = load_model(path)
-    return ModelSpace(model), oracles.legal_tuples(
+    space = ModelSpace(model)
+    return space, oracles.conjunction(space), oracles.legal_tuples(
         model, oracles.constraint_predicate(model))
 
 
@@ -650,59 +653,135 @@ def _space_and_legal_tests(path):
 def test_cofactor_is_false_exactly_when_no_legal_test_holds_the_bindings(path, data):
     # bindings drawn over at most three attributes, so that attributes
     # repeat, with the same label or a conflicting one
-    space, tests = _space_and_legal_tests(path)
+    space, legal, tests = _space_and_legal_tests(path)
     pool = data.draw(st.lists(st.sampled_from(space.model.attributes),
                               min_size=1, max_size=3))
     bindings = data.draw(st.lists(st.sampled_from(pool).flatmap(
         lambda a: st.tuples(st.just(a.name), st.sampled_from(a.labels))),
         min_size=1, max_size=5))
-    fn = space.cofactor(space.legal, bindings)
+    fn = space.cofactor(legal, bindings)
     held = any(all(test[a] == v for a, v in bindings) for test in tests)
     assert fn.is_false != held
-    assert fn == space.cofactor(space.legal, list(dict.fromkeys(bindings)))
+    assert fn == space.cofactor(legal, list(dict.fromkeys(bindings)))
 
 
 # ----------------------------------------------------------------------
 # projection
 
 def test_projection_of_at_least_one(at_least_one_space):
-    fn = at_least_one_space.project({"x1": "0", "x2": "0"})
-    rows = ["".join(t.values()) for t in at_least_one_space.assignments(fn)]
+    factors = at_least_one_space.project({"x1": "0", "x2": "0"})
+    rows = ["".join(t.values()) for t in at_least_one_space.assignments(factors)]
     assert rows == ["0001", "0010", "0011"]
 
 
 def test_empty_projection_is_legal_space(at_least_one_space):
-    assert at_least_one_space.project({}).root == at_least_one_space.legal.root
+    space = at_least_one_space
+    assert space.project({}) == space.factors
+    assert space.project({}) is not space.factors  # a copy
+    assert oracles.conjunction(space, space.project({})).root == \
+        oracles.conjunction(space).root
 
 
 def test_projection_on_forbidden_value_is_empty(code_review_space):
-    fn = code_review_space.project({"LenCBchain": "0", "InterestingCB1": "true"})
-    assert fn.is_false
+    space = code_review_space
+    factors = space.project({"LenCBchain": "0", "InterestingCB1": "true"})
+    assert factors[space.component_of["LenCBchain"]].is_false
+    assert space.count(factors) == 0
 
 
 def test_projection_implies_legal(code_review_space):
     space = code_review_space
+    legal = oracles.conjunction(space)
     for partial in ({"LenCBchain": "3"}, {"InterestingCB2": "true"},
                     {"LenCBchain": "5", "InterestingCB5": "true"}):
-        fn = space.project(partial)
-        assert (fn & space.legal).root == fn.root
+        fn = oracles.conjunction(space, space.project(partial))
+        assert (fn & legal).root == fn.root
 
 
 def test_projection_counts_on_shopping(shopping_space):
-    credit_oneday = shopping_space.project(
+    space = shopping_space
+    credit_oneday = space.project(
         {"Payment": "Credit", "DeliverySchedule": "One Day"})
-    assert credit_oneday.count() == 24
-    with_fedex = shopping_space.project(
+    assert space.count(credit_oneday) == 24
+    with_fedex = space.project(
         {"Payment": "Credit", "DeliverySchedule": "One Day", "Carrier": "Fedex"})
-    assert with_fedex.count() == 8
-    oneday_export = shopping_space.project(
+    assert space.count(with_fedex) == 8
+    oneday_export = space.project(
         {"DeliverySchedule": "One Day", "ExportControl": "True"})
-    assert oneday_export.count() == 36
+    assert space.count(oneday_export) == 36
 
 
 def test_projection_rejects_unknown_value(shopping_space):
     with pytest.raises(UnknownValueError):
         shopping_space.project({"Payment": "Bitcoin"})
+
+
+@st.composite
+def _component_cases(draw):
+    """A model of 4-7 attributes dealt into three groups, each group's
+    attributes chained by implications in a drawn order, with one value
+    that a unary constraint excludes: its (attribute, label) comes back
+    with the model."""
+    k = draw(st.integers(4, 7))
+    names = [f"A{i}" for i in range(k)]
+    labels = [[f"v{j}" for j in range(draw(st.integers(2, 4)))] for _ in names]
+    order = draw(st.permutations(range(k)))
+    constraints = []
+    for group in (order[0::3], order[1::3], order[2::3]):
+        for i, j in zip(group, group[1:]):
+            constraints.append(f"{names[i]} = {draw(st.sampled_from(labels[i]))} -> "
+                               f"{names[j]} != {draw(st.sampled_from(labels[j]))}")
+    dead = draw(st.integers(0, k - 1))
+    dead_label = draw(st.sampled_from(labels[dead]))
+    constraints.append(f"{names[dead]} != {dead_label}")
+    attributes = tuple(Attribute(n, tuple(map(Value, ls)))
+                       for n, ls in zip(names, labels))
+    return Model(attributes, tuple(constraints)), (names[dead], dead_label)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_component_cases(), st.data())
+def test_projected_counts_and_enumeration_equal_brute_force(case, data):
+    # the empty partial, one fixed attribute, fixes in two components and a
+    # fixed value no legal test holds, each read from the factors alone
+    model, dead = case
+    try:
+        space = ModelSpace(model)
+    except InfeasibleModelError:
+        assume(False)
+    component = space.component_of
+    assume(len(set(component.values())) >= 3)
+    legal = oracles.legal_tuples(model, oracles.constraint_predicate(model))
+    names = model.attribute_names
+
+    def fix(name):
+        return name, data.draw(st.sampled_from(model.attribute(name).labels))
+
+    one = data.draw(st.sampled_from(names))
+    other = data.draw(st.sampled_from([n for n in names if component[n] != component[one]]))
+    for partial in ({}, dict([fix(one)]), dict([fix(one), fix(other)]), dict([dead])):
+        factors = space.project(partial)
+        assert {c for c in factors if factors[c] != space.factors[c]} <= \
+            {component[a] for a in partial}
+        expected = [t for t in legal if all(t[a] == v for a, v in partial.items())]
+        assert space.count(factors) == len(expected)
+        assert list(space.assignments(factors)) == expected
+        limit = data.draw(st.integers(0, len(expected) + 1))
+        assert list(space.assignments(factors, limit=limit)) == expected[:limit]
+    assert expected == [] and space.count(factors) == 0  # the dead value
+
+
+def test_projected_enumeration_adds_few_nodes():
+    # two fixes in two of the six components, then 500 rows: each fix is
+    # ANDed into its own component's factor and the walk splits one factor
+    # per depth; ANDing every factor into one function first added 1,490
+    # nodes
+    space = ModelSpace(parse_model(oracles.linked_document(30, 6, 6)))
+    before = len(space.manager)
+    rows = list(space.assignments(space.project({"P0": "r1", "P1": "r2"}), limit=500))
+    assert len(space.manager) - before < 100
+    assert len(rows) == 500 and all(row["P0"] == "r1" and row["P1"] == "r2" for row in rows)
+    assert not hasattr(ModelSpace, "legal")
 
 
 @st.composite
@@ -757,7 +836,7 @@ def test_marginals_equal_full_projections(case):
         assume(False)
     blocks, index = space.encoding.blocks, model.index
     kept = [[v for n in subset for v in blocks[index(n)]] for subset in subsets]
-    expected = space.manager.projections(space.legal, kept)
+    expected = space.manager.projections(oracles.conjunction(space), kept)
     assert [_factored(space, subset) for subset in subsets] == expected
     assert space.marginals(subsets) == expected
 
@@ -772,7 +851,9 @@ def test_factors_and_to_legal(case):
         assume(False)
     component, factors = space.component_of, space.factors
     assert sorted(factors) == sorted(set(component.values()))
-    assert functools.reduce(operator.and_, factors.values()) == space.legal
+    assert oracles.conjunction(space) == _declaration_order_product(space)
+    assert space.count() == len(oracles.legal_tuples(
+        model, oracles.constraint_predicate(model)))
     for c, factor in factors.items():
         owners = {a.name for a, block in zip(model.attributes, space.encoding.blocks)
                   if set(block) & factor.support()}
@@ -802,8 +883,9 @@ def test_marginals_never_project_legal(monkeypatch, models_dir, model):
     assert projected
     component = [space.component_of[name] for name in space.model.attribute_names]
     assert len(set(component)) > 1
+    legal = oracles.conjunction(space)
     for fn in projected:
-        assert fn != space.legal
+        assert fn != legal
         assert len({component[owner[v]] for v in fn.support()}) <= 1
 
 
@@ -818,7 +900,7 @@ def test_components_come_from_bdd_support():
     for subset in (["A", "B"], ["B", "C"], ["A", "B", "C", "D"]):
         kept = [v for n in subset for v in blocks[space.model.index(n)]]
         assert [_factored(space, subset)] == space.manager.projections(
-            space.legal, [kept])
+            oracles.conjunction(space), [kept])
 
 
 def test_components_follow_variables_under_a_permuted_order(models_dir):
@@ -832,7 +914,7 @@ def test_components_follow_variables_under_a_permuted_order(models_dir):
                    ["A7", "A3", "A2"], [f"A{i}" for i in range(8)]):
         kept = [v for n in subset for v in blocks[space.model.index(n)]]
         assert [_factored(space, subset)] == space.manager.projections(
-            space.legal, [kept])
+            oracles.conjunction(space), [kept])
 
 
 # ----------------------------------------------------------------------
@@ -843,7 +925,7 @@ def test_far_linked_model_builds_in_few_nodes():
     # is adjacent in the order picked, so the legal space stays linear
     space = ModelSpace(parse_model(oracles.iff_document(20)))
     assert len(space.manager) < 2000
-    assert space.legal.count() == 5 ** 20 == 95_367_431_640_625
+    assert space.count() == 5 ** 20 == 95_367_431_640_625
 
 
 def _encoding(model):
@@ -902,8 +984,10 @@ def test_enumeration_with_constraint():
 
 def test_enumeration_over_empty_space():
     space = ModelSpace(_xy_model())
-    fn = space.project({"Y": "a"}) & space.project({"Y": "b"})
-    assert list(space.assignments(fn)) == []
+    factors, y = space.project({"Y": "a"}), space.component_of["Y"]
+    factors[y] = factors[y] & space.project({"Y": "b"})[y]
+    assert factors[y].is_false
+    assert list(space.assignments(factors)) == []
 
 
 def test_enumeration_limit(shopping_space):
@@ -963,19 +1047,22 @@ def test_value_sets_equal_literal_construction():
             assert compiled(f"{name} = v{vi}") == ref(ai, [vi])
             assert compiled(f"{name} != v{vi}") == ~ref(ai, [vi])
             assert compiled(f"NOT {name} = v{vi}") == ~ref(ai, [vi])
-            assert space.project({name: f"v{vi}"}) == space.legal & ref(ai, [vi])
+            assert oracles.conjunction(space, space.project({name: f"v{vi}"})) \
+                == oracles.conjunction(space) & ref(ai, [vi])
         picked = list(range(0, sizes[name], 2))
         labels = ", ".join(f"v{vi}" for vi in picked)
         assert compiled(f"{name} IN {{{labels}}}") == ref(ai, picked)
         assert compiled(f"{name} IN {{{labels}, v0}}") == ref(ai, picked)
-    assert space.legal == ref(1, range(3)) & ref(2, range(5))  # no constraints
-    assert space.project({"One": "v0", "Five": "v4", "Two": "v1"}) \
-        == space.legal & ref(0, [0]) & ref(2, [4]) & ref(3, [1])
+    legal = oracles.conjunction(space)
+    assert legal == ref(1, range(3)) & ref(2, range(5))  # no constraints
+    assert oracles.conjunction(space, space.project(
+        {"One": "v0", "Five": "v4", "Two": "v1"})) \
+        == legal & ref(0, [0]) & ref(2, [4]) & ref(3, [1])
 
 
 def test_single_value_attribute_consumes_no_bits(staircase):
     space = ModelSpace(staircase)
     assert len(space.encoding.blocks[0]) == 0
-    assert space.legal.count() == 120
+    assert space.count() == 120
     first = next(space.assignments())
     assert first["Attribute1"] == "value1"
