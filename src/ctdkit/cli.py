@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -206,7 +205,7 @@ def cmd_analyze(args) -> int:
     rows = _read_plan_for(space, args.plan)
     report = coverage.coverage_of(space, rows, args.t)
     if args.format == "json":
-        print(json.dumps(report.to_json(args.max_missing), indent=2))
+        print(plans.json_text(report.to_json(args.max_missing)))
     else:
         print(report.format(args.max_missing))
     return EXIT_OK
@@ -259,7 +258,7 @@ def cmd_instantiate(args) -> int:
     free = [_parse_free(item) for item in args.free]
     concrete = randomize_free(space.model, concrete, free)
     if args.format == "json":
-        text = json.dumps(concrete.to_json(), indent=2) + "\n"
+        text = plans.json_text(concrete.to_json()) + "\n"
     else:
         text = plans.plan_csv_text(concrete.rows, concrete.columns)
     _emit(text, args.output)

@@ -6,12 +6,15 @@ Readers skip a UTF-8 byte-order mark (as spreadsheets save "CSV UTF-8")
 and strip spaces around header names and values; a file that is not UTF-8
 text is a PlanFormatError naming it.
 Plan JSON carries the same rows plus coverage metrics and a
-schema_version field.
+schema_version field.  Every JSON output of the CLI (plan, report and
+concrete plan) is written by `json_text`, byte for byte what `json.dumps`
+writes with a two-space indent, without the json module's pure-Python
+encoder.
 
 Cycle results CSV: header ``test,verdict``; ``test`` is either a 1-based
 row index into the plan CSV or the row's content hash (see `row_hash`;
 identical rows take one hash ref each, in file order), ``verdict`` is PASS
-or FAIL (case-insensitive).
+or FAIL (case-insensitive).  Rows are hashed only when some ref is a hash.
 """
 
 from __future__ import annotations
@@ -130,7 +133,62 @@ def plan_json_text(plan: TestPlan, columns, extra: dict) -> str:
         "partial": plan.partial,
         **extra,
     }
-    return json.dumps(document, indent=2) + "\n"
+    return json_text(document) + "\n"
+
+
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def json_text(document) -> str:
+    """The document as `json.dumps` writes it with a two-space indent, byte
+    for byte, for the dicts (str keys), lists, tuples and JSON scalars
+    ctdkit writes.  With an indent the json module runs its pure-Python
+    encoder.  Here a container of scalars only (a plan row, a binding) is
+    one pass of its C encoder, with the newline and indent as the item
+    separator; any other scalar is written by `json.dumps` (the same
+    encoder, so the same escaping and float repr).  A tuple of strings,
+    such as a requirement's (attribute, label) binding, is written once
+    per depth and reused.  Only tuples of strings are kept: equal tuples
+    of other scalars can encode differently, as (1,) == (True,) and
+    (0.0,) == (-0.0,)."""
+    memo: dict[tuple, str] = {}  # (tuple of strings, depth) -> its text
+    encoders: dict[int, json.JSONEncoder] = {}  # depth -> its containers' encoder
+
+    def write(value, depth: int) -> str:
+        if isinstance(value, tuple):
+            try:
+                return memo[value, depth]
+            except KeyError:  # only tuples of strings are kept; no other tuple equals one
+                text = container(value, depth)
+                if all(isinstance(v, str) for v in value):
+                    memo[value, depth] = text
+                return text
+            except TypeError:  # it holds a list or a dict
+                return container(value, depth)
+        if isinstance(value, (dict, list)):
+            return container(value, depth)
+        return json.dumps(value)
+
+    def container(value, depth: int) -> str:
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = "\n" + "  " * (depth + 1)
+        outer = "\n" + "  " * depth
+        is_dict = isinstance(value, dict)
+        # exact types: a subclass goes item by item, as the indent encoder takes it
+        if _SCALAR_TYPES.issuperset(map(type, value.values() if is_dict else value)):
+            if depth not in encoders:
+                encoders[depth] = json.JSONEncoder(separators=("," + inner, ": "))
+            text = encoders[depth].encode(value)
+            return text[0] + inner + text[1:-1] + outer + text[-1]
+        if is_dict:
+            items = [json.dumps(k) + ": " + write(v, depth + 1)
+                     for k, v in value.items()]
+            return "{" + inner + ("," + inner).join(items) + outer + "}"
+        items = [write(v, depth + 1) for v in value]
+        return "[" + inner + ("," + inner).join(items) + outer + "]"
+
+    return write(document, 0)
 
 
 # ----------------------------------------------------------------------
@@ -166,10 +224,13 @@ def resolve_results(results, tests, columns) -> list[bool | None]:
     verdict yet, so identical rows take one verdict each, in file order.
     Two verdicts for one row, by either kind of ref, are rejected, and so
     is a hash that rows of different contents share (labels holding
-    U+001F, the separator of `row_hash`, can make one)."""
-    hashes: dict[str, list[int]] = {}  # row hash -> its rows, in file order
-    for i, test in enumerate(tests):
-        hashes.setdefault(row_hash(test, columns), []).append(i)
+    U+001F, the separator of `row_hash`, can make one).  Rows are hashed
+    only when some ref is not a number, and each hash's rows are compared
+    once, at its first ref; after that a cursor per hash passes the copies
+    that have a verdict (verdicts are only ever set), so n refs to n
+    identical rows take linear time."""
+    hashes: dict[str, list[int]] | None = None  # row hash -> its rows, in file order
+    cursors: dict[str, int] = {}  # hash -> index into its rows; earlier copies have verdicts
     verdicts: list[bool | None] = [None] * len(tests)
     for ref, passed in results:
         if ref.isascii() and ref.isdigit():  # '²' is a digit that int() rejects
@@ -182,17 +243,32 @@ def resolve_results(results, tests, columns) -> list[bool | None]:
                 raise PlanFormatError(
                     f"results reference row {ref}, plan has {len(tests)} rows")
         else:
+            if hashes is None:
+                hashes = {}
+                for i, test in enumerate(tests):
+                    hashes.setdefault(row_hash(test, columns), []).append(i)
             rows = hashes.get(ref)
             if rows is None:
                 raise PlanFormatError(f"results reference unknown row hash {ref!r}")
-            if len({tuple(tests[i][c] for c in columns) for i in rows}) > 1:
-                raise PlanFormatError(
-                    f"results row hash {ref!r} names rows "
-                    f"{[i + 1 for i in rows]}, whose contents differ")
+            k = cursors.get(ref)
+            if k is None:
+                _check_same_contents(ref, rows, tests, columns)
+                k = 0
             # when every copy has a verdict, the last one is reported
-            index = next((i for i in rows if verdicts[i] is None), rows[-1])
+            while k < len(rows) - 1 and verdicts[rows[k]] is not None:
+                k += 1
+            cursors[ref] = k
+            index = rows[k]
         if verdicts[index] is not None:
             raise PlanFormatError(
                 f"results give more than one verdict for row {index + 1}")
         verdicts[index] = passed
     return verdicts
+
+
+def _check_same_contents(ref, rows, tests, columns) -> None:
+    """Reject a row hash that rows of different contents share."""
+    if len({tuple(tests[i][c] for c in columns) for i in rows}) > 1:
+        raise PlanFormatError(
+            f"results row hash {ref!r} names rows "
+            f"{[i + 1 for i in rows]}, whose contents differ")

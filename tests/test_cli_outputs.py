@@ -10,7 +10,10 @@ every other checked-in model, of `generate --budget` on `code_review` and
 with ranges (its `big` free column is wider than 2**32, so it draws
 several Mersenne Twister words per cell), and of `generate` at t=2 and t=3
 on the 12x4 chain of `oracles.chain_document`, whose linked pairs cut 60 of
-its 220 t=3 subsets.  A digest changes only with a
+its 220 t=3 subsets, and of the JSON outputs of `analyze`, `generate`,
+`augment` and `instantiate` on a model whose names and labels hold
+characters JSON escapes (each of those is also checked to be what
+`json.dumps` writes with a two-space indent).  A digest changes only with a
 change to output, which CHANGES.md must declare.
 
 To print the digests of the code under test (say, before a change that
@@ -22,6 +25,7 @@ must not alter output):
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -31,7 +35,7 @@ import sys
 import pytest
 
 import oracles
-from ctdkit import cli
+from ctdkit import cli, row_hash
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 PLANS = {"api8x2": "api8x2_plan7", "code_review": "code_review_plan13",
@@ -55,11 +59,32 @@ COUNTED = ["at_least_one", "model1", RANGED, "shopping", "staircase", "xyz",
            "xyz_drop_a"]
 # written from `oracles.chain_document(12, 4)`: `generate` only
 CHAIN = "chain12x4"
+# names and labels JSON escapes: non-ASCII, '"' and '\\'; its plan's row 4
+# is illegal, its results name row 5 by hash, and a range draws a number
+# for `instantiate`
+ESCAPED = "escaped"
+ESCAPED_DOCUMENT = {
+    "attributes": [
+        {"name": "Café", "values": ["crème", "brûlée", "noir"]},
+        {"name": "Quote", "values": ['say "hi"', "a\\b", "plain"]},
+        {"name": "Path", "values": [{"label": "C:\\tmp", "range": [0, 50]},
+                                    'ü\\"', "x"]},
+        {"name": "Mode", "values": ["a", "b"]},
+    ],
+    "constraints": ["Mode = b -> Path != x", 'Mode = a -> Quote != "a\\b"'],
+}
+ESCAPED_ROWS = [
+    ["crème", 'say "hi"', "C:\\tmp", "a"],
+    ["brûlée", "a\\b", 'ü\\"', "b"],
+    ["noir", "plain", "x", "a"],
+    ["crème", "a\\b", "x", "b"],
+    ["brûlée", 'say "hi"', "C:\\tmp", "b"],
+]
 
 
 def _write_inputs(directory: pathlib.Path) -> dict[str, tuple[str, str, str]]:
     """Per model name, its model, plan and results files: every third row
-    of a plan FAILs, the others PASS."""
+    of a checked-in plan FAILs, the others PASS."""
     document = json.loads((MODELS / "code_review.json").read_text(encoding="utf-8"))
     document["directives"] = [[{"attr": a, "value": v} for a, v in d]
                               for d in DIRECTIVES]
@@ -86,6 +111,18 @@ def _write_inputs(directory: pathlib.Path) -> dict[str, tuple[str, str, str]]:
     chain = directory / f"{CHAIN}.json"
     chain.write_text(json.dumps(oracles.chain_document(12, 4)), encoding="utf-8")
     files[CHAIN] = (str(chain), "", "")
+    model = directory / f"{ESCAPED}.json"
+    model.write_text(json.dumps(ESCAPED_DOCUMENT), encoding="utf-8")
+    plan_path = directory / f"{ESCAPED}_plan.csv"
+    columns = [a["name"] for a in ESCAPED_DOCUMENT["attributes"]]
+    with open(plan_path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([columns, *ESCAPED_ROWS])
+    # row 5 is named by its content hash
+    digest = row_hash(dict(zip(columns, ESCAPED_ROWS[4])), columns)
+    results = directory / f"{ESCAPED}_results.csv"
+    results.write_text(f"test,verdict\n1,PASS\n2,FAIL\n3,PASS\n4,PASS\n{digest},PASS\n",
+                       encoding="utf-8")
+    files[ESCAPED] = (str(model), str(plan_path), str(results))
     return files
 
 
@@ -126,16 +163,40 @@ def _commands() -> dict[str, tuple[str, list]]:
                 "instantiate", "{model}", "{plan}", "--seed", str(seed),
                 "--format", fmt, "--free", "n=1:9",
                 "--free", "big=-3:1099511627776"])
+    commands.update(_escaped_commands())
     return commands
 
 
-def _digest(files, name: str, argv: list) -> str:
+def _escaped_commands() -> dict[str, tuple[str, list]]:
+    """The JSON commands on the `ESCAPED` model, as `_commands` gives them."""
+    commands = {}
+    for t in (2, 3):
+        commands[f"analyze-{ESCAPED}-t{t}-json"] = (ESCAPED, [
+            "analyze", "{model}", "{plan}", "--t", str(t), "--format", "json",
+            "--max-missing", "1000000"])
+    commands[f"generate-{ESCAPED}-t2-json"] = (ESCAPED, [
+        "generate", "{model}", "--t", "2", "--format", "json"])
+    commands[f"augment-{ESCAPED}-t2-json"] = (ESCAPED, [
+        "augment", "{model}", "{plan}", "{results}", "--t", "2", "--n", "3",
+        "--seed", "1", "--format", "json"])
+    commands[f"instantiate-{ESCAPED}-seed1-json"] = (ESCAPED, [
+        "instantiate", "{model}", "{plan}", "--seed", "1", "--format", "json"])
+    return commands
+
+
+def _run(files, name: str, argv: list) -> tuple[int, str]:
+    """The exit code and stdout of one command."""
     model, plan, results = files[name]
     argv = [a.format(model=model, plan=plan, results=results) for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    return hashlib.sha1(f"exit {code}\n{out.getvalue()}".encode("utf-8")).hexdigest()
+    return code, out.getvalue()
+
+
+def _digest(files, name: str, argv: list) -> str:
+    code, out = _run(files, name, argv)
+    return hashlib.sha1(f"exit {code}\n{out}".encode("utf-8")).hexdigest()
 
 
 DIGESTS = {
@@ -159,6 +220,8 @@ DIGESTS = {
     'analyze-code_review_dispatch-t2-json': '960afd59ce22e55124cff418eb90c3b1c39651ec',
     'analyze-code_review_dispatch-t3-csv': '960afd59ce22e55124cff418eb90c3b1c39651ec',
     'analyze-code_review_dispatch-t3-json': '960afd59ce22e55124cff418eb90c3b1c39651ec',
+    'analyze-escaped-t2-json': '86d34986b761b1eb942e3841d0942189cad92848',
+    'analyze-escaped-t3-json': '9a5bd8341fee1b7dbe99a9f79c292a2b701ce495',
     'analyze-linked8x3-t2-capped': '37c25b778ff843f49a17f2d70cc312c95463a084',
     'analyze-linked8x3-t2-csv': 'a904290be81f8a8ba31e3e02e6e200b7be4ad6aa',
     'analyze-linked8x3-t2-json': '8dcd0a9248c6119cda6cd50da23d0f04c0f255a4',
@@ -185,6 +248,7 @@ DIGESTS = {
     'augment-code_review_dispatch-t2-json': '960afd59ce22e55124cff418eb90c3b1c39651ec',
     'augment-code_review_dispatch-t3-csv': '960afd59ce22e55124cff418eb90c3b1c39651ec',
     'augment-code_review_dispatch-t3-json': '960afd59ce22e55124cff418eb90c3b1c39651ec',
+    'augment-escaped-t2-json': 'f96a84433acc9f69943d519ae7ae09621c53c332',
     'augment-linked8x3-t2-csv': 'c5e90d4c90a30b49ce93cbf6f7e49d54b023c1ae',
     'augment-linked8x3-t2-json': 'a880a1f874b87df88fc4670ce6c6423d4c3d82c8',
     'augment-linked8x3-t3-csv': '430b503b6b096e1c919a7644174c74bb8f0db9cc',
@@ -226,6 +290,7 @@ DIGESTS = {
     'generate-code_review_dispatch-t2-json': 'c5f078d30eca161419fb68a5da0e182b777c939b',
     'generate-code_review_dispatch-t3-csv': '9e5e84d89641e00c06edfde08673903a40e2f0c9',
     'generate-code_review_dispatch-t3-json': 'f120eeaedd07fc5be5a0693693cb88f687b38e24',
+    'generate-escaped-t2-json': '443145ab1a53d74f6ba16711a9db939fcea55fe3',
     'generate-linked8x3-t2-csv': '0018ace128d2ea71ed4044e074c13a9bc092f750',
     'generate-linked8x3-t2-json': 'b6c9503ea461e7dd63fbdada92b69afc1499d23f',
     'generate-linked8x3-t3-budget10-csv': '7b6cc179759ef2aa4f89abf307bb4d6c5158c947',
@@ -236,6 +301,7 @@ DIGESTS = {
     'generate-manual3x3x3-t2-json': 'fe7b3ccd37d872eb758576771c3c864c57e110c3',
     'generate-manual3x3x3-t3-csv': 'd9f447b835a44af362900acec3d436a1ca8c54d9',
     'generate-manual3x3x3-t3-json': '94e1d58004366c08d20a302047d494a9c948b1aa',
+    'instantiate-escaped-seed1-json': '5498542c505e3d5fc19af7978e95d98cfe6b1c74',
     'instantiate-power_failure-seed1-csv': '83ffd1929bc13b59f75aa80ea19322b689eed830',
     'instantiate-power_failure-seed1-json': '336644f308c8269e5cdb06fcc80fdfda4dc7e3f0',
     'instantiate-power_failure-seed7-csv': 'b7f48bdc80b07b95e733a245809cbc3e5263f54c',
@@ -254,6 +320,14 @@ def files(tmp_path_factory):
 def test_cli_output_is_byte_identical(files, command):
     name, argv = _commands()[command]
     assert _digest(files, name, argv) == DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(_escaped_commands()))
+def test_escaped_json_output_is_what_json_dumps_writes(files, command):
+    name, argv = _escaped_commands()[command]
+    code, out = _run(files, name, argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ctdkit import PlanFormatError, TestPlan, read_plan_csv, row_hash
+from ctdkit import PlanFormatError, TestPlan, plans, read_plan_csv, row_hash
 from ctdkit.plans import (
     check_plan_columns,
+    json_text,
     plan_csv_text,
     plan_json_text,
     read_results_csv,
@@ -89,6 +91,31 @@ def test_plan_json_shape():
     assert document["partial"] is True
     assert document["percent"] == 75.0
     assert document["seed"] == 7
+
+
+# text JSON escapes: non-ASCII, quotes, backslashes, control characters and
+# the line separators JavaScript reads as line ends
+_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029é😀'),
+                max_size=6)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | _TEXT)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   # repeated items: a tuple met again at one depth is reused
+                   | st.lists(inner, max_size=2).map(lambda items: items * 2)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+@example([(1,), (True,), (1.0,), (0.0,), (-0.0,), ("1",), (float("nan"),)])
+@example({"t": (["a list"], {"k": ()}), "u": [("a", "b"), ("a", "b"), [("a", "b")]]})
+@example({"": [], "e": {}, "t": (), "inf": [float("inf"), -float("inf")],
+          "flat": {"i": 1, "f": 1.5, "n": None, "b": False, "s": 'é"\\\u2028'}})
+def test_json_text_is_json_dumps_with_indent(document):
+    assert json_text(document) == json.dumps(document, indent=2)
 
 
 def test_results_csv_parsing(tmp_path):
@@ -191,3 +218,30 @@ def test_resolve_results_rejects_a_hash_that_rows_of_different_contents_share():
         resolve_results([(digest, True)], tests, columns)
     # index refs still name their rows
     assert resolve_results([("2", True)], tests, columns) == [None, True]
+
+
+def test_resolve_results_hashes_rows_only_for_a_hash_ref(monkeypatch):
+    columns = ["A"]
+    tests = [{"A": "x"}, {"A": "y"}]
+    calls = []
+    monkeypatch.setattr(plans, "row_hash", lambda *a: calls.append(a) or row_hash(*a))
+    assert resolve_results([("2", True), ("1", False)], tests, columns) == [False, True]
+    assert calls == []
+    digest = row_hash(tests[0], columns)
+    assert resolve_results([("2", True), (digest, False)], tests, columns) == [False, True]
+    assert len(calls) == 2  # each row once
+
+
+def test_resolve_results_checks_each_hash_once(monkeypatch):
+    # 4,000 identical rows, each named by the one hash, and two of another
+    columns = ["A", "B"]
+    tests = [{"A": "a", "B": "x"}] * 4000 + [{"A": "b", "B": "y"}] * 2
+    same, other = (row_hash(tests[i], columns) for i in (0, 4000))
+    checks = []
+    check = plans._check_same_contents
+    monkeypatch.setattr(plans, "_check_same_contents",
+                        lambda ref, *a: checks.append(ref) or check(ref, *a))
+    # the number takes the first copy of the other row, the hash the second
+    results = [("4001", True)] + [(same, True)] * 4000 + [(other, False)]
+    assert resolve_results(results, tests, columns) == [True] * 4000 + [True, False]
+    assert sorted(checks) == sorted([same, other])
