@@ -8,7 +8,7 @@ actually touches.
 
 import pathlib
 
-from ctdkit import ModelSpace, filter_feasible, generate_requirements, load_model
+from ctdkit import ModelSpace, feasible_count, load_model
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -23,8 +23,7 @@ print(f"\nfull Cartesian product: {model.cartesian_count()} combinations")
 print(f"legal combinations:     {space.count()} (no constraints here)")
 
 for t in (2, 3):
-    reqs = filter_feasible(generate_requirements(model, t), space)
-    print(f"t={t} value interactions to cover: {len(reqs.feasible())}")
+    print(f"t={t} value interactions to cover: {feasible_count(space, t)}")
 
 print("\nhow many combinations would expose a bug tied to...")
 for label, partial in [

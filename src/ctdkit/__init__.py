@@ -13,6 +13,7 @@ from .coverage import (
     CoverageReport,
     Residual,
     coverage_of,
+    feasible_count,
     filter_feasible,
     generate_requirements,
     lower_bound,
@@ -61,7 +62,7 @@ __all__ = [
     "ValidationReport", "build_encoding", "load_model", "parse_model",
     "validate_model",
     "Residual", "CoverageReport",
-    "generate_requirements", "filter_feasible", "coverage_of",
+    "generate_requirements", "filter_feasible", "feasible_count", "coverage_of",
     "TestPlan", "read_plan_csv", "read_results_csv", "row_hash",
     "generate_plan", "lower_bound",
     "AugmentResult", "CycleRecord", "CycleState", "augment_plan", "run_cycles",

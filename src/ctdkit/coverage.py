@@ -82,17 +82,19 @@ class Residual:
     one (attributes, None) per such subset, or (None, listed) for the
     requirements entered one by one (`_enter`), in requirement order.
 
-    The greedy picks each value from it (`pick`): `_splits` keeps each
-    split of a running function over an attribute, its viable values only,
-    for the residual's whole life, and `copy` shares it, as it shares every
-    map but the two that `cover` changes."""
+    The greedy reads the space from it (`space`), starts each row's running
+    total from the row's seed (`row_total`) and picks each value from it
+    (`pick`): `_splits` keeps each split of a running function over an
+    attribute (`ModelSpace.split`) for the residual's whole life, and
+    `copy` shares it, as it shares every map but the two that `cover`
+    changes."""
 
     def __init__(self, space: ModelSpace, t: int, tests=()):
         self._model = model = space.model
         tests = list(tests)
         for test in tests:
             model.check_assignment(test)
-        self._space = space
+        self.space = space
         self._names = names = model.attribute_names
         self._position = {a: i for i, a in enumerate(names)}
         self._labels = labels = {a.name: a.labels for a in model.attributes}
@@ -244,21 +246,24 @@ class Residual:
         """Per binding, the mask of every field after its own."""
         return {b: -(2 << offset) for b, offset in self._offset.items()}
 
-    def start(self) -> int:
-        """The running total of a row that binds nothing: the entry under
-        the empty key, which t=1 and width-1 directives have."""
-        return self._index.get((), 0)
+    def row_total(self, bound) -> int:
+        """The running total of a row that binds as `bound` does (bindings
+        in declaration order): the sum of the entries under its keys
+        (`_keys_within`), the empty key among them at t=1 or with a width-1
+        directive."""
+        return sum(map(self._index.get, self._keys_within(bound), itertools.repeat(0)))
 
     def extend(self, total: int, row: dict, binding) -> int:
         """The running total of a row after `binding` joins it: `total`, that
-        of `row` (in any order, without `binding`'s attribute), plus the
+        of `row` (`row_total`, or a previous `extend`; `row` in any order,
+        without `binding`'s attribute), plus the
         entries of the keys it completes: each t-1 of the row's bindings
         that holds it, its bindings before and after it listed apart in
         declaration order so no key needs a sort, and each directive key
         over its attribute whose other attributes `row` binds."""
         get, k = self._index.get, self._t - 2  # k: the other bindings per key
         attribute = binding[0]
-        if k == 0:  # t=2: the binding alone; at t=1 only `start`'s key
+        if k == 0:  # t=2: the binding alone; at t=1 only the empty key
             total += get((binding,), 0)
         elif k > 0:
             names, at = self._names, self._position[attribute]
@@ -278,7 +283,7 @@ class Residual:
         """The value of `attribute` that the greedy binds next, with `fn`,
         the row's running function, cofactored on it.  Of the viable values
         (those leaving `fn` non-false), the ones that complete the most
-        uncovered requirements with the row whose running total (`start`,
+        uncovered requirements with the row whose running total (`row_total`,
         `extend`) is `total` tie, and of those the ones the most uncovered
         requirements hold; the first in value order wins, or `rng`'s choice
         among them.  `attribute` is one the row leaves unbound.
@@ -296,15 +301,13 @@ class Residual:
         return rng.choice([c for key, (_, _, c) in zip(keys, viable) if key == top])
 
     def _split(self, fn: Function, attribute):
-        """`fn` split over `attribute` (`ModelSpace.value_cofactors`), kept
-        for the residual's whole life: its viable values in value order,
-        each as (field offset, binding, (label, cofactor))."""
+        """`fn` split over `attribute` (`ModelSpace.split`), kept for the
+        residual's whole life: its viable values in value order, each as
+        (field offset, binding, (label, cofactor))."""
         offset = self._offset
         viable = self._splits[fn.root, attribute] = [
             (offset[attribute, label], (attribute, label), (label, cofactor))
-            for label, cofactor in zip(self._labels[attribute],
-                                       self._space.value_cofactors(fn, attribute))
-            if not cofactor.is_false]
+            for label, cofactor in self.space.split(fn, attribute)]
         return viable
 
     def cover(self, test) -> dict[tuple, int]:

@@ -56,7 +56,7 @@ def augment_plan(space: ModelSpace, t: int, passed, n: int) -> AugmentResult:
     leave uncovered.  Illegal passed tests are reported and earn no credit."""
     residual = Residual(space, t, passed)
     before, total = len(residual), residual.total
-    tests = grow_tests(space, residual, n)
+    tests = grow_tests(residual, n)
     plan = TestPlan(tests, total - len(residual), total, t)
     return AugmentResult(plan, before, len(residual), residual.illegal)
 
@@ -82,7 +82,7 @@ def run_cycles(space: ModelSpace, t: int, n: int,
     for _ in range(max_cycles):
         if not residual:
             break
-        tests = grow_tests(space, residual.copy(), n)
+        tests = grow_tests(residual.copy(), n)
         newly_passed = [test for test in tests if verdict_source(test)]
         passed.extend(newly_passed)
         # every passed test is generated, hence legal

@@ -22,7 +22,11 @@ component, built bottom-up: of the validity blocks with unused codes and
 the constraints in it, the function whose root variable is deepest is
 conjoined first.  Counting, projection, enumeration and judging imported
 rows all read the factors; their AND is never built (a conjunctively
-partitioned relation, Burch, Clarke & Long 1991).
+partitioned relation, Burch, Clarke & Long 1991).  Each per-component
+question has one method: `split` gives a function's viable values of one
+attribute with their cofactors, `bind` cofactors the factors that
+bindings touch, and `marginals` projects each piece (`pieces`) from its
+own component's factor, so no method ANDs two factors.
 
 Model document (JSON):
 
@@ -41,7 +45,6 @@ Unknown fields anywhere are rejected.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -316,9 +319,12 @@ def _block_order(n: int, links: list[list[int]]) -> list[int]:
     """The order of n attributes' blocks, given each constraint's attribute
     indices in ascending order.
 
-    BDD size depends on the variable order (Bryant 1986), and a constraint
-    whose attributes lie far apart keeps every attribute between them in
-    its diagram.  Declaration order is kept when every constraint's
+    BDD size depends on the variable order (Bryant 1986).  Each factor
+    skips the variables of other components, so what the order decides is
+    the order inside one component: a zigzag of twenty three-valued
+    attributes, `Ai = v0 <-> Ai+10 = v1` and `Ai+10 = v2 <-> Ai+1 = v1`,
+    builds 314 nodes in the order picked here and 107,017 in declaration
+    order.  Declaration order is kept when every constraint's
     attributes form a contiguous run of it.  Otherwise the attributes are
     numbered breadth-first over the graph that links two attributes named
     by one constraint (Cuthill & McKee 1969): each component from its first
@@ -389,8 +395,7 @@ def validate_model(model: Model) -> ValidationReport:
                 f"constraint {i + 1} eliminates nothing: "
                 f"{model.constraints[i]!r}")
         for j, directive in enumerate(model.directives):
-            if any(space.cofactor(fn, directive).is_false
-                   for fn in space.factors.values()):
+            if any(fn.is_false for fn in space.bind(directive).values()):
                 report.warnings.append(
                     f"directive {j + 1} can never be covered: no legal test "
                     f"holds {', '.join(f'{a}={v}' for a, v in directive)}")
@@ -589,8 +594,9 @@ class ModelSpace:
                     return self.manager.false
         return self.manager.cofactor(fn, cube)
 
-    def value_cofactors(self, fn: Function, attr: str) -> list[Function]:
-        """fn cofactored on each value of one attribute, in value order.
+    def split(self, fn: Function, attr: str) -> list[tuple[str, Function]]:
+        """fn split over one attribute: each value that leaves it non-false,
+        with fn cofactored on that value, in value order.
 
         One cube cofactor per value, through the engine's kernel: the cubes
         are in range by construction, so only fn's manager is checked, once.
@@ -603,8 +609,20 @@ class ModelSpace:
         manager._check_same_manager(fn)
         block = self.encoding.blocks[ai]
         last = block[-1] if block else -1  # an empty cube fixes nothing
-        return [Function(manager, manager._cofactor(root, cube, last, {}))
-                for cube in self._value_cubes[ai]]
+        pairs = [(label, Function(manager, manager._cofactor(root, cube, last, {})))
+                 for label, cube in zip(self.model.attributes[ai].labels,
+                                        self._value_cubes[ai])]
+        return [(label, cofactor) for label, cofactor in pairs if not cofactor.is_false]
+
+    def bind(self, bindings) -> dict[int, Function]:
+        """A copy of `factors` with the factor of each component that
+        `bindings` touch cofactored on them (`cofactor`); a factor ignores
+        the bindings outside its component.  A factor is false exactly when
+        no legal test holds the bindings in its component."""
+        factors = dict(self.factors)
+        for c in {self.component_of[attr] for attr, _ in bindings}:
+            factors[c] = self.cofactor(factors[c], bindings)
+        return factors
 
     @cached_property
     def _value_cubes(self) -> list[list[dict[int, int]]]:
@@ -623,30 +641,26 @@ class ModelSpace:
         key = self.component_of.__getitem__
         return [tuple(piece) for _, piece in itertools.groupby(sorted(attrs, key=key), key)]
 
-    def marginals(self, sets) -> list[Function]:
-        """The legal space projected onto the blocks of each attribute
-        subset (every other variable quantified away), in order.
+    def marginals(self, pieces) -> list[Function]:
+        """The legal space projected onto the blocks of each piece (every
+        other variable quantified away), in order.
 
-        The legal space is the AND of `factors`, with disjoint supports,
-        each satisfiable, so a set's projection is that of the AND of the
-        factors of the components it touches, the same node (early
-        quantification, Burch, Clarke & Long 1991).  The sets that touch
-        the same components go through one engine call, so they share what
-        they quantify alike.
-        `coverage` passes `pieces`, each of which touches one component."""
-        sets = list(sets)
+        Each piece lies in one component, as `pieces` yields them.  The
+        legal space is the AND of `factors`, with disjoint supports, each
+        satisfiable, so a piece's projection is that of its own component's
+        factor (early quantification, Burch, Clarke & Long 1991).  The
+        pieces of one component go through one engine call, so they share
+        what they quantify alike."""
+        pieces = list(pieces)
         blocks, index = self.encoding.blocks, self.model.index
-        kept = [[v for a in attrs for v in blocks[index(a)]] for attrs in sets]
-        component, factors = self.component_of, self.factors
-        groups: dict[tuple[int, ...], list[int]] = {}  # components -> set indices
-        for i, attrs in enumerate(sets):
-            groups.setdefault(tuple(sorted({component[a] for a in attrs})), []).append(i)
-        projected: list[Function] = [self.manager.true] * len(sets)
-        for touched, members in groups.items():
-            fn = functools.reduce(operator.and_, (factors[c] for c in touched),
-                                  self.manager.true)
+        groups: dict[int, list[int]] = {}  # component -> piece indices
+        for i, piece in enumerate(pieces):
+            groups.setdefault(self.component_of[piece[0]], []).append(i)
+        projected: list[Function] = [self.manager.true] * len(pieces)
+        for c, members in groups.items():
+            kept = [[v for a in pieces[i] for v in blocks[index(a)]] for i in members]
             for i, projection in zip(members, self.manager.projections(
-                    fn, [kept[i] for i in members])):
+                    self.factors[c], kept)):
                 projected[i] = projection
         return projected
 
@@ -713,17 +727,17 @@ class ModelSpace:
 
         A depth-first walk over an explicit stack that, like a greedy row,
         keeps one function per component.  Each depth splits only its
-        attribute's component function over the values (`value_cofactors`)
-        and enters only the non-false branches, whatever the block order:
-        the supports are disjoint, so each extends to a full assignment.  A
-        function reached again at the same depth is split once per walk."""
-        names, attributes = self.model.attribute_names, self.model.attributes
+        attribute's component function over the values (`split`) and enters
+        only the non-false branches, whatever the block order: the supports
+        are disjoint, so each extends to a full assignment.  A function
+        reached again at the same depth is split once per walk."""
+        names = self.model.attribute_names
         component = [self.component_of[name] for name in names]
         fns = self.factors if factors is None else factors
         if any(fn.is_false for fn in fns.values()):
             return
         todo = [((), fns)]  # (labels, one function per component)
-        split: dict[tuple[int, int], list] = {}  # (root, depth) -> (label, cofactor)s
+        splits: dict[tuple[int, int], list] = {}  # (root, depth) -> (label, cofactor)s
         emitted = 0
         while todo and (limit is None or emitted < limit):
             labels, fns = todo.pop()
@@ -734,9 +748,7 @@ class ModelSpace:
                 continue
             c = component[depth]
             key = (fns[c].root, depth)
-            if key not in split:
-                split[key] = [(label, cofactor) for label, cofactor in zip(
-                    attributes[depth].labels, self.value_cofactors(fns[c], names[depth]))
-                    if not cofactor.is_false]
+            if key not in splits:
+                splits[key] = self.split(fns[c], names[depth])
             todo += reversed([(labels + (label,), {**fns, c: cofactor})
-                              for label, cofactor in split[key]])
+                              for label, cofactor in splits[key]])

@@ -75,13 +75,17 @@ def plan_csv_text(tests, columns) -> str:
 
 
 def _csv_rows(path):
-    """The rows of a CSV file, a UTF-8 byte-order mark skipped.  Bytes that
-    are not UTF-8, and a line the csv module rejects (a NUL byte, before
-    Python 3.11), raise PlanFormatError naming the file."""
+    """The non-blank rows of a CSV file, each as (the number of the line it
+    ends on, its fields), a UTF-8 byte-order mark skipped: a quoted field
+    may span lines.  Bytes that are not UTF-8, and a line the csv module
+    rejects (a NUL byte, before Python 3.11), raise PlanFormatError naming
+    the file."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            yield from reader
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
         except UnicodeDecodeError as exc:
             raise PlanFormatError(f"{path}: not UTF-8 text: {exc}") from None
         except csv.Error as exc:
@@ -91,7 +95,7 @@ def _csv_rows(path):
 def read_plan_csv(path) -> tuple[list[str], list[dict[str, str]]]:
     """Read (columns, rows); labels are not validated against any model."""
     reader = _csv_rows(path)
-    header = next(reader, None)
+    _, header = next(reader, (None, None))
     if header is None:
         raise PlanFormatError(f"{path}: empty plan file")
     columns = [c.strip() for c in header]
@@ -99,9 +103,7 @@ def read_plan_csv(path) -> tuple[list[str], list[dict[str, str]]]:
     if repeated:
         raise PlanFormatError(f"{path}: header repeats column(s) {repeated}")
     rows = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for line_no, row in reader:
         if len(row) != len(columns):
             raise PlanFormatError(
                 f"{path}: line {line_no} has {len(row)} fields, "
@@ -197,16 +199,14 @@ def json_text(document) -> str:
 def read_results_csv(path) -> list[tuple[str, bool]]:
     """Read (test reference, passed) pairs from a results file."""
     reader = _csv_rows(path)
-    header = next(reader, None)
+    _, header = next(reader, (None, None))
     if header is None:
         raise PlanFormatError(f"{path}: empty results file")
     if [h.strip().lower() for h in header] != ["test", "verdict"]:
         raise PlanFormatError(
             f"{path}: results header must be 'test,verdict', got {header}")
     out = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for line_no, row in reader:
         if len(row) != 2:
             raise PlanFormatError(f"{path}: line {line_no}: expected 2 fields")
         ref, verdict = row[0].strip(), row[1].strip().upper()

@@ -407,6 +407,17 @@ def iff_document(h):
             "constraints": [f"A{i} = a <-> A{i + h} = b" for i in range(h)]}
 
 
+def zigzag_document(h):
+    """Model document of 2h three-valued attributes A0.. under
+    `Ai = v0 <-> Ai+h = v1` and `Ai+h = v2 <-> Ai+1 = v1`: one component,
+    a path A0, Ah, A1, Ah+1, ... whose neighbours lie h apart in
+    declaration order, so the picked block order puts them side by side."""
+    return {"attributes": [{"name": f"A{i}", "values": ["v0", "v1", "v2"]}
+                           for i in range(2 * h)],
+            "constraints": [f"A{i} = v0 <-> A{i + h} = v1" for i in range(h)]
+            + [f"A{i + h} = v2 <-> A{i + 1} = v1" for i in range(h - 1)]}
+
+
 def deep_documents():
     """Model documents over twelve binary attributes A0..A11 (values a, b),
     each with one constraint nested far past the interpreter's recursion

@@ -521,7 +521,7 @@ def test_residual_equals_brute_force(case, data):
     # the row tie, then the ones the most uncovered requirements hold, in
     # value order
     names = model.attribute_names
-    row, total = {}, residual.start()  # row: its bindings in draw order
+    row, total = {}, residual.row_total(())  # row: its bindings in draw order
     for attr in data.draw(st.permutations(names)):
         fn = space.cofactor(oracles.conjunction(space), row.items())
         for other in names:
@@ -542,6 +542,8 @@ def test_residual_equals_brute_force(case, data):
         label = data.draw(st.sampled_from(_viable(model, legal, row, attr)))
         total = residual.extend(total, row, (attr, label))
         row[attr] = label
+        # the running total depends on the row's bindings alone
+        assert residual.row_total([(a, row[a]) for a in names if a in row]) == total
 
 
 def _viable(model, legal, row, attr):
@@ -562,7 +564,7 @@ class _Choices:
 
 def _picked(residual, space, row, attr, rng=None):
     """The label `Residual.pick` binds to `attr` next to `row`."""
-    total, bound = residual.start(), {}
+    total, bound = residual.row_total(()), {}
     for binding in row.items():
         total = residual.extend(total, bound, binding)
         bound[binding[0]] = binding[1]

@@ -142,16 +142,16 @@ def test_cycles_split_once_and_match_fresh_residuals(monkeypatch):
     # each cycle's tests are those a residual built afresh and covered by
     # the tests passed so far gives
     space = ModelSpace(parse_model(oracles.chain_document(8, 3)))
-    splits, value_cofactors = [], ModelSpace.value_cofactors
+    splits, split = [], ModelSpace.split
 
     def spy(self, fn, attr):
         splits.append((fn.root, attr))
-        return value_cofactors(self, fn, attr)
+        return split(self, fn, attr)
 
     def every_third_fails(calls):
         return lambda test: calls.append(test) or len(calls) % 3 != 0
 
-    monkeypatch.setattr(ModelSpace, "value_cofactors", spy)
+    monkeypatch.setattr(ModelSpace, "split", spy)
     calls = []
     state = run_cycles(space, 2, 3, every_third_fails(calls), max_cycles=50)
     assert splits and len(splits) == len(set(splits))
@@ -162,7 +162,7 @@ def test_cycles_split_once_and_match_fresh_residuals(monkeypatch):
             fresh.cover(test)
         if not fresh:
             break
-        tests = grow_tests(space, fresh.copy(), 3)
+        tests = grow_tests(fresh.copy(), 3)
         emitted.extend(tests)
         for test in filter(verdict, tests):
             passed.append(test)

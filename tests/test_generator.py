@@ -122,7 +122,7 @@ def test_grow_tests_rejects_a_budget_below_1(api8x2_space, budget):
     # 0 would emit nothing, and -1 would never reach its limit
     residual = Residual(api8x2_space, 2)
     with pytest.raises(CtdError, match=rf"^budget must be >= 1, got {budget}$"):
-        grow_tests(api8x2_space, residual, budget)
+        grow_tests(residual, budget)
     assert len(residual) == residual.total
 
 
@@ -202,13 +202,13 @@ def test_each_split_made_once(monkeypatch, models_dir, document, t, nodes):
     # count is the nodes the call adds to the manager
     space = ModelSpace(parse_model(_document(models_dir, document)))
     before = len(space.manager)
-    splits, value_cofactors = [], ModelSpace.value_cofactors
+    splits, split = [], ModelSpace.split
 
     def spy(self, fn, attr):
         splits.append((fn.root, attr))
-        return value_cofactors(self, fn, attr)
+        return split(self, fn, attr)
 
-    monkeypatch.setattr(ModelSpace, "value_cofactors", spy)
+    monkeypatch.setattr(ModelSpace, "split", spy)
     generate_plan(space, t)
     assert splits and len(splits) == len(set(splits))
     assert len(space.manager) - before == nodes

@@ -35,6 +35,18 @@ def test_read_plan_csv_rejects_ragged_rows(tmp_path):
         read_plan_csv(path)
 
 
+def test_read_plan_csv_numbers_lines_past_a_multi_line_cell(tmp_path):
+    # the quoted cell spans lines 3 and 4, so the ragged row is on line 6
+    # past a blank line, and on line 5 without it
+    path = tmp_path / "plan.csv"
+    path.write_text('A,B\nx,y\na,"b\nc"\n\nz\n')
+    with pytest.raises(PlanFormatError, match="line 6 has 1 fields, header has 2"):
+        read_plan_csv(path)
+    path.write_text('A,B\nx,y\na,"b\nc"\nz\n')
+    with pytest.raises(PlanFormatError, match="line 5 has 1 fields, header has 2"):
+        read_plan_csv(path)
+
+
 def test_read_plan_csv_rejects_empty_file(tmp_path):
     path = tmp_path / "plan.csv"
     path.write_text("")
@@ -128,6 +140,14 @@ def test_results_csv_skips_a_byte_order_mark(tmp_path):
     path = tmp_path / "results.csv"
     path.write_bytes(b"\xef\xbb\xbftest, verdict\r\n1,PASS\r\n")
     assert read_results_csv(path) == [("1", True)]
+
+
+def test_results_csv_numbers_lines_past_a_multi_line_cell(tmp_path):
+    # the quoted reference spans lines 2 and 3, so the short row is on line 4
+    path = tmp_path / "results.csv"
+    path.write_text('test,verdict\n"a\nb",PASS\n3\n')
+    with pytest.raises(PlanFormatError, match="line 4: expected 2 fields"):
+        read_results_csv(path)
 
 
 def test_results_csv_bad_header(tmp_path):
